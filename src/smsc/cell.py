@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 from .bus import DeliveryMode, Envelope, MessageBus, Subscription
 from .catalogue import Catalogue, CellProfile, TrustPolicy
 from .discovery import Advertisement, DiscoveryService, RegistrationRequest
-from .errors import MalformedCommand, TokenVerificationError, UnknownCell
+from .errors import MalformedCommand, SmscError, TokenVerificationError, UnknownCell
 from .governance import (
     ApplyReport,
     ApplyStatus,
@@ -60,6 +60,7 @@ class IngestOutcome(str, Enum):
     BUFFERED = "buffered"
     REJECTED = "rejected"
     UNTRUSTED_SOURCE = "untrusted-source"
+    INVALID = "invalid"
 
 
 @dataclass(frozen=True)
@@ -345,8 +346,17 @@ class Cell:
     def ingest_security_update(
         self, package_wire: Mapping[str, Any], from_cell: str, now: int
     ) -> IngestOutcome:
+        """Ingest one pushed or back-filled package.
+
+        A package that does not parse or fails its signature check is
+        contained: it is logged as ``invalid`` and never raises, so one
+        hostile peer cannot abort the caller's loop.
+        """
         self._now = now
-        package = UpdatePackage.from_wire(package_wire)
+        try:
+            package = UpdatePackage.from_wire(package_wire)
+        except (SmscError, KeyError, TypeError, ValueError) as exc:
+            return self._invalid_update(from_cell, exc)
         sender = self.catalogue.get(from_cell)
         if sender is None or not all(sender.trusted_in(c) for c in package.contexts):
             self._observer(
@@ -357,7 +367,10 @@ class Cell:
             self._audit("update-in", {"from": from_cell, "origin": package.origin,
                                       "seq": package.seq, "outcome": "untrusted-source"})
             return IngestOutcome.UNTRUSTED_SOURCE
-        report = self.store.apply_update(package)
+        try:
+            report = self.store.apply_update(package)
+        except (SmscError, KeyError, TypeError, ValueError) as exc:
+            return self._invalid_update(from_cell, exc)
         self._after_apply(report, now, via=from_cell, push=True)
         if report.status in (ApplyStatus.DUPLICATE, ApplyStatus.BUFFERED):
             self._observer(
@@ -368,6 +381,15 @@ class Cell:
         self._audit("update-in", {"from": from_cell, "origin": package.origin,
                                   "seq": package.seq, "outcome": report.status.value})
         return IngestOutcome(report.status.value)
+
+    def _invalid_update(self, from_cell: str, exc: Exception) -> IngestOutcome:
+        self._observer(
+            "update",
+            {"status": IngestOutcome.INVALID.value, "from": from_cell,
+             "error": type(exc).__name__},
+        )
+        self._audit("update-in", {"from": from_cell, "outcome": "invalid"})
+        return IngestOutcome.INVALID
 
     def _after_apply(
         self, report: ApplyReport, now: int, via: Optional[str], push: bool

@@ -276,8 +276,12 @@ def expand_delegations(
     return base_attrs | gained
 
 
+# the encoder json.dumps would build on every call with these arguments
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(value)
 
 
 def sign_payload(key: str, payload: Any) -> str:

@@ -12,6 +12,17 @@ Message loss: every envelope due for delivery consumes exactly one draw
 from its link's stream, whether or not a partition already doomed it.
 Loss decisions therefore do not depend on partition timing, which keeps
 fault-injection experiments comparable across configurations.
+
+The per-tick structures are built once, in ``Simulator.__init__``, and
+rely on three invariants:
+
+* Links are fixed after construction.  ``set_drop`` replaces a link's
+  loss rate, never its endpoints, so the neighbour lists and the
+  ``(src, dst)`` to link-key map stay valid for the whole run.
+* In-flight envelopes are bucketed by delivery tick, and each bucket is
+  in ``net_seq`` order, because ``net_seq`` is assigned in append order.
+  Loss draws are therefore taken in ``net_seq`` order without a sort.
+* Surviving envelopes are delivered in ``(dst, net_seq)`` order.
 """
 
 from __future__ import annotations
@@ -39,11 +50,6 @@ from .policy import (
     load_policy_document,
 )
 from .prng import SplitMix64, stream_for_link
-
-ENVELOPE_KINDS = (
-    "advert", "register", "register-reply", "update",
-    "digest", "digest-reply", "op-req", "op-resp", "mgmt-req", "mgmt-resp",
-)
 
 SIM = "-"  # the "cell" column for simulator-level log records
 
@@ -416,12 +422,23 @@ class Simulator:
                 capabilities=cs.capabilities,
                 observer=self._make_observer(cs.cell_id),
             )
-        self.links: dict[frozenset[str], LinkSpec] = {
-            frozenset((l.a, l.b)): l for l in spec.links
-        }
+        self._cell_order = sorted(self.cells)
+        self.links: dict[frozenset[str], LinkSpec] = {}
+        self._link_keys: dict[tuple[str, str], frozenset[str]] = {}
+        self._adjacency: dict[str, list[str]] = {}
+        for link in spec.links:
+            a, b = link.a, link.b
+            key = frozenset((a, b))
+            if key not in self.links:
+                self._adjacency.setdefault(a, []).append(b)
+                self._adjacency.setdefault(b, []).append(a)
+            self.links[key] = link
+            self._link_keys[a, b] = self._link_keys[b, a] = key
+        for peers in self._adjacency.values():
+            peers.sort()
         self._streams: dict[frozenset[str], SplitMix64] = {}
         self.partitions: list[PartitionWindow] = list(spec.partitions)
-        self._in_flight: list[SimEnvelope] = []
+        self._in_flight: dict[int, list[SimEnvelope]] = {}
         self._next_net_seq = 0
         self._pending_drop: dict[frozenset[str], float] = {}
         self._script_by_tick: dict[int, list[ScriptAction]] = {}
@@ -446,12 +463,7 @@ class Simulator:
         return self._streams[key]
 
     def _neighbors(self, cell_id: str) -> list[str]:
-        out = []
-        for key in self.links:
-            if cell_id in key:
-                (other,) = key - {cell_id}
-                out.append(other)
-        return sorted(out)
+        return self._adjacency.get(cell_id, [])
 
     def _partitioned(self, src: str, dst: str, tick: int) -> bool:
         return any(w.cuts(src, dst, tick) for w in self.partitions)
@@ -535,14 +547,9 @@ class Simulator:
             self.inject_heal()
 
     def _deliver_due(self, tick: int) -> None:
-        due = sorted(
-            (e for e in self._in_flight if e.deliver_tick == tick),
-            key=lambda e: e.net_seq,
-        )
-        self._in_flight = [e for e in self._in_flight if e.deliver_tick != tick]
         survivors: list[SimEnvelope] = []
-        for envelope in due:
-            key = frozenset((envelope.src, envelope.dst))
+        for envelope in self._in_flight.pop(tick, ()):
+            key = self._link_keys[envelope.src, envelope.dst]
             draw = self._stream(key).next_float()
             if self._partitioned(envelope.src, envelope.dst, tick):
                 reason = "partition"
@@ -555,7 +562,9 @@ class Simulator:
                 "kind": envelope.kind, "src": envelope.src,
                 "netSeq": envelope.net_seq, "reason": reason,
             })
-        for envelope in sorted(survivors, key=lambda e: (e.dst, e.net_seq)):
+        # survivors are in net_seq order; the stable sort keeps it per dst
+        survivors.sort(key=lambda e: e.dst)
+        for envelope in survivors:
             self.log.record(tick, envelope.dst, "deliver", {
                 "kind": envelope.kind, "src": envelope.src,
                 "netSeq": envelope.net_seq,
@@ -565,7 +574,7 @@ class Simulator:
             )
 
     def _dispatch_outboxes(self, tick: int) -> None:
-        for cell_id in sorted(self.cells):
+        for cell_id in self._cell_order:
             for message in self.cells[cell_id].take_outbox():
                 if message.dst == "*":
                     for neighbor in self._neighbors(cell_id):
@@ -578,16 +587,16 @@ class Simulator:
     def _enqueue(
         self, kind: str, src: str, dst: str, body: Mapping[str, Any], tick: int
     ) -> None:
-        key = frozenset((src, dst))
-        link = self.links.get(key)
-        if link is None or dst not in self.cells:
+        key = self._link_keys.get((src, dst))
+        if key is None or dst not in self.cells:
             self.log.record(tick, src, "drop", {
                 "kind": kind, "dst": dst, "reason": "no-link",
             })
             return
-        self._in_flight.append(SimEnvelope(
+        deliver_tick = tick + self.links[key].latency
+        self._in_flight.setdefault(deliver_tick, []).append(SimEnvelope(
             kind=kind, src=src, dst=dst, sent_tick=tick,
-            deliver_tick=tick + link.latency,
+            deliver_tick=deliver_tick,
             net_seq=self._next_net_seq, body=body,
         ))
         self._next_net_seq += 1
@@ -655,7 +664,7 @@ class Simulator:
         self._run_script(tick)
         if tick > 0:
             self._deliver_due(tick)
-        for cell_id in sorted(self.cells):
+        for cell_id in self._cell_order:
             self.cells[cell_id].on_tick(tick)
         self._dispatch_outboxes(tick)
         self._run_assertions(tick)

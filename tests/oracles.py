@@ -147,3 +147,17 @@ def segment_filter_matches(pattern: str, topic: str) -> bool:
         head = p_segments[:-1]
         return len(t_segments) > len(head) and t_segments[: len(head)] == head
     return p_segments == t_segments
+
+
+# --- topology -------------------------------------------------------------
+
+
+def naive_neighbors(links, cell_id):
+    """Every cell sharing a link with ``cell_id``, by a scan of all links."""
+    out = []
+    for link in links:
+        if link.a == cell_id:
+            out.append(link.b)
+        elif link.b == cell_id:
+            out.append(link.a)
+    return sorted(out)

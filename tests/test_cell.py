@@ -419,6 +419,52 @@ def test_ingest_gap_buffers():
     assert cell.store.applied_seq["org"] == 1
 
 
+def forged_wire(**kwargs):
+    wire = signed_wire(**kwargs)
+    wire["sig"] = "0" * 64
+    return wire
+
+
+def kindless_wire():
+    wire = signed_wire()
+    del wire["kind"]
+    return wire
+
+
+@pytest.mark.parametrize("wire,error", [
+    (forged_wire(), "BadSignature"),
+    (kindless_wire(), "KeyError"),
+    ({**signed_wire(), "kind": "Nonsense"}, "ValueError"),
+    ({**signed_wire(), "contexts": []}, "MalformedUpdate"),
+    (["not", "a", "package"], "TypeError"),
+])
+def test_hostile_package_from_trusted_peer_is_contained(wire, error):
+    events = []
+    cell = make_cell(trust={"work": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
+    cell.catalogue.upsert(peer_profile("p1"), 0)
+    outcome = cell.ingest_security_update(wire, "p1", 1)
+    assert outcome is IngestOutcome.INVALID
+    assert cell.store.version == 0 and cell.store.applied_seq == {}
+    assert cell.take_outbox() == []
+    updates = [d for k, d in events if k == "update"]
+    assert updates == [{"status": "invalid", "from": "p1", "error": error}]
+
+
+def test_digest_reply_ingests_the_packages_around_a_bad_one():
+    events = []
+    cell = make_cell(trust={"work": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
+    cell.catalogue.upsert(peer_profile("p1"), 0)
+    packages = [forged_wire(seq=0), kindless_wire(), signed_wire(seq=0),
+                signed_wire(seq=1, payload="other")]
+    cell.handle_envelope("digest-reply", "p1", {"packages": packages}, 2)
+    assert cell.store.applied_seq == {"org": 1}
+    assert {("work", "bad-host"), ("work", "other")} <= cell.store.blocklist
+    statuses = [d["status"] for k, d in events if k == "update"]
+    assert statuses == ["invalid", "invalid", "applied", "applied"]
+
+
 def test_digest_reply_serves_missing_archived_packages():
     cell = make_cell(trust={"work": []})
     cell.catalogue.upsert(peer_profile("p1"), 0)

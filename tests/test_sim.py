@@ -2,7 +2,9 @@ import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
+from smsc.cell import OutboundMessage
 from smsc.errors import (
     InvalidProbability,
     ParseError,
@@ -10,6 +12,7 @@ from smsc.errors import (
     UnknownCellRef,
     UnknownLink,
 )
+from smsc.governance import UpdateKind, make_update
 from smsc.prng import stream_for_link
 from smsc.sim import (
     EventLog,
@@ -20,6 +23,8 @@ from smsc.sim import (
     run_scenario,
     token_wire_from_spec,
 )
+
+from .oracles import naive_neighbors
 
 PERMIT_ANY = {
     "rules": [{
@@ -285,6 +290,85 @@ def test_set_drop_validates_and_defers():
     assert sim.links[key].drop == 0.0
     sim.step()
     assert sim.links[key].drop == 1.0
+
+
+CELL_POOL = [f"c{i}" for i in range(8)]
+PAIRS = [(a, b) for i, a in enumerate(CELL_POOL) for b in CELL_POOL[i + 1:]]
+
+
+@st.composite
+def random_links(draw):
+    pairs = draw(st.lists(st.sampled_from(PAIRS), unique=True, max_size=len(PAIRS)))
+    return [
+        {"a": b, "b": a} if draw(st.booleans()) else {"a": a, "b": b}
+        for a, b in pairs
+    ]
+
+
+@given(random_links())
+def test_neighbor_lists_match_naive_scan(links):
+    spec = parse_scenario(scenario_wire(len(CELL_POOL), links=links))
+    sim = Simulator(spec)
+    for cell_id in CELL_POOL:
+        assert sim._neighbors(cell_id) == naive_neighbors(spec.links, cell_id)
+
+
+@given(random_links(),
+       st.lists(st.integers(1, 3), min_size=len(PAIRS), max_size=len(PAIRS)),
+       st.sampled_from([0.0, 0.3]))
+def test_deliveries_in_dst_then_net_seq_order(links, latencies, drop):
+    for link, latency in zip(links, latencies):
+        link.update(latency=latency, drop=drop)
+    wire = scenario_wire(len(CELL_POOL), links=links, maxTicks=8)
+    for cell in wire["cells"]:
+        cell["intervals"] = {"advertise": 2, "antiEntropy": 1}
+    sim, _ = run_sim(wire)
+    by_tick = {}
+    seen = set()
+    for record in sim.log.records:
+        detail = record["detail"]
+        if record["kind"] not in ("deliver", "drop") or "netSeq" not in detail:
+            continue
+        assert detail["netSeq"] not in seen
+        seen.add(detail["netSeq"])
+        if record["kind"] == "deliver":
+            by_tick.setdefault(record["tick"], []).append(
+                (record["cell"], detail["netSeq"])
+            )
+    for order in by_tick.values():
+        assert order == sorted(order)
+
+
+def test_hostile_updates_do_not_stop_the_run():
+    wire = scenario_wire(assertions=[
+        {"id": "untouched", "check": "store-version", "cell": "c1",
+         "expected": 0, "atEnd": True},
+    ])
+    sim = Simulator(parse_scenario(wire))
+    sender = sim.cells["c0"]
+    forged = make_update("c0", 0, UpdateKind.BLOCKLIST_ADD, "h", {"work"}, 0).to_wire()
+    forged["sig"] = "0" * 64
+    kindless = make_update("c0", 0, UpdateKind.BLOCKLIST_ADD, "h", {"work"}, 0).to_wire()
+    del kindless["kind"]
+    on_tick = sender.on_tick
+
+    def hostile_tick(now):
+        on_tick(now)
+        if now == 3:
+            sender.outbox.append(OutboundMessage("update", "c1", forged))
+            sender.outbox.append(OutboundMessage(
+                "digest-reply", "c1", {"packages": [kindless]}
+            ))
+
+    sender.on_tick = hostile_tick
+    report = sim.run()
+    assert report["passed"], report["assertions"]
+    assert report["finalTick"] == 6
+    invalid = [(r["tick"], r["cell"], r["detail"]) for r in records_of(sim, "update")]
+    assert invalid == [
+        (4, "c1", {"status": "invalid", "from": "c0", "error": "BadSignature"}),
+        (4, "c1", {"status": "invalid", "from": "c0", "error": "KeyError"}),
+    ]
 
 
 # --- assertions and reporting ---------------------------------------------
