@@ -10,12 +10,16 @@ and once with another, to show the event log is a pure function of
 Run: python3 demos/run_simulation.py
 """
 
-from smsc.scenarios import build_scenario
-from smsc.sim import EventLog, Simulator
+import os
+from dataclasses import replace
+
+from smsc.sim import EventLog, Simulator, load_scenario
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
 
 print("== partition-heal, tick by tick ==")
 log = EventLog()
-report = Simulator(build_scenario("partition-heal"), log).run()
+report = Simulator(load_scenario(os.path.join(SCENARIOS, "partition-heal.json")), log).run()
 interesting = ("fault", "drop", "update", "assert")
 for record in log.records:
     if record["kind"] not in interesting:
@@ -39,7 +43,8 @@ print("\n== determinism on the lossy mesh ==")
 
 def run_lines(seed):
     log = EventLog()
-    Simulator(build_scenario("lossy-convergence", seed=seed), log).run()
+    spec = load_scenario(os.path.join(SCENARIOS, "lossy-convergence.json"))
+    Simulator(replace(spec, seed=seed), log).run()
     return log.lines
 
 

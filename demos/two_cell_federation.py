@@ -14,8 +14,11 @@ partitions added.
 Run: python3 demos/two_cell_federation.py
 """
 
-from smsc import AttributePair, Cell, PolicyDocument, issue_token
-from smsc.scenarios import POLICY_FILES
+import os
+
+from smsc import AttributePair, Cell, issue_token, load_policy_document
+
+POLICIES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios", "policies")
 
 
 def shuttle(sender, cells, tick):
@@ -31,14 +34,14 @@ email = Cell(
     "email-cell",
     contexts=("personal",),
     resource_kind="email-filter",
-    policy=PolicyDocument.from_wire(POLICY_FILES["policies/email-personal.json"]),
+    policy=load_policy_document(os.path.join(POLICIES, "email-personal.json")),
     trust_policy={"personal": []},
 )
 call = Cell(
     "call-cell",
     contexts=("personal",),
     resource_kind="call-filter",
-    policy=PolicyDocument.from_wire(POLICY_FILES["policies/call-personal.json"]),
+    policy=load_policy_document(os.path.join(POLICIES, "call-personal.json")),
     trust_policy={"personal": []},
 )
 cells = [email, call]

@@ -7,7 +7,7 @@ security updates.  The ``sim`` module runs whole federations of cells
 under a deterministic discrete-event clock with scriptable faults.
 """
 
-from .bus import DeliveryMode, Envelope, MessageBus, Subscription
+from .bus import Envelope, MessageBus, Subscription
 from .catalogue import (
     Catalogue,
     CatalogueEntry,
@@ -90,7 +90,6 @@ __all__ = [
     "Decision",
     "DecisionRequest",
     "DelegationAssertion",
-    "DeliveryMode",
     "DiscoveryService",
     "DomainSpec",
     "EchoResource",

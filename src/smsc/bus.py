@@ -1,24 +1,24 @@
 """In-cell publish/subscribe bus.
 
 Each cell owns exactly one bus; it connects the cell's internal services.
-Two delivery modes are supported: ``IMMEDIATE`` subscribers have their
-handler invoked synchronously during ``publish``, ``QUEUED`` subscribers
-accumulate envelopes that are fetched later with ``drain``.
+Delivery is queued: ``publish`` appends the envelope to the queue of every
+subscriber with a matching filter, and the subscriber fetches its queue
+later with ``drain``.
 
-Ordering guarantees:
+Guarantees:
 
-* every envelope gets a strictly increasing ``bus_seq``;
-* immediate handlers for one envelope run in (subscriber id, filter) order;
-* a publish issued from inside an immediate handler is deferred onto the
-  in-progress delivery agenda, so bus_seq order equals delivery order.
+* every envelope gets a strictly increasing ``bus_seq``, and publish ticks
+  never go backwards (``ClockRegression`` otherwise);
+* the ``on_publish`` hook sees every envelope, in ``bus_seq`` order, before
+  any subscriber queues it;
+* a subscriber queues each envelope at most once, even when several of its
+  filters match, so ``drain`` returns its envelopes in ``bus_seq`` order.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .errors import (
@@ -63,11 +63,6 @@ def filter_matches(pattern: str, topic: str) -> bool:
     return topic == pattern
 
 
-class DeliveryMode(Enum):
-    IMMEDIATE = "immediate"
-    QUEUED = "queued"
-
-
 @dataclass(frozen=True)
 class Envelope:
     topic: str
@@ -81,59 +76,29 @@ class Envelope:
 class Subscription:
     subscriber_id: str
     filter: str
-    mode: DeliveryMode
-
-
-Handler = Callable[[Envelope], None]
-
-
-@dataclass
-class SubscriptionHandle:
-    """Returned by ``subscribe``; supports cancellation."""
-
-    subscription: Subscription
-    _bus: "MessageBus" = field(repr=False)
-    _handler: Optional[Handler] = field(default=None, repr=False)
-    _active: bool = True
-
-    def cancel(self) -> None:
-        if self._active:
-            self._active = False
-            self._bus._remove(self)
 
 
 class MessageBus:
     """Single-threaded bus, mutated only from the owning cell's loop."""
 
     def __init__(self, on_publish: Optional[Callable[[Envelope], None]] = None):
-        self._handles: list[SubscriptionHandle] = []
-        self._queues: dict[str, deque[Envelope]] = {}
+        self._filters: dict[str, list[str]] = {}
+        self._queues: dict[str, list[Envelope]] = {}
         self._next_seq = 0
         self._last_tick = 0
-        self._agenda: deque[Envelope] = deque()
-        self._delivering = False
         self._on_publish = on_publish
 
-    def subscribe(self, sub: Subscription, handler: Optional[Handler] = None) -> SubscriptionHandle:
+    def subscribe(self, sub: Subscription) -> None:
         validate_filter(sub.filter)
-        key = (sub.subscriber_id, sub.filter, sub.mode)
-        for handle in self._handles:
-            existing = handle.subscription
-            if (existing.subscriber_id, existing.filter, existing.mode) == key:
-                raise DuplicateSubscription(f"already registered: {key}")
-        if sub.mode is DeliveryMode.QUEUED:
-            self._queues.setdefault(sub.subscriber_id, deque())
-        handle = SubscriptionHandle(sub, self, handler)
-        self._handles.append(handle)
-        return handle
+        filters = self._filters.setdefault(sub.subscriber_id, [])
+        if sub.filter in filters:
+            raise DuplicateSubscription(f"already registered: {sub}")
+        filters.append(sub.filter)
+        self._queues.setdefault(sub.subscriber_id, [])
 
-    def publish(self, topic: str, payload: Any, publisher_id: str, tick: int) -> list[str]:
-        """Publish one envelope; returns the immediate subscribers reached.
-
-        A re-entrant call from an immediate handler returns an empty list:
-        its envelope is appended to the agenda and delivered once the
-        current pass reaches it.
-        """
+    def publish(self, topic: str, payload: Any, publisher_id: str, tick: int) -> None:
+        """Publish one envelope; each subscriber with a matching filter
+        queues it once, however many of its filters match."""
         validate_topic(topic)
         if tick < self._last_tick:
             raise ClockRegression(f"tick {tick} below last publish tick {self._last_tick}")
@@ -142,57 +107,14 @@ class MessageBus:
         self._next_seq += 1
         if self._on_publish is not None:
             self._on_publish(envelope)
-        self._agenda.append(envelope)
-        if self._delivering:
-            return []
-        delivered_first: list[str] = []
-        first = True
-        self._delivering = True
-        try:
-            while self._agenda:
-                current = self._agenda.popleft()
-                delivered = self._deliver(current)
-                if first:
-                    delivered_first = delivered
-                    first = False
-        finally:
-            self._delivering = False
-        return delivered_first
+        for subscriber_id, filters in self._filters.items():
+            if any(filter_matches(pattern, topic) for pattern in filters):
+                self._queues[subscriber_id].append(envelope)
 
     def drain(self, subscriber_id: str) -> list[Envelope]:
         """Return and clear the subscriber's queued envelopes, bus_seq order."""
-        if not any(
-            h._active and h.subscription.mode is DeliveryMode.QUEUED
-            and h.subscription.subscriber_id == subscriber_id
-            for h in self._handles
-        ):
-            raise UnknownSubscriber(f"no queued subscription for {subscriber_id!r}")
-        queue = self._queues.get(subscriber_id, deque())
-        out = list(queue)
-        queue.clear()
-        return out
-
-    # internal
-
-    def _deliver(self, envelope: Envelope) -> list[str]:
-        matching = [
-            h for h in self._handles
-            if h._active and filter_matches(h.subscription.filter, envelope.topic)
-        ]
-        matching.sort(key=lambda h: (h.subscription.subscriber_id, h.subscription.filter))
-        delivered: list[str] = []
-        queued_to: set[str] = set()
-        for handle in matching:
-            sub = handle.subscription
-            if sub.mode is DeliveryMode.IMMEDIATE:
-                delivered.append(sub.subscriber_id)
-                if handle._handler is not None:
-                    handle._handler(envelope)
-            elif sub.subscriber_id not in queued_to:
-                # one queue per subscriber: at most one append per envelope
-                queued_to.add(sub.subscriber_id)
-                self._queues[sub.subscriber_id].append(envelope)
-        return delivered
-
-    def _remove(self, handle: SubscriptionHandle) -> None:
-        self._handles = [h for h in self._handles if h is not handle]
+        queue = self._queues.get(subscriber_id)
+        if queue is None:
+            raise UnknownSubscriber(f"no subscription for {subscriber_id!r}")
+        self._queues[subscriber_id] = []
+        return queue

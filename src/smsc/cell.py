@@ -16,10 +16,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, Optional
 
-from .bus import DeliveryMode, Envelope, MessageBus, Subscription
+from .bus import Envelope, MessageBus, Subscription
 from .catalogue import Catalogue, CellProfile, TrustPolicy
 from .discovery import Advertisement, DiscoveryService, RegistrationRequest
-from .errors import MalformedCommand, SmscError, TokenVerificationError, UnknownCell
+from .errors import (
+    MalformedCommand,
+    PolicyError,
+    SmscError,
+    TokenVerificationError,
+    UnknownCell,
+)
 from .governance import (
     ApplyReport,
     ApplyStatus,
@@ -46,6 +52,17 @@ from .resources import ManagedResource, build_resource
 Observer = Callable[[str, dict[str, Any]], None]
 
 EXTERNAL_CALLER = "external"
+
+MANAGEMENT_COMMANDS = frozenset(
+    {"add-rule", "remove-rule", "flag-spam", "set-config", "set-trust"}
+)
+
+ENVELOPE_KINDS = frozenset({
+    "advert", "register", "register-reply", "update", "digest", "digest-reply",
+    "op-req", "op-resp", "mgmt-req", "mgmt-resp",
+})
+
+_MALFORMED_TOKEN = "indeterminate: malformed-token"
 
 _VERIFY_TAGS = {
     "UntrustedIssuer": "untrusted-issuer",
@@ -83,6 +100,14 @@ def _ok(result: Any) -> dict[str, Any]:
 
 def _denied(reason: str) -> dict[str, Any]:
     return {"status": "denied", "reason": reason, "result": None}
+
+
+def _wire_tokens(body: Mapping[str, Any]) -> Optional[list[Token]]:
+    """The request's tokens, or None when one of them does not parse."""
+    try:
+        return [Token.from_wire(t) for t in body.get("tokens", [])]
+    except (KeyError, TypeError, PolicyError):
+        return None
 
 
 class Cell:
@@ -130,8 +155,8 @@ class Cell:
 
         # the audit service is the one queued bus consumer; it drains once
         # per tick and turns envelopes into audit records
-        self.bus.subscribe(Subscription("audit-log", "cell.*", DeliveryMode.QUEUED))
-        self.bus.subscribe(Subscription("audit-log", "policy.*", DeliveryMode.QUEUED))
+        self.bus.subscribe(Subscription("audit-log", "cell.*"))
+        self.bus.subscribe(Subscription("audit-log", "policy.*"))
 
     # --- plumbing ---------------------------------------------------------
 
@@ -194,19 +219,34 @@ class Cell:
         self.bus.publish("cell.op", detail, "pep", self._now)
 
     def decide_operation(
-        self, tokens: Iterable[Token], action: str, args: Mapping[str, Any],
-        context: str, now: int,
+        self, tokens: Optional[Iterable[Token]], action: str,
+        args: Mapping[str, Any], context: str, now: int,
+        management: bool = False,
     ) -> Decision:
-        """Everything before the resource call: the enforcement decision."""
-        if action not in self.resource.operations:
+        """Everything before the resource call: the enforcement decision.
+
+        ``tokens`` is None when the request's wire tokens did not parse.
+        A management command is decided as action ``mgmt:<command>`` with
+        ``management=True`` and no ``args``, so the blocklist, which
+        screens the args, gates operations only.  The checks run in a
+        fixed order: unknown command, malformed token, unknown action,
+        token verification, blocklist, rules.
+        """
+        if management and action[len("mgmt:"):] not in MANAGEMENT_COMMANDS:
+            return Decision(Verdict.DENY, "unknown-command")
+        if tokens is None:
+            return Decision(Verdict.INDETERMINATE, _MALFORMED_TOKEN)
+        if not management and action not in self.resource.operations:
             return Decision(Verdict.DENY, "unknown-action")
         try:
             attrs = self._verified_attrs(tokens, context, now)
         except TokenVerificationError as exc:
             tag = _VERIFY_TAGS.get(type(exc).__name__, "token-invalid")
             return Decision(Verdict.INDETERMINATE, f"indeterminate: {tag}")
-        blocked = self._blocklisted_value(args, context)
-        if blocked is not None:
+        except (KeyError, TypeError):
+            # parsed, but a field has the wrong type (say, a string expiry)
+            return Decision(Verdict.INDETERMINATE, _MALFORMED_TOKEN)
+        if self._blocklisted_value(args, context) is not None:
             return Decision(Verdict.DENY, "blocklisted")
         request = DecisionRequest(attrs, action, self.resource.kind, context, now)
         return evaluate_request(self.store.context_rules(context), request)
@@ -218,12 +258,7 @@ class Cell:
         action = str(body.get("action", ""))
         args: Mapping[str, Any] = body.get("args", {}) or {}
         context = str(body.get("context", ""))
-        try:
-            tokens = [Token.from_wire(t) for t in body.get("tokens", [])]
-        except (KeyError, TypeError):
-            decision = Decision(Verdict.INDETERMINATE, "indeterminate: malformed-token")
-        else:
-            decision = self.decide_operation(tokens, action, args, context, now)
+        decision = self.decide_operation(_wire_tokens(body), action, args, context, now)
         self._record_decision(caller, action, context, decision)
         self._audit("op", {"caller": caller, "action": action,
                            "verdict": decision.verdict.value})
@@ -239,41 +274,22 @@ class Cell:
     ) -> tuple[Decision, dict[str, Any]]:
         self._now = now
         command = str(body.get("command", ""))
-        payload = body.get("payload")
         context = str(body.get("context", ""))
-        known = ("add-rule", "remove-rule", "flag-spam", "set-config", "set-trust")
-        if command not in known:
-            decision = Decision(Verdict.DENY, "unknown-command")
-            self._record_decision(caller, f"mgmt:{command}", context, decision)
-            return decision, _denied(decision.reason)
-        try:
-            tokens = [Token.from_wire(t) for t in body.get("tokens", [])]
-            decision = self._decide_management(tokens, command, context, now)
-        except (KeyError, TypeError):
-            decision = Decision(Verdict.INDETERMINATE, "indeterminate: malformed-token")
+        decision = self.decide_operation(
+            _wire_tokens(body), f"mgmt:{command}", {}, context, now, management=True
+        )
         self._record_decision(caller, f"mgmt:{command}", context, decision)
+        if command not in MANAGEMENT_COMMANDS:
+            return decision, _denied(decision.reason)
         self._audit("mgmt", {"caller": caller, "command": command,
                              "verdict": decision.verdict.value})
         if decision.verdict is not Verdict.PERMIT:
             return decision, _denied(decision.reason)
         try:
-            response = self._execute_management(command, payload, context, now)
+            response = self._execute_management(command, body.get("payload"), context, now)
         except MalformedCommand as exc:
             response = _denied(f"malformed-payload: {exc}")
         return decision, response
-
-    def _decide_management(
-        self, tokens: Iterable[Token], command: str, context: str, now: int
-    ) -> Decision:
-        try:
-            attrs = self._verified_attrs(tokens, context, now)
-        except TokenVerificationError as exc:
-            tag = _VERIFY_TAGS.get(type(exc).__name__, "token-invalid")
-            return Decision(Verdict.INDETERMINATE, f"indeterminate: {tag}")
-        request = DecisionRequest(
-            attrs, f"mgmt:{command}", self.resource.kind, context, now
-        )
-        return evaluate_request(self.store.context_rules(context), request)
 
     def _execute_management(
         self, command: str, payload: Any, context: str, now: int
@@ -283,14 +299,16 @@ class Cell:
                 rule = PolicyRule.from_wire(payload)
             except (KeyError, TypeError) as exc:
                 raise MalformedCommand(f"add-rule: {exc}") from None
-            report = self._local_update(UpdateKind.RULE_ADD, rule, {context}, now)
+            report = self.emit_update(UpdateKind.RULE_ADD, rule, {context}, now, push=False)
             if report.status is ApplyStatus.REJECTED:
                 return _denied("impact-rejected")
             return _ok({"ruleId": rule.id, "version": self.store.version})
         if command == "remove-rule":
             if not isinstance(payload, str):
                 raise MalformedCommand("remove-rule payload must be a rule id")
-            report = self._local_update(UpdateKind.RULE_REMOVE, payload, {context}, now)
+            report = self.emit_update(
+                UpdateKind.RULE_REMOVE, payload, {context}, now, push=False
+            )
             if report.status is ApplyStatus.REJECTED:
                 return _denied("impact-rejected")
             return _ok({"ruleId": payload, "version": self.store.version})
@@ -298,13 +316,13 @@ class Cell:
             entry = payload.get("entry") if isinstance(payload, Mapping) else payload
             if not isinstance(entry, str) or not entry:
                 raise MalformedCommand("flag-spam payload must name an entry")
-            report = self.emit_update(UpdateKind.BLOCKLIST_ADD, entry, {context}, now)
+            self.emit_update(UpdateKind.BLOCKLIST_ADD, entry, {context}, now)
             return _ok({"entry": entry, "version": self.store.version})
         if command == "set-config":
             if not isinstance(payload, Mapping) or "key" not in payload:
                 raise MalformedCommand("set-config payload must carry key and value")
             setting = ConfigSetting(str(payload["key"]), payload.get("value"))
-            self._local_update(UpdateKind.CONFIG_SET, setting, {context}, now)
+            self.emit_update(UpdateKind.CONFIG_SET, setting, {context}, now, push=False)
             return _ok({"key": setting.key, "version": self.store.version})
         if not isinstance(payload, Mapping):
             raise MalformedCommand("set-trust payload must map context to capabilities")
@@ -316,31 +334,21 @@ class Cell:
 
     # --- governance flow --------------------------------------------------
 
-    def _local_update(
-        self, kind: UpdateKind, payload: Any, contexts: set[str], now: int
-    ) -> ApplyReport:
-        """Own-origin package that is not pushed; anti-entropy may spread it."""
-        package = make_update(
-            self.cell_id, self._next_own_seq, kind, payload, contexts, now
-        )
-        self._next_own_seq += 1
-        report = self.store.apply_update(package)
-        self._after_apply(report, now, via=None, push=False)
-        return report
-
     def emit_update(
-        self, kind: UpdateKind, payload: Any, contexts: set[str], now: int
+        self, kind: UpdateKind, payload: Any, contexts: set[str], now: int,
+        push: bool = True,
     ) -> ApplyReport:
         """Own-origin package applied locally, then pushed to trusted peers.
 
-        A package the local store itself rejects is not distributed.
+        With ``push=False`` it stays local and only anti-entropy spreads
+        it.  A package the local store itself rejects is not distributed.
         """
         package = make_update(
             self.cell_id, self._next_own_seq, kind, payload, contexts, now
         )
         self._next_own_seq += 1
         report = self.store.apply_update(package)
-        self._after_apply(report, now, via=None, push=True)
+        self._after_apply(report, now, via=None, push=push)
         return report
 
     def ingest_security_update(
@@ -496,7 +504,23 @@ class Cell:
     def handle_envelope(
         self, kind: str, src: str, body: Mapping[str, Any], now: int
     ) -> None:
+        """Route one envelope from a peer.
+
+        An unknown kind raises ``UnknownCell``.  A body its handler cannot
+        read is contained: it is logged as one ``reject`` record and never
+        raises, so one hostile peer cannot abort the caller's loop.
+        """
         self._now = now
+        if kind not in ENVELOPE_KINDS:
+            raise UnknownCell(f"unroutable envelope kind {kind!r}")
+        try:
+            self._route(kind, src, body, now)
+        except (KeyError, TypeError, ValueError, AttributeError, SmscError) as exc:
+            self._observer(
+                "reject", {"kind": kind, "from": src, "error": type(exc).__name__}
+            )
+
+    def _route(self, kind: str, src: str, body: Mapping[str, Any], now: int) -> None:
         if kind == "advert":
             outcome = self.discovery.handle_advertisement(
                 Advertisement.from_wire(body), now
@@ -526,10 +550,8 @@ class Cell:
         elif kind == "mgmt-req":
             _, response = self.handle_management(body, src, now)
             self._send("mgmt-resp", src, response)
-        elif kind == "mgmt-resp":
+        else:  # mgmt-resp
             self._audit("mgmt-resp", {"from": src, "status": body.get("status")})
-        else:
-            raise UnknownCell(f"unroutable envelope kind {kind!r}")
 
     def _handle_digest(self, src: str, body: Mapping[str, Any]) -> None:
         sender = self.catalogue.get(src)

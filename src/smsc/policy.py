@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -334,14 +334,8 @@ def issue_token(
     issuer: str,
     expiry_tick: int,
 ) -> Token:
-    claim_set = frozenset(claims)
-    body = {
-        "subject": subject,
-        "claims": [c.to_wire() for c in sorted(claim_set)],
-        "issuer": issuer,
-        "expiryTick": expiry_tick,
-    }
-    return Token(subject, claim_set, issuer, expiry_tick, sign_payload(issuer, body))
+    unsigned = Token(subject, frozenset(claims), issuer, expiry_tick, signature="")
+    return replace(unsigned, signature=sign_payload(issuer, unsigned.body()))
 
 
 def verify_token(token: Token, trusted_issuers: Iterable[str], now: int) -> frozenset[AttributePair]:

@@ -372,16 +372,21 @@ def token_wire_from_spec(data: Mapping[str, Any]) -> dict[str, Any]:
 
 
 class EventLog:
-    """Append-only JSON-lines log; also kept in memory for assertions."""
+    """Append-only JSON-lines log; also kept in memory for assertions.
+
+    Only the encoded lines are kept; ``records`` decodes them on demand.
+    """
 
     def __init__(self, sink: Optional[TextIO] = None):
         self._sink = sink
-        self.records: list[dict[str, Any]] = []
         self.lines: list[str] = []
+
+    @property
+    def records(self) -> list[dict[str, Any]]:
+        return [json.loads(line) for line in self.lines]
 
     def record(self, tick: int, cell: str, kind: str, detail: Mapping[str, Any]) -> None:
         entry = {"tick": tick, "cell": cell, "kind": kind, "detail": dict(detail)}
-        self.records.append(entry)
         line = canonical_json(entry)
         self.lines.append(line)
         if self._sink is not None:

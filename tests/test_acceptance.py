@@ -41,14 +41,9 @@ from smsc.policy import (
     issue_token,
 )
 from smsc.resources import EchoResource
-from smsc.scenarios import (
-    CORPUS,
-    POLICY_FILES,
-    build_scenario,
-    scenario_spamfilter_reuse,
-)
 from smsc.sim import EventLog, Simulator, parse_scenario
 
+from .corpus import CORPUS, POLICY_FILES, build_scenario
 from .oracles import (
     enumerate_conflicts,
     fixpoint_delegations,

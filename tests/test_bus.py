@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smsc.bus import (
-    DeliveryMode,
     MessageBus,
     Subscription,
     filter_matches,
@@ -18,10 +17,6 @@ from smsc.errors import (
 )
 
 from .oracles import segment_filter_matches
-
-IMM = DeliveryMode.IMMEDIATE
-QUE = DeliveryMode.QUEUED
-
 
 def test_topic_validation():
     assert validate_topic("cell.op") == "cell.op"
@@ -77,21 +72,10 @@ def validate_is_ok(segment: str) -> bool:
         return False
 
 
-def test_immediate_delivery_ordered_by_subscriber_then_filter():
-    bus = MessageBus()
-    seen = []
-    bus.subscribe(Subscription("zeta", "cell.op", IMM), lambda e: seen.append("zeta"))
-    bus.subscribe(Subscription("alpha", "cell.*", IMM), lambda e: seen.append("alpha-star"))
-    bus.subscribe(Subscription("alpha", "cell.op", IMM), lambda e: seen.append("alpha-exact"))
-    delivered = bus.publish("cell.op", {}, "p", 1)
-    assert seen == ["alpha-star", "alpha-exact", "zeta"]
-    assert delivered == ["alpha", "alpha", "zeta"]
-
-
 def test_queued_subscriber_gets_one_copy_despite_two_matching_filters():
     bus = MessageBus()
-    bus.subscribe(Subscription("log", "cell.*", QUE))
-    bus.subscribe(Subscription("log", "cell.op", QUE))
+    bus.subscribe(Subscription("log", "cell.*"))
+    bus.subscribe(Subscription("log", "cell.op"))
     bus.publish("cell.op", {"n": 1}, "p", 1)
     envelopes = bus.drain("log")
     assert len(envelopes) == 1
@@ -100,7 +84,7 @@ def test_queued_subscriber_gets_one_copy_despite_two_matching_filters():
 
 def test_drain_returns_bus_seq_order():
     bus = MessageBus()
-    bus.subscribe(Subscription("log", "cell.*", QUE))
+    bus.subscribe(Subscription("log", "cell.*"))
     for n in range(4):
         bus.publish("cell.op", {"n": n}, "p", 1)
     seqs = [e.bus_seq for e in bus.drain("log")]
@@ -109,42 +93,19 @@ def test_drain_returns_bus_seq_order():
 
 def test_drain_unknown_subscriber():
     bus = MessageBus()
-    bus.subscribe(Subscription("imm-only", "cell.*", IMM), lambda e: None)
-    with pytest.raises(UnknownSubscriber):
-        bus.drain("imm-only")
+    bus.subscribe(Subscription("log", "cell.*"))
+    assert bus.drain("log") == []
     with pytest.raises(UnknownSubscriber):
         bus.drain("nobody")
 
 
 def test_duplicate_subscription_rejected():
     bus = MessageBus()
-    bus.subscribe(Subscription("a", "cell.*", QUE))
+    bus.subscribe(Subscription("a", "cell.*"))
     with pytest.raises(DuplicateSubscription):
-        bus.subscribe(Subscription("a", "cell.*", QUE))
-    # same filter in the other mode is a different subscription
-    bus.subscribe(Subscription("a", "cell.*", IMM), lambda e: None)
-
-
-def test_reentrant_publish_is_deferred_not_nested():
-    bus = MessageBus()
-    order = []
-
-    def handler(envelope):
-        order.append((envelope.topic, envelope.bus_seq))
-        if envelope.topic == "cell.start":
-            # both of these must run after the current delivery completes
-            assert bus.publish("cell.mid", {}, "h", 1) == []
-            assert bus.publish("cell.end", {}, "h", 1) == []
-            order.append(("after-nested-publish", envelope.bus_seq))
-
-    bus.subscribe(Subscription("h", "cell.*", IMM), handler)
-    bus.publish("cell.start", {}, "p", 1)
-    assert order == [
-        ("cell.start", 0),
-        ("after-nested-publish", 0),
-        ("cell.mid", 1),
-        ("cell.end", 2),
-    ]
+        bus.subscribe(Subscription("a", "cell.*"))
+    # the same filter for another subscriber is a different subscription
+    bus.subscribe(Subscription("b", "cell.*"))
 
 
 def test_clock_regression():
@@ -155,24 +116,12 @@ def test_clock_regression():
         bus.publish("a.b", {}, "p", 4)
 
 
-def test_cancel_stops_delivery():
-    bus = MessageBus()
-    seen = []
-    handle = bus.subscribe(Subscription("a", "cell.*", IMM), lambda e: seen.append(1))
-    bus.publish("cell.op", {}, "p", 1)
-    handle.cancel()
-    bus.publish("cell.op", {}, "p", 2)
-    assert seen == [1]
-    # cancelling twice is a no-op
-    handle.cancel()
-
-
 def test_on_publish_hook_sees_every_envelope():
     mirrored = []
-    bus = MessageBus(on_publish=lambda e: mirrored.append(e.bus_seq))
-    bus.subscribe(
-        Subscription("h", "cell.*", IMM),
-        lambda e: bus.publish("other.topic", {}, "h", 1) if e.topic == "cell.op" else None,
-    )
-    bus.publish("cell.op", {}, "p", 1)
-    assert mirrored == [0, 1]
+    bus = MessageBus(on_publish=lambda e: mirrored.append((e.topic, e.bus_seq)))
+    bus.subscribe(Subscription("h", "cell.*"))
+    assert bus.publish("cell.op", {}, "p", 1) is None
+    bus.publish("other.topic", {}, "p", 1)
+    # the hook sees envelopes no subscriber matches, too
+    assert mirrored == [("cell.op", 0), ("other.topic", 1)]
+    assert [e.bus_seq for e in bus.drain("h")] == [0]

@@ -158,6 +158,26 @@ def test_malformed_token_wire_is_indeterminate():
     assert decision.reason == "indeterminate: malformed-token"
 
 
+@pytest.mark.parametrize("field,value", [("expiryTick", "never"), ("subject", "Mallory")])
+@pytest.mark.parametrize("channel", ["op", "mgmt"])
+def test_token_field_of_the_wrong_type_is_malformed(channel, field, value):
+    cell = make_cell()
+    wire = token(role="admin").to_wire()
+    wire[field] = value
+    if channel == "op":
+        body = op_body(None)
+        body["tokens"] = [wire]
+        decision, response = cell.handle_operation(body, "ext", 1)
+    else:
+        body = mgmt_body("flag-spam", {"entry": "x"})
+        body["tokens"] = [wire]
+        decision, response = cell.handle_management(body, "ext", 1)
+    assert decision.reason == "indeterminate: malformed-token"
+    assert response["status"] == "denied"
+    assert cell.resource.invocations == 0
+    assert cell.store.version == 0
+
+
 def test_no_token_no_attributes():
     cell = make_cell()
     decision, _ = cell.handle_operation(op_body(None), "ext", 1)
@@ -273,6 +293,12 @@ def test_unknown_command_denied():
     )
     assert decision.verdict is Verdict.DENY
     assert decision.reason == "unknown-command"
+    # the command is checked before the tokens are
+    body = mgmt_body("self-destruct", {})
+    body["tokens"] = [{"bogus": 1}, dict(body["tokens"][0], subject="Mallory")]
+    decision, response = cell.handle_management(body, "ext", 2)
+    assert decision.reason == "unknown-command"
+    assert response["status"] == "denied"
 
 
 def test_remove_rule_and_malformed_payload():
@@ -330,13 +356,17 @@ def test_flag_spam_updates_blocklist_and_pushes():
     assert all(m.body["origin"] == "cell" for m in pushes)
 
 
-def test_add_rule_stays_local():
+@pytest.mark.parametrize("command,payload", [
+    ("add-rule", rule("extra", Effect.PERMIT, {}, "echo").to_wire()),
+    ("remove-rule", "deny-guest"),
+    ("set-config", {"key": "mode", "value": "strict"}),
+], ids=["add-rule", "remove-rule", "set-config"])
+def test_local_commands_are_not_pushed(command, payload):
     cell = make_cell(trust={"work": []})
     cell.catalogue.upsert(peer_profile("p1"), 0)
-    cell.handle_management(
-        mgmt_body("add-rule", rule("extra", Effect.PERMIT, {}, "echo").to_wire()),
-        "ext", 1,
-    )
+    _, response = cell.handle_management(mgmt_body(command, payload), "ext", 1)
+    assert response["status"] == "ok"
+    assert cell.store.version == 1
     assert [m for m in cell.take_outbox() if m.kind == "update"] == []
 
 

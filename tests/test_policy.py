@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -370,6 +372,15 @@ def test_token_tamper_detection_covers_claims_and_subject():
 def test_token_needs_claims():
     with pytest.raises(PolicyError):
         Token("alice", frozenset(), "idp", 10, "sig")
+    with pytest.raises(PolicyError):
+        issue_token("alice", [], "idp", 10)
+
+
+def test_issued_signature_covers_the_wire_body():
+    wire = issue_token("alice", [USER, ADMIN], "idp", expiry_tick=10).to_wire()
+    body = {k: v for k, v in wire.items() if k != "sig"}
+    material = "idp|" + json.dumps(body, sort_keys=True, separators=(",", ":"))
+    assert wire["sig"] == hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 # --- wire round-trips -----------------------------------------------------

