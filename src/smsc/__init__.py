@@ -15,7 +15,7 @@ from .catalogue import (
     load_checkpoint,
     save_checkpoint,
 )
-from .cell import AuditRecord, Cell, IngestOutcome, OutboundMessage
+from .cell import Cell, OutboundMessage
 from .discovery import Advertisement, AdvertOutcome, DiscoveryService, RegistrationRequest
 from .errors import SmscError
 from .governance import (
@@ -78,7 +78,6 @@ __all__ = [
     "ApplyStatus",
     "AssessmentVerdict",
     "AttributePair",
-    "AuditRecord",
     "CallFilterResource",
     "Catalogue",
     "CatalogueEntry",
@@ -98,7 +97,6 @@ __all__ = [
     "Envelope",
     "EventLog",
     "ImpactAssessment",
-    "IngestOutcome",
     "ManagedResource",
     "MessageBus",
     "OutboundMessage",

@@ -1,16 +1,16 @@
 """In-cell publish/subscribe bus.
 
 Each cell owns exactly one bus; it connects the cell's internal services.
-Delivery is queued: ``publish`` appends the envelope to the queue of every
-subscriber with a matching filter, and the subscriber fetches its queue
-later with ``drain``.
+Delivery is queued and has one path: ``publish`` appends the envelope to
+the queue of every subscriber with a matching filter, and the subscriber
+fetches its queue later with ``drain``.  An envelope no filter matches is
+numbered and dropped.  In a cell, the audit service is the one
+subscriber, and it turns each drained envelope into an event-log record.
 
 Guarantees:
 
 * every envelope gets a strictly increasing ``bus_seq``, and publish ticks
   never go backwards (``ClockRegression`` otherwise);
-* the ``on_publish`` hook sees every envelope, in ``bus_seq`` order, before
-  any subscriber queues it;
 * a subscriber queues each envelope at most once, even when several of its
   filters match, so ``drain`` returns its envelopes in ``bus_seq`` order.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any
 
 from .errors import (
     ClockRegression,
@@ -81,12 +81,11 @@ class Subscription:
 class MessageBus:
     """Single-threaded bus, mutated only from the owning cell's loop."""
 
-    def __init__(self, on_publish: Optional[Callable[[Envelope], None]] = None):
+    def __init__(self) -> None:
         self._filters: dict[str, list[str]] = {}
         self._queues: dict[str, list[Envelope]] = {}
         self._next_seq = 0
         self._last_tick = 0
-        self._on_publish = on_publish
 
     def subscribe(self, sub: Subscription) -> None:
         validate_filter(sub.filter)
@@ -105,8 +104,6 @@ class MessageBus:
         self._last_tick = tick
         envelope = Envelope(topic, payload, publisher_id, tick, self._next_seq)
         self._next_seq += 1
-        if self._on_publish is not None:
-            self._on_publish(envelope)
         for subscriber_id, filters in self._filters.items():
             if any(filter_matches(pattern, topic) for pattern in filters):
                 self._queues[subscriber_id].append(envelope)

@@ -8,15 +8,20 @@ operational and management request.
 Cells never share memory.  All interaction is via the message kinds in
 ``OutboundMessage``; the simulator (or any other transport) moves those
 between cells.
+
+The observer is the cell's one recording channel: every fact the cell
+records goes to it as a ``(kind, detail)`` pair, and the simulator
+writes each pair to the event log.  Decisions and applied updates are
+also published on the bus; the queued ``audit-log`` subscriber drains
+them once per tick, in ``on_tick``, into one ``bus`` record each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional
 
-from .bus import Envelope, MessageBus, Subscription
+from .bus import MessageBus, Subscription
 from .catalogue import Catalogue, CellProfile, TrustPolicy
 from .discovery import Advertisement, DiscoveryService, RegistrationRequest
 from .errors import (
@@ -57,6 +62,9 @@ MANAGEMENT_COMMANDS = frozenset(
     {"add-rule", "remove-rule", "flag-spam", "set-config", "set-trust"}
 )
 
+# unanswered op-req/mgmt-req ids kept for pairing; the oldest goes first
+PENDING_REQUEST_CAP = 256
+
 ENVELOPE_KINDS = frozenset({
     "advert", "register", "register-reply", "update", "digest", "digest-reply",
     "op-req", "op-resp", "mgmt-req", "mgmt-resp",
@@ -71,27 +79,11 @@ _VERIFY_TAGS = {
 }
 
 
-class IngestOutcome(str, Enum):
-    APPLIED = "applied"
-    DUPLICATE = "duplicate"
-    BUFFERED = "buffered"
-    REJECTED = "rejected"
-    UNTRUSTED_SOURCE = "untrusted-source"
-    INVALID = "invalid"
-
-
 @dataclass(frozen=True)
 class OutboundMessage:
     kind: str
     dst: str
     body: dict[str, Any]
-
-
-@dataclass(frozen=True)
-class AuditRecord:
-    tick: int
-    kind: str
-    detail: Mapping[str, Any]
 
 
 def _ok(result: Any) -> dict[str, Any]:
@@ -129,9 +121,8 @@ class Cell:
         self.advertise_interval = advertise_interval
         self.anti_entropy_interval = anti_entropy_interval
         self._observer: Observer = observer or (lambda kind, detail: None)
-        self._now = 0
 
-        self.bus = MessageBus(on_publish=self._mirror_bus)
+        self.bus = MessageBus()
         self.catalogue = Catalogue(cell_id, trust_policy)
         self.store = PolicyStore(policy.rules, policy.regression)
         self.delegations = policy.delegations
@@ -148,30 +139,18 @@ class Cell:
         )
 
         self.outbox: list[OutboundMessage] = []
-        self.audit: list[AuditRecord] = []
         self._next_own_seq = 0
         self._rr_index = 0
-        self._pending_ops: dict[str, list[tuple[str, dict[str, Any]]]] = {}
+        self._next_request_id = 0
+        # requestId -> (response kind, peer asked, action or command)
+        self._requests: dict[int, tuple[str, str, str]] = {}
 
-        # the audit service is the one queued bus consumer; it drains once
-        # per tick and turns envelopes into audit records
+        # the audit service is the one bus consumer; it drains once per
+        # tick and writes one ``bus`` record per envelope
         self.bus.subscribe(Subscription("audit-log", "cell.*"))
         self.bus.subscribe(Subscription("audit-log", "policy.*"))
 
     # --- plumbing ---------------------------------------------------------
-
-    def _mirror_bus(self, envelope: Envelope) -> None:
-        self._observer(
-            "bus",
-            {
-                "topic": envelope.topic,
-                "publisher": envelope.publisher_id,
-                "busSeq": envelope.bus_seq,
-            },
-        )
-
-    def _audit(self, kind: str, detail: dict[str, Any]) -> None:
-        self.audit.append(AuditRecord(self._now, kind, detail))
 
     def _send(self, kind: str, dst: str, body: dict[str, Any]) -> None:
         self.outbox.append(OutboundMessage(kind, dst, body))
@@ -205,7 +184,7 @@ class Cell:
         return None
 
     def _record_decision(
-        self, caller: str, action: str, context: str, decision: Decision
+        self, caller: str, action: str, context: str, decision: Decision, now: int
     ) -> None:
         detail = {
             "caller": caller,
@@ -216,7 +195,7 @@ class Cell:
             "matchedRuleIds": list(decision.matched_rule_ids),
         }
         self._observer("decision", detail)
-        self.bus.publish("cell.op", detail, "pep", self._now)
+        self.bus.publish("cell.op", detail, "pep", now)
 
     def decide_operation(
         self, tokens: Optional[Iterable[Token]], action: str,
@@ -228,16 +207,17 @@ class Cell:
         ``tokens`` is None when the request's wire tokens did not parse.
         A management command is decided as action ``mgmt:<command>`` with
         ``management=True`` and no ``args``, so the blocklist, which
-        screens the args, gates operations only.  The checks run in a
-        fixed order: unknown command, malformed token, unknown action,
-        token verification, blocklist, rules.
+        screens the args, gates operations only.  Both channels run the
+        checks in one fixed order: unknown action or command, malformed
+        token, token verification, blocklist, rules.
         """
-        if management and action[len("mgmt:"):] not in MANAGEMENT_COMMANDS:
-            return Decision(Verdict.DENY, "unknown-command")
+        name = action[len("mgmt:"):] if management else action
+        if name not in (MANAGEMENT_COMMANDS if management else self.resource.operations):
+            return Decision(
+                Verdict.DENY, "unknown-command" if management else "unknown-action"
+            )
         if tokens is None:
             return Decision(Verdict.INDETERMINATE, _MALFORMED_TOKEN)
-        if not management and action not in self.resource.operations:
-            return Decision(Verdict.DENY, "unknown-action")
         try:
             attrs = self._verified_attrs(tokens, context, now)
         except TokenVerificationError as exc:
@@ -254,14 +234,11 @@ class Cell:
     def handle_operation(
         self, body: Mapping[str, Any], caller: str, now: int
     ) -> tuple[Decision, dict[str, Any]]:
-        self._now = now
         action = str(body.get("action", ""))
         args: Mapping[str, Any] = body.get("args", {}) or {}
         context = str(body.get("context", ""))
         decision = self.decide_operation(_wire_tokens(body), action, args, context, now)
-        self._record_decision(caller, action, context, decision)
-        self._audit("op", {"caller": caller, "action": action,
-                           "verdict": decision.verdict.value})
+        self._record_decision(caller, action, context, decision, now)
         if decision.verdict is Verdict.PERMIT:
             result = self.resource.invoke(action, args, context)
             return decision, _ok(result)
@@ -272,17 +249,12 @@ class Cell:
     def handle_management(
         self, body: Mapping[str, Any], caller: str, now: int
     ) -> tuple[Decision, dict[str, Any]]:
-        self._now = now
         command = str(body.get("command", ""))
         context = str(body.get("context", ""))
         decision = self.decide_operation(
             _wire_tokens(body), f"mgmt:{command}", {}, context, now, management=True
         )
-        self._record_decision(caller, f"mgmt:{command}", context, decision)
-        if command not in MANAGEMENT_COMMANDS:
-            return decision, _denied(decision.reason)
-        self._audit("mgmt", {"caller": caller, "command": command,
-                             "verdict": decision.verdict.value})
+        self._record_decision(caller, f"mgmt:{command}", context, decision, now)
         if decision.verdict is not Verdict.PERMIT:
             return decision, _denied(decision.reason)
         try:
@@ -329,7 +301,7 @@ class Cell:
         self.catalogue.set_trust_policy(
             {str(c): [str(x) for x in caps] for c, caps in payload.items()}
         )
-        self._audit("trust", {"policy": self.catalogue.trust_policy})
+        self._observer("trust", {"policy": self.catalogue.trust_policy})
         return _ok({"trustPolicy": self.catalogue.trust_policy})
 
     # --- governance flow --------------------------------------------------
@@ -353,51 +325,47 @@ class Cell:
 
     def ingest_security_update(
         self, package_wire: Mapping[str, Any], from_cell: str, now: int
-    ) -> IngestOutcome:
+    ) -> ApplyStatus:
         """Ingest one pushed or back-filled package.
 
         A package that does not parse or fails its signature check is
         contained: it is logged as ``invalid`` and never raises, so one
-        hostile peer cannot abort the caller's loop.
+        hostile peer cannot abort the caller's loop.  A package the full
+        gap buffer drops is logged as ``evicted``.
         """
-        self._now = now
         try:
             package = UpdatePackage.from_wire(package_wire)
         except (SmscError, KeyError, TypeError, ValueError) as exc:
             return self._invalid_update(from_cell, exc)
         sender = self.catalogue.get(from_cell)
         if sender is None or not all(sender.trusted_in(c) for c in package.contexts):
-            self._observer(
-                "update",
-                {"origin": package.origin, "seq": package.seq,
-                 "status": IngestOutcome.UNTRUSTED_SOURCE.value, "from": from_cell},
-            )
-            self._audit("update-in", {"from": from_cell, "origin": package.origin,
-                                      "seq": package.seq, "outcome": "untrusted-source"})
-            return IngestOutcome.UNTRUSTED_SOURCE
+            self._update_record(package, ApplyStatus.UNTRUSTED_SOURCE.value, from_cell)
+            return ApplyStatus.UNTRUSTED_SOURCE
         try:
             report = self.store.apply_update(package)
         except (SmscError, KeyError, TypeError, ValueError) as exc:
             return self._invalid_update(from_cell, exc)
         self._after_apply(report, now, via=from_cell, push=True)
         if report.status in (ApplyStatus.DUPLICATE, ApplyStatus.BUFFERED):
-            self._observer(
-                "update",
-                {"origin": package.origin, "seq": package.seq,
-                 "status": report.status.value, "from": from_cell},
-            )
-        self._audit("update-in", {"from": from_cell, "origin": package.origin,
-                                  "seq": package.seq, "outcome": report.status.value})
-        return IngestOutcome(report.status.value)
+            self._update_record(package, report.status.value, from_cell)
+        if report.evicted is not None:
+            self._update_record(report.evicted, "evicted", from_cell)
+        return report.status
 
-    def _invalid_update(self, from_cell: str, exc: Exception) -> IngestOutcome:
+    def _update_record(self, package: UpdatePackage, status: str, from_cell: str) -> None:
         self._observer(
             "update",
-            {"status": IngestOutcome.INVALID.value, "from": from_cell,
+            {"origin": package.origin, "seq": package.seq,
+             "status": status, "from": from_cell},
+        )
+
+    def _invalid_update(self, from_cell: str, exc: Exception) -> ApplyStatus:
+        self._observer(
+            "update",
+            {"status": ApplyStatus.INVALID.value, "from": from_cell,
              "error": type(exc).__name__},
         )
-        self._audit("update-in", {"from": from_cell, "outcome": "invalid"})
-        return IngestOutcome.INVALID
+        return ApplyStatus.INVALID
 
     def _after_apply(
         self, report: ApplyReport, now: int, via: Optional[str], push: bool
@@ -439,22 +407,29 @@ class Cell:
             targets.discard(via)
         for target in sorted(targets):
             self._send("update", target, package.to_wire())
-            self._audit("update-out", {"to": target, "origin": package.origin,
-                                       "seq": package.seq})
 
     # --- periodic work ----------------------------------------------------
 
+    def record_bus(self) -> None:
+        """Write one ``bus`` record per envelope published since the last
+        drain, in bus_seq order."""
+        for envelope in self.bus.drain("audit-log"):
+            self._observer(
+                "bus",
+                {"topic": envelope.topic, "publisher": envelope.publisher_id,
+                 "busSeq": envelope.bus_seq},
+            )
+
     def on_tick(self, now: int) -> None:
-        self._now = now
-        expired = self.catalogue.expire_stale(now)
-        for cell_id in expired:
-            self._audit("peer-expired", {"peer": cell_id})
+        """Periodic work: record the tick's bus envelopes, expire stale
+        peers, then advertise and send a digest when they are due."""
+        self.record_bus()
+        for cell_id in self.catalogue.expire_stale(now):
+            self._observer("peer-expired", {"peer": cell_id})
         if now % self.advertise_interval == 0:
             self.advertise_now(now)
         if now % self.anti_entropy_interval == 0:
             self._send_digest(now)
-        for envelope in self.bus.drain("audit-log"):
-            self._audit("bus", {"topic": envelope.topic, "busSeq": envelope.bus_seq})
 
     def advertise_now(self, now: int) -> None:
         advert = self.discovery.make_advertisement(now)
@@ -470,6 +445,15 @@ class Cell:
 
     # --- script entry points ---------------------------------------------
 
+    def _new_request(self, response_kind: str, dst: str, name: str) -> int:
+        """A fresh request id, remembered until its response arrives."""
+        request_id = self._next_request_id
+        self._next_request_id += 1
+        self._requests[request_id] = (response_kind, dst, name)
+        if len(self._requests) > PENDING_REQUEST_CAP:
+            del self._requests[next(iter(self._requests))]
+        return request_id
+
     def request_operation(
         self, dst: str, tokens: Iterable[Token], action: str,
         args: Mapping[str, Any], context: str,
@@ -479,8 +463,8 @@ class Cell:
             "action": action,
             "args": dict(args),
             "context": context,
+            "requestId": self._new_request("op-resp", dst, action),
         }
-        self._pending_ops.setdefault(dst, []).append((action, dict(args)))
         self._send("op-req", dst, body)
 
     def request_management(
@@ -492,6 +476,7 @@ class Cell:
             "command": command,
             "payload": payload,
             "context": context,
+            "requestId": self._new_request("mgmt-resp", dst, command),
         }
         self._send("mgmt-req", dst, body)
 
@@ -510,7 +495,6 @@ class Cell:
         read is contained: it is logged as one ``reject`` record and never
         raises, so one hostile peer cannot abort the caller's loop.
         """
-        self._now = now
         if kind not in ENVELOPE_KINDS:
             raise UnknownCell(f"unroutable envelope kind {kind!r}")
         try:
@@ -522,15 +506,11 @@ class Cell:
 
     def _route(self, kind: str, src: str, body: Mapping[str, Any], now: int) -> None:
         if kind == "advert":
-            outcome = self.discovery.handle_advertisement(
-                Advertisement.from_wire(body), now
-            )
-            self._audit("advert-in", {"from": src, "outcome": outcome.value})
+            self.discovery.handle_advertisement(Advertisement.from_wire(body), now)
         elif kind == "register":
             reply = self.discovery.handle_registration(
                 RegistrationRequest.from_wire(body), now
             )
-            self._audit("register-in", {"from": src})
             if reply is not None:
                 self._send("register-reply", src, reply.to_wire())
         elif kind == "register-reply":
@@ -544,19 +524,17 @@ class Cell:
                 self.ingest_security_update(package_wire, src, now)
         elif kind == "op-req":
             _, response = self.handle_operation(body, src, now)
-            self._send("op-resp", src, response)
-        elif kind == "op-resp":
-            self._handle_op_response(src, body, now)
+            self._send("op-resp", src, {**response, "requestId": body.get("requestId")})
         elif kind == "mgmt-req":
             _, response = self.handle_management(body, src, now)
-            self._send("mgmt-resp", src, response)
-        else:  # mgmt-resp
-            self._audit("mgmt-resp", {"from": src, "status": body.get("status")})
+            self._send("mgmt-resp", src, {**response, "requestId": body.get("requestId")})
+        else:  # op-resp, mgmt-resp
+            self._handle_response(kind, src, body, now)
 
     def _handle_digest(self, src: str, body: Mapping[str, Any]) -> None:
         sender = self.catalogue.get(src)
         if sender is None or not sender.trusted_anywhere():
-            self._audit("digest-ignored", {"from": src})
+            self._observer("digest-ignored", {"from": src})
             return
         peer_applied: Mapping[str, int] = body.get("applied", {})
         packages = [
@@ -568,14 +546,24 @@ class Cell:
         if packages:
             self._send("digest-reply", src, {"packages": packages})
 
-    def _handle_op_response(
-        self, src: str, body: Mapping[str, Any], now: int
+    def _handle_response(
+        self, kind: str, src: str, body: Mapping[str, Any], now: int
     ) -> None:
-        pending = self._pending_ops.get(src, [])
-        action, _args = pending.pop(0) if pending else ("", {})
-        self._audit("op-resp", {"from": src, "action": action,
-                                "status": body.get("status")})
-        if action == "lookup" and body.get("status") == "ok":
+        """Pair a response with its request by id.  A response whose id is
+        unknown, or that comes from another peer or on the other channel,
+        is recorded with a null action and not acted on."""
+        request_id = body.get("requestId")
+        request = self._requests.get(request_id)
+        name = None
+        if request is not None and request[:2] == (kind, src):
+            del self._requests[request_id]
+            name = request[2]
+        status = body.get("status")
+        self._observer(kind, {
+            "from": src, "requestId": request_id, "status": status,
+            "action" if kind == "op-resp" else "command": name,
+        })
+        if kind == "op-resp" and name == "lookup" and status == "ok":
             result = body.get("result") or {}
             for profile_wire in result.get("profiles", []):
                 profile = CellProfile.from_wire(profile_wire)

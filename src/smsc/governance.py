@@ -3,7 +3,9 @@
 Cells change their security configuration only through signed
 ``UpdatePackage`` objects, sequence-numbered per origin.  The store
 applies them exactly once and in order: stale sequence numbers are
-duplicates, gaps are buffered until the missing package arrives.
+duplicates, gaps are buffered until the missing package arrives.  The
+gap buffer holds at most ``PENDING_CAP`` packages per origin; when it
+overflows, the package furthest ahead is dropped and reported.
 
 Before a rule change lands it is assessed against the cell's pinned
 regression cases.  A package that would flip a protected case is
@@ -18,7 +20,6 @@ on the same request, and produces a concrete witness request when so.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
@@ -35,8 +36,6 @@ from .policy import (
     evaluate_request,
     sign_payload,
 )
-
-log = logging.getLogger(__name__)
 
 PENDING_CAP = 64
 
@@ -212,6 +211,9 @@ class ApplyStatus(str, Enum):
     DUPLICATE = "duplicate"
     BUFFERED = "buffered"
     REJECTED = "rejected"
+    # set by the ingesting cell for packages that never reach the store
+    INVALID = "invalid"
+    UNTRUSTED_SOURCE = "untrusted-source"
 
 
 @dataclass(frozen=True)
@@ -220,13 +222,15 @@ class ApplyReport:
 
     ``applied``/``rejected`` list every package consumed during the call,
     including any drained from the gap buffer; ``status`` describes the
-    package that was handed in.
+    package that was handed in.  ``evicted`` is the package a full gap
+    buffer dropped, which may be the one handed in.
     """
 
     status: ApplyStatus
     applied: tuple[UpdatePackage, ...] = ()
     rejected: tuple[UpdatePackage, ...] = ()
     detail: str = ""
+    evicted: Optional[UpdatePackage] = None
 
 
 class PolicyStore:
@@ -264,8 +268,7 @@ class PolicyStore:
         if package.seq <= last:
             return ApplyReport(ApplyStatus.DUPLICATE)
         if package.seq > last + 1:
-            self._buffer(package)
-            return ApplyReport(ApplyStatus.BUFFERED)
+            return ApplyReport(ApplyStatus.BUFFERED, evicted=self._buffer(package))
         applied: list[UpdatePackage] = []
         rejected: list[UpdatePackage] = []
         detail = self._consume(package, applied, rejected)
@@ -273,15 +276,14 @@ class PolicyStore:
         status = ApplyStatus.APPLIED if package in applied else ApplyStatus.REJECTED
         return ApplyReport(status, tuple(applied), tuple(rejected), detail)
 
-    def _buffer(self, package: UpdatePackage) -> None:
+    def _buffer(self, package: UpdatePackage) -> Optional[UpdatePackage]:
+        """Hold an out-of-order package.  Over the cap, drop the highest
+        seq: the lowest ones are what the next in-order package drains."""
         slot = self._pending.setdefault(package.origin, {})
         slot[package.seq] = package
-        if len(slot) > PENDING_CAP:
-            oldest = next(iter(slot))
-            log.warning(
-                "pending buffer for %s full, dropping seq %d", package.origin, oldest
-            )
-            del slot[oldest]
+        if len(slot) <= PENDING_CAP:
+            return None
+        return slot.pop(max(slot))
 
     def _consume(
         self,

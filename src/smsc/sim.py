@@ -685,6 +685,9 @@ class Simulator:
                 self.step()
             self._run_assertions(None)
         except SmscError as exc:
+            # the failed tick's on_tick calls may not have run
+            for cell_id in self._cell_order:
+                self.cells[cell_id].record_bus()
             entry = {
                 "id": "run-error", "ok": False,
                 "detail": f"{type(exc).__name__}: {exc}",

@@ -624,8 +624,16 @@ def test_c11_resource_invoked_exactly_on_permit(capsys):
 
 
 def test_c12_ttl_eviction_is_strict_with_readmission(capsys):
+    clock = [10]
+    records = []
     cell = Cell("keeper", ("work",), "echo", PolicyDocument(),
-                advertise_interval=1000, anti_entropy_interval=1000)
+                advertise_interval=1000, anti_entropy_interval=1000,
+                observer=lambda kind, detail: records.append((clock[0], kind, detail)))
+
+    def tick(now):
+        clock[0] = now
+        cell.on_tick(now)
+
     profile = CellProfile(
         cell_id="peer", endpoint="peer", contexts=frozenset({"work"}),
         capabilities=frozenset({"echo"}), resource_kind="echo",
@@ -633,20 +641,21 @@ def test_c12_ttl_eviction_is_strict_with_readmission(capsys):
     )
     cell.handle_envelope("advert", "peer",
                          Advertisement(profile, 0).to_wire(), 10)
-    for tick in range(11, 16):
-        cell.on_tick(tick)
+    for now in range(11, 16):
+        tick(now)
     kept_at_boundary = cell.catalogue.get("peer") is not None  # 10 + 5 == 15
-    cell.on_tick(16)
+    tick(16)
     evicted = cell.catalogue.get("peer") is None
-    expiry_audited = any(r.kind == "peer-expired" and r.tick == 16
-                         for r in cell.audit)
+    expired = [(t, d) for t, kind, d in records if kind == "peer-expired"]
+    expiry_audited = expired == [(16, {"peer": "peer"})]
+    clock[0] = 20
     cell.handle_envelope("advert", "peer",
                          Advertisement(replace(profile, advertised_at_tick=20),
                                        1).to_wire(), 20)
     readmitted = cell.catalogue.get("peer") is not None
-    cell.on_tick(25)
+    tick(25)
     kept_again = cell.catalogue.get("peer") is not None
-    cell.on_tick(26)
+    tick(26)
     gone_again = cell.catalogue.get("peer") is None
     ok = (kept_at_boundary and evicted and expiry_audited and readmitted
           and kept_again and gone_again)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from smsc.catalogue import CellProfile
-from smsc.cell import Cell, IngestOutcome
+from smsc.cell import PENDING_REQUEST_CAP, Cell
 from smsc.errors import UnknownCell
 from smsc.governance import ApplyStatus, UpdateKind, make_update
 from smsc.policy import (
@@ -116,6 +116,24 @@ def test_unknown_action_denied_without_invoking():
     assert decision.reason == "unknown-action"
     assert response["status"] == "denied"
     assert cell.resource.invocations == 0
+
+
+@pytest.mark.parametrize("channel,reason", [
+    ("op", "unknown-action"), ("mgmt", "unknown-command"),
+])
+def test_unknown_name_is_checked_before_the_tokens(channel, reason):
+    cell = make_cell()
+    if channel == "op":
+        body = op_body(None, action="nope")
+        handle = cell.handle_operation
+    else:
+        body = mgmt_body("nope", {})
+        handle = cell.handle_management
+    body["tokens"] = [{"bogus": 1}]
+    decision, response = handle(body, "ext", 1)
+    assert decision.verdict is Verdict.DENY
+    assert decision.reason == reason
+    assert response["status"] == "denied"
 
 
 def test_deny_overrides_inside_cell():
@@ -237,12 +255,13 @@ def test_decision_is_published_on_the_bus_and_observed():
     assert len(decisions) == 1
     assert decisions[0]["verdict"] == "Permit"
     assert decisions[0]["caller"] == "ext"
-    bus_events = [d for k, d in events if k == "bus"]
-    assert [b["topic"] for b in bus_events] == ["cell.op"]
-    # the queued audit consumer sees it on the next tick drain
+    # the queued audit consumer records it on the next tick drain
+    assert [k for k, _ in events] == ["decision"]
     cell.on_tick(5)
-    topics = [r.detail["topic"] for r in cell.audit if r.kind == "bus"]
-    assert "cell.op" in topics
+    bus_events = [d for k, d in events if k == "bus"]
+    assert bus_events == [{"topic": "cell.op", "publisher": "pep", "busSeq": 0}]
+    cell.on_tick(6)
+    assert len([k for k, _ in events if k == "bus"]) == 1
 
 
 # --- management ------------------------------------------------------------
@@ -383,7 +402,9 @@ def test_set_config_reaches_store_and_resource():
 
 
 def test_set_trust_is_local_and_rederives():
-    cell = make_cell(trust={"work": []})
+    events = []
+    cell = make_cell(trust={"work": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
     cell.catalogue.upsert(peer_profile("p1", caps=("echo",)), 0)
     assert cell.catalogue.trusted_partners() == ["p1"]
     _, response = cell.handle_management(
@@ -393,6 +414,7 @@ def test_set_trust_is_local_and_rederives():
     assert cell.catalogue.trusted_partners() == []
     assert cell.store.version == 0  # no governance package involved
     assert [m for m in cell.take_outbox() if m.kind == "update"] == []
+    assert [d for k, d in events if k == "trust"] == [{"policy": {"work": ["ring"]}}]
 
 
 # --- federation flow -------------------------------------------------------
@@ -411,17 +433,17 @@ def test_ingest_requires_trust_in_every_package_context():
     outcome = cell.ingest_security_update(
         signed_wire(contexts=("work", "home")), "p1", 1
     )
-    assert outcome is IngestOutcome.UNTRUSTED_SOURCE
+    assert outcome is ApplyStatus.UNTRUSTED_SOURCE
     assert cell.store.version == 0
     outcome = cell.ingest_security_update(signed_wire(contexts=("work",)), "p1", 1)
-    assert outcome is IngestOutcome.APPLIED
+    assert outcome is ApplyStatus.APPLIED
     assert ("work", "bad-host") in cell.store.blocklist
 
 
 def test_ingest_from_unknown_sender_refused():
     cell = make_cell(trust={"work": []})
     outcome = cell.ingest_security_update(signed_wire(), "stranger", 1)
-    assert outcome is IngestOutcome.UNTRUSTED_SOURCE
+    assert outcome is ApplyStatus.UNTRUSTED_SOURCE
     assert cell.store.version == 0
 
 
@@ -430,7 +452,7 @@ def test_ingest_forwards_except_via_origin_self():
     for cid in ("p1", "p2", "org"):
         cell.catalogue.upsert(peer_profile(cid), 0)
     outcome = cell.ingest_security_update(signed_wire(origin="org"), "p1", 1)
-    assert outcome is IngestOutcome.APPLIED
+    assert outcome is ApplyStatus.APPLIED
     pushes = [m for m in cell.take_outbox() if m.kind == "update"]
     assert [m.dst for m in pushes] == ["p2"]
 
@@ -441,11 +463,11 @@ def test_ingest_gap_buffers():
                      observer=lambda kind, detail: events.append((kind, detail)))
     cell.catalogue.upsert(peer_profile("p1"), 0)
     outcome = cell.ingest_security_update(signed_wire(seq=1), "p1", 1)
-    assert outcome is IngestOutcome.BUFFERED
+    assert outcome is ApplyStatus.BUFFERED
     statuses = [d["status"] for k, d in events if k == "update"]
     assert statuses == ["buffered"]
     outcome = cell.ingest_security_update(signed_wire(seq=0, payload="other"), "p1", 2)
-    assert outcome is IngestOutcome.APPLIED
+    assert outcome is ApplyStatus.APPLIED
     assert cell.store.applied_seq["org"] == 1
 
 
@@ -474,7 +496,7 @@ def test_hostile_package_from_trusted_peer_is_contained(wire, error):
                      observer=lambda kind, detail: events.append((kind, detail)))
     cell.catalogue.upsert(peer_profile("p1"), 0)
     outcome = cell.ingest_security_update(wire, "p1", 1)
-    assert outcome is IngestOutcome.INVALID
+    assert outcome is ApplyStatus.INVALID
     assert cell.store.version == 0 and cell.store.applied_seq == {}
     assert cell.take_outbox() == []
     updates = [d for k, d in events if k == "update"]
@@ -508,13 +530,15 @@ def test_digest_reply_serves_missing_archived_packages():
 
 
 def test_digest_from_untrusted_peer_ignored():
-    cell = make_cell(trust={"work": ["ring"]})  # echo peers never qualify
+    events = []
+    cell = make_cell(trust={"work": ["ring"]},  # echo peers never qualify
+                     observer=lambda kind, detail: events.append((kind, detail)))
     cell.catalogue.upsert(peer_profile("p1"), 0)
     cell.emit_update(UpdateKind.BLOCKLIST_ADD, "h0", {"work"}, 0)
     cell.take_outbox()
     cell.handle_envelope("digest", "p1", {"applied": {}}, 5)
     assert cell.take_outbox() == []
-    assert any(r.kind == "digest-ignored" for r in cell.audit)
+    assert ("digest-ignored", {"from": "p1"}) in events
 
 
 def test_unroutable_envelope_kind_raises():
@@ -560,13 +584,14 @@ def test_digest_round_robin():
 
 
 def test_peer_expiry_audited():
-    cell = make_cell()
+    events = []
+    cell = make_cell(observer=lambda kind, detail: events.append((kind, detail)))
     profile = replace(peer_profile("p1"), ttl_ticks=2)
     cell.catalogue.upsert(profile, 0)
+    cell.on_tick(2)
+    assert events == []
     cell.on_tick(3)
-    assert any(
-        r.kind == "peer-expired" and r.detail["peer"] == "p1" for r in cell.audit
-    )
+    assert events == [("peer-expired", {"peer": "p1"})]
     assert cell.catalogue.get("p1") is None
 
 
@@ -577,13 +602,14 @@ def test_lookup_response_feeds_catalogue():
     cell = make_cell()
     cell.resource.operations = ("echo", "lookup")  # let it issue lookups
     cell.request_operation("registry", [token()], "lookup", {"context": "work"}, "work")
-    cell.take_outbox()
+    (request,) = cell.take_outbox()
     learned = peer_profile("newpeer")
     own = peer_profile("cell")  # a registry may echo ourselves back
     body = {
         "status": "ok",
         "reason": "permit",
         "result": {"profiles": [learned.to_wire(), own.to_wire()]},
+        "requestId": request.body["requestId"],
     }
     cell.handle_envelope("op-resp", "registry", body, 7)
     assert cell.catalogue.get("newpeer") is not None
@@ -592,19 +618,75 @@ def test_lookup_response_feeds_catalogue():
 
 
 def test_non_lookup_response_only_audited():
-    cell = make_cell()
+    events = []
+    cell = make_cell(observer=lambda kind, detail: events.append((kind, detail)))
     cell.request_operation("peer", [token()], "echo", {"msg": "x"}, "work")
-    cell.take_outbox()
-    cell.handle_envelope(
-        "op-resp", "peer", {"status": "ok", "result": {"echo": {}}}, 3
-    )
+    (request,) = cell.take_outbox()
+    body = {"status": "ok", "result": {"echo": {}},
+            "requestId": request.body["requestId"]}
+    cell.handle_envelope("op-resp", "peer", body, 3)
     assert cell.catalogue.entries == {}
-    resp = [r for r in cell.audit if r.kind == "op-resp"]
-    assert resp and resp[0].detail["action"] == "echo"
+    assert events == [("op-resp", {"from": "peer", "requestId": 0,
+                                   "action": "echo", "status": "ok"})]
+
+
+def test_response_pairs_by_request_id_after_a_lost_request():
+    events = []
+    cell = make_cell(observer=lambda kind, detail: events.append((kind, detail)))
+    cell.resource.operations = ("echo", "lookup")
+    cell.request_operation("peer", [token()], "lookup", {"context": "work"}, "work")
+    cell.request_operation("peer", [token()], "echo", {"msg": "x"}, "work")
+    lost, answered = cell.take_outbox()
+    assert (lost.body["requestId"], answered.body["requestId"]) == (0, 1)
+    # only the second op-req arrives; its reply must not pair with the first
+    body = {"status": "ok", "result": {"profiles": [peer_profile("fake").to_wire()]},
+            "requestId": answered.body["requestId"]}
+    cell.handle_envelope("op-resp", "peer", body, 3)
+    assert events == [("op-resp", {"from": "peer", "requestId": 1,
+                                   "action": "echo", "status": "ok"})]
+    assert cell.catalogue.get("fake") is None
+
+
+@pytest.mark.parametrize("src,kind,request_id", [
+    ("peer", "op-resp", 7),          # never issued
+    ("peer", "op-resp", None),       # no id at all
+    ("other", "op-resp", 0),         # issued, but to another peer
+    ("peer", "mgmt-resp", 0),        # issued, but on the other channel
+])
+def test_unpaired_response_is_recorded_not_acted_on(src, kind, request_id):
+    events = []
+    cell = make_cell(observer=lambda kind, detail: events.append((kind, detail)))
+    cell.resource.operations = ("echo", "lookup")
+    cell.request_operation("peer", [token()], "lookup", {"context": "work"}, "work")
+    cell.take_outbox()
+    body = {"status": "ok", "result": {"profiles": [peer_profile("fake").to_wire()]},
+            "requestId": request_id}
+    cell.handle_envelope(kind, src, body, 3)
+    name = "action" if kind == "op-resp" else "command"
+    assert events == [(kind, {"from": src, "requestId": request_id,
+                              name: None, "status": "ok"})]
+    assert cell.catalogue.get("fake") is None
+    # the request is still pending: its own reply pairs afterwards
+    cell.handle_envelope("op-resp", "peer", dict(body, requestId=0), 4)
+    assert events[-1][1]["action"] == "lookup"
+    assert cell.catalogue.get("fake") is not None
+
+
+def test_pending_requests_are_capped_oldest_first():
+    events = []
+    cell = make_cell(observer=lambda kind, detail: events.append((kind, detail)))
+    for _ in range(PENDING_REQUEST_CAP + 1):
+        cell.request_operation("peer", [token()], "echo", {"msg": "x"}, "work")
+    cell.take_outbox()
+    for request_id in (0, 1, PENDING_REQUEST_CAP):
+        cell.handle_envelope("op-resp", "peer",
+                             {"status": "ok", "requestId": request_id}, 3)
+    assert [d["action"] for _, d in events] == [None, "echo", "echo"]
 
 
 def test_op_request_and_response_round_trip_between_cells():
-    a = make_cell("a")
+    events = []
+    a = make_cell("a", observer=lambda kind, detail: events.append((kind, detail)))
     b = make_cell("b")
     a.request_operation("b", [token()], "echo", {"msg": "ping"}, "work")
     (msg,) = a.take_outbox()
@@ -612,8 +694,24 @@ def test_op_request_and_response_round_trip_between_cells():
     (reply,) = b.take_outbox()
     assert reply.kind == "op-resp" and reply.dst == "a"
     assert reply.body["status"] == "ok"
+    assert reply.body["requestId"] == msg.body["requestId"]
     a.handle_envelope(reply.kind, "b", reply.body, 2)
-    assert any(r.kind == "op-resp" for r in a.audit)
+    assert events == [("op-resp", {"from": "b", "requestId": 0,
+                                   "action": "echo", "status": "ok"})]
+
+
+def test_mgmt_request_and_response_round_trip_between_cells():
+    events = []
+    a = make_cell("a", observer=lambda kind, detail: events.append((kind, detail)))
+    b = make_cell("b")
+    a.request_management("b", [admin_token()], "flag-spam", {"entry": "x"}, "work")
+    (msg,) = a.take_outbox()
+    b.handle_envelope(msg.kind, "a", msg.body, 1)
+    (reply,) = [m for m in b.take_outbox() if m.kind == "mgmt-resp"]
+    assert reply.body["requestId"] == msg.body["requestId"]
+    a.handle_envelope(reply.kind, "b", reply.body, 2)
+    assert events == [("mgmt-resp", {"from": "b", "requestId": 0,
+                                     "command": "flag-spam", "status": "ok"})]
 
 
 def test_registration_round_trip_between_cells():

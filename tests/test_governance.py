@@ -1,8 +1,9 @@
 import itertools
-import logging
 
 import pytest
 
+from smsc.catalogue import CellProfile
+from smsc.cell import Cell
 from smsc.errors import BadSignature, MalformedUpdate, UnknownAttributeDomain
 from smsc.governance import (
     PENDING_CAP,
@@ -21,6 +22,7 @@ from smsc.policy import (
     Condition,
     DecisionRequest,
     Effect,
+    PolicyDocument,
     PolicyRule,
     RegressionCase,
     Verdict,
@@ -137,18 +139,34 @@ def test_independent_origins_have_independent_streams():
     assert store.applied_seq == {"a": 0, "b": 1}
 
 
-def test_pending_buffer_capped(caplog):
-    store = PolicyStore()
-    with caplog.at_level(logging.WARNING, logger="smsc.governance"):
-        for seq in range(1, PENDING_CAP + 2):
-            store.apply_update(upd(seq, payload=f"h{seq}"))
-    assert store.pending_count("org") == PENDING_CAP
-    assert "dropping seq 1" in caplog.text
-    # the dropped package leaves a permanent gap until it is re-sent
-    store.apply_update(upd(0, payload="h0"))
-    assert store.applied_seq["org"] == 0
-    store.apply_update(upd(1, payload="h1"))
-    assert store.applied_seq["org"] == PENDING_CAP + 1
+def test_pending_buffer_capped():
+    """A full gap buffer drops the package furthest ahead, which may be
+    the one handed in, and the cell logs the drop as ``evicted``.  The
+    lowest seqs stay, so a re-sent seq 0 drains the whole buffer."""
+    events = []
+    cell = Cell("keeper", ("work",), "echo", PolicyDocument(),
+                trust_policy={"work": []},
+                observer=lambda kind, detail: events.append((kind, detail)))
+    cell.catalogue.upsert(CellProfile("org", "org", frozenset({"work"}),
+                                      frozenset({"echo"}), "echo", 0, 50), 0)
+
+    def ingest(seq):
+        return cell.ingest_security_update(upd(seq, payload=f"h{seq}").to_wire(), "org", 1)
+
+    for seq in range(2, PENDING_CAP + 2):
+        assert ingest(seq) is ApplyStatus.BUFFERED
+    assert cell.store.pending_count("org") == PENDING_CAP
+    assert ingest(PENDING_CAP + 2) is ApplyStatus.BUFFERED  # itself the furthest
+    assert ingest(1) is ApplyStatus.BUFFERED
+    evicted = [d for k, d in events if k == "update" and d["status"] == "evicted"]
+    assert evicted == [
+        {"origin": "org", "seq": PENDING_CAP + 2, "status": "evicted", "from": "org"},
+        {"origin": "org", "seq": PENDING_CAP + 1, "status": "evicted", "from": "org"},
+    ]
+    assert cell.store.pending_count("org") == PENDING_CAP
+    assert ingest(0) is ApplyStatus.APPLIED
+    assert cell.store.applied_seq["org"] == PENDING_CAP
+    assert cell.store.pending_count() == 0
 
 
 def test_blocklist_add_spans_all_package_contexts():

@@ -5,11 +5,26 @@ and the SHA-256 of the JSON-lines event log is compared with a pinned
 value.  A change that only makes the simulator faster must leave every
 hash as it is.  A change that alters the log on purpose updates the
 hashes here and names the record kinds that changed.
+
+Last re-pinned when the cell's audit list was deleted and the event log
+became the cell's one recording channel.  Changed record kinds:
+
+* ``bus``: written when the cell's ``on_tick`` drains the bus, not at
+  publish time; each record keeps its tick, cell, detail and per-cell
+  order, and moves to the cell's ``on_tick`` slot within the tick;
+* new ``peer-expired`` ``{peer}``, ``digest-ignored`` ``{from}``,
+  ``op-resp`` / ``mgmt-resp`` ``{from, requestId, action|command,
+  status}`` and ``trust`` ``{policy}``, facts only the deleted audit list
+  held before;
+* ``update`` gains the status ``evicted`` (none in these logs).
+
+Every other line is byte-identical, in the same order.
 """
 
 import hashlib
 import os
 import random
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -20,24 +35,24 @@ SHIPPED = os.path.join(REPO_ROOT, "scenarios")
 
 CORPUS_HASHES = {
     "corporate-and-personal":
-        "c2ee3fd24c1c12fc860c28baab0a95a9e359b8249d00419859a121e8ec85ddc9",
+        "cceaa7384b16300cca91229ebca28b89a4f49e742fa420a501f610f2fca68f67",
     "lossy-convergence":
-        "26c7c06d28056c8faaed391ed0658c188aa35377aae1770eec4b5744ab1d9f72",
+        "61a35117252a7222abd63429e2cccac2ae2b5ffa0976b418358e0a4848268d5a",
     "partition-heal":
-        "dddee3f1dd4c9859506de09c2540694fad345d6d82a6d3e474c790db0144f5f6",
+        "5908ad6976f46bb85547d53483725f40efbc8ed3453150857463221f36d1240a",
     "registry-discovery":
-        "af2562ac0457d614881348e2338fc4d85e33b9186618e9be2ae9d9b1a776f271",
+        "a1a07191d5cc4675112409a3ee89dbe1179bb8c9ed767316fd6d2a5f6ed68385",
     "ring-flood":
-        "cea813e30c892259acc777ddc63e3443af2e195625180d1da1915b0f2f1df006",
+        "15df2a84e07726194cf1c2e47a7215680c435cfb0c104eb4b463aa4cf7b2e097",
     "spamfilter-disjoint-contexts":
-        "4ecc95987dbc911fa8c50fe34ef9d19da9ea0e5e089198a1ed833871530dd6cc",
+        "a3a0aa40bda3fe6f7702eb1ed1ab7cd1d1f2796f08f3c184fc69a3841d3d364e",
     "spamfilter-no-link":
-        "cc4cb81a5b9b60545ec34911b876a110aab64bbd1fa9b6a3e99e507d4e367cc9",
+        "348bc9a0fff802eaf8dc73cdb64d156c0f79ebaf343824061fda416085fa75a3",
     "spamfilter-reuse":
-        "d749eed4f3136482311d1b1669e9e98fcafd6f74a57136eeacbc406dc7554090",
+        "5714fe7c0cd52de572c28d9498475d36361ce4bdd69ea928ea47f135c08b798c",
 }
 
-MESH_HASH = "b483a7060d66c6b4385acedbb00a7f6b4b61b18c52957b581ee37f0231d33a08"
+MESH_HASH = "14f87b83efd59ec646280844d69d351998e777ab649a38e6d247377d929a7063"
 
 PERMIT_ANY = {
     "rules": [{
@@ -133,3 +148,30 @@ def test_generated_mesh_log_hash_is_pinned():
     kinds = {record["kind"] for record in sim.log.records}
     assert {"drop", "deliver", "update", "decision", "fault"} <= kinds
     assert log_sha256(sim) == MESH_HASH
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_HASHES) + ["generated-mesh"])
+def test_every_published_fact_has_one_bus_record(name):
+    """Each ``decision`` has one ``cell.op`` bus record and each applied
+    ``update`` one ``policy.updated`` bus record, with the same cell and
+    tick; per cell, busSeq runs 0, 1, 2, ... with no envelope missing."""
+    if name == "generated-mesh":
+        sim = Simulator(parse_scenario(generated_mesh()))
+    else:
+        sim = Simulator(load_scenario(os.path.join(SHIPPED, f"{name}.json")))
+    sim.run()
+    facts, buses = Counter(), Counter()
+    seqs = defaultdict(list)
+    for record in sim.log.records:
+        kind, detail = record["kind"], record["detail"]
+        where = (record["tick"], record["cell"])
+        if kind == "decision":
+            facts[where + ("cell.op",)] += 1
+        elif kind == "update" and detail["status"] == "applied":
+            facts[where + ("policy.updated",)] += 1
+        elif kind == "bus":
+            buses[where + (detail["topic"],)] += 1
+            seqs[record["cell"]].append(detail["busSeq"])
+    assert facts == buses
+    for cell, order in seqs.items():
+        assert order == list(range(len(order))), cell

@@ -487,6 +487,17 @@ def test_run_error_is_reported_not_raised():
     assert end and end[0]["detail"] == {"passed": False}
 
 
+def test_run_error_keeps_the_failed_tick_bus_records():
+    bad_config = {"tick": 1, "op": "emit-update", "cell": "c0", "kind": "ConfigSet",
+                  "payload": {"value": 1}, "contexts": ["work"]}
+    sim, report = run_sim(scenario_wire(script=[send_op(1, "c0"), bad_config]))
+    assert report["assertions"][0]["id"] == "run-error"
+    assert "MalformedUpdate" in report["assertions"][0]["detail"]
+    kinds = [(r["tick"], r["cell"], r["kind"]) for r in sim.log.records]
+    assert kinds == [(1, "c0", "decision"), (1, "c0", "bus"),
+                     (1, "-", "assert"), (1, "-", "end")]
+
+
 # --- event log -------------------------------------------------------------
 
 
