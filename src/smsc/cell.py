@@ -229,7 +229,7 @@ class Cell:
         if self._blocklisted_value(args, context) is not None:
             return Decision(Verdict.DENY, "blocklisted")
         request = DecisionRequest(attrs, action, self.resource.kind, context, now)
-        return evaluate_request(self.store.context_rules(context), request)
+        return evaluate_request(self.store.candidates(context, action), request)
 
     def handle_operation(
         self, body: Mapping[str, Any], caller: str, now: int

@@ -26,14 +26,15 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import BadSignature, MalformedUpdate, UnknownAttributeDomain
 from .policy import (
+    WILDCARD,
     AttributePair,
-    Decision,
     DecisionRequest,
     Effect,
     PolicyRule,
     RegressionCase,
     canonical_json,
     evaluate_request,
+    rule_matches,
     sign_payload,
 )
 
@@ -166,18 +167,6 @@ class ImpactAssessment:
     blocking: Optional[RegressionCase] = None
 
 
-def _rules_after(
-    rules: Mapping[str, PolicyRule], package: UpdatePackage
-) -> dict[str, PolicyRule]:
-    after = dict(rules)
-    if package.kind is UpdateKind.RULE_ADD:
-        assert isinstance(package.payload, PolicyRule)
-        after[package.payload.id] = package.payload
-    elif package.kind is UpdateKind.RULE_REMOVE:
-        after.pop(package.payload, None)
-    return after
-
-
 def assess_update_impact(
     rules: Mapping[str, PolicyRule],
     package: UpdatePackage,
@@ -186,18 +175,35 @@ def assess_update_impact(
     """Replay pinned cases against the hypothetical post-update rule set.
 
     Only rule changes can move a decision; blocklist and config packages
-    are accepted without replay.  A flip on a protected case blocks the
-    package; unprotected flips are reported but do not block.
+    are accepted without replay.  A verdict depends only on the set of
+    rules that match, so a case that neither the added rule nor the rule
+    it replaces or removes matches keeps its verdict and is skipped; the
+    others are replayed over the rules in their context.  A flip on a
+    protected case blocks the package; unprotected flips are reported
+    but do not block.
     """
     if package.kind in (UpdateKind.BLOCKLIST_ADD, UpdateKind.CONFIG_SET):
         return ImpactAssessment(AssessmentVerdict.ACCEPT)
-    after = list(_rules_after(rules, package).values())
-    before = list(rules.values())
+    added: Optional[PolicyRule] = None
+    if package.kind is UpdateKind.RULE_ADD:
+        assert isinstance(package.payload, PolicyRule)
+        added, gone_id = package.payload, package.payload.id
+    else:
+        assert isinstance(package.payload, str)
+        gone_id = package.payload
+    changed = [r for r in (added, rules.get(gone_id)) if r is not None]
     flipped: list[RegressionCase] = []
     blocking: Optional[RegressionCase] = None
     for case in regression:
-        old = evaluate_request(before, case.request).verdict
-        new = evaluate_request(after, case.request).verdict
+        request = case.request
+        if not any(rule_matches(r, request) for r in changed):
+            continue
+        before = [r for r in rules.values() if request.context in r.contexts]
+        after = [r for r in before if r.id != gone_id]
+        if added is not None and request.context in added.contexts:
+            after.append(added)
+        old = evaluate_request(before, request).verdict
+        new = evaluate_request(after, request).verdict
         if old != new:
             flipped.append(case)
             if case.protected and blocking is None:
@@ -239,6 +245,8 @@ class PolicyStore:
     ``version`` counts applied packages; duplicates, buffered packages
     and rejections leave it unchanged.  Every consumed package, rejected
     ones included, is archived so the cell can serve gap-fill requests.
+    Rules are indexed by (context, action), so an evaluation reads only
+    ``candidates`` instead of every rule.
     """
 
     def __init__(
@@ -247,10 +255,13 @@ class PolicyStore:
         regression: Sequence[RegressionCase] = (),
     ):
         self.rules: dict[str, PolicyRule] = {}
+        # (context, action) -> {rule id: rule}; wildcard-action rules
+        # under (context, "*")
+        self._index: dict[tuple[str, str], dict[str, PolicyRule]] = {}
         for rule in rules:
             if rule.id in self.rules:
                 raise MalformedUpdate(f"duplicate seed rule id {rule.id!r}")
-            self.rules[rule.id] = rule
+            self._put_rule(rule)
         self.blocklist: set[tuple[str, str]] = set()
         self.config: dict[str, Any] = {}
         self.version = 0
@@ -311,15 +322,34 @@ class PolicyStore:
     def _mutate(self, package: UpdatePackage) -> None:
         if package.kind is UpdateKind.RULE_ADD:
             assert isinstance(package.payload, PolicyRule)
-            self.rules[package.payload.id] = package.payload
+            self._put_rule(package.payload)
         elif package.kind is UpdateKind.RULE_REMOVE:
-            self.rules.pop(package.payload, None)
+            gone = self.rules.pop(package.payload, None)
+            if gone is not None:
+                self._unindex(gone)
         elif package.kind is UpdateKind.BLOCKLIST_ADD:
             for context in package.contexts:
                 self.blocklist.add((context, package.payload))
         elif package.kind is UpdateKind.CONFIG_SET:
             assert isinstance(package.payload, ConfigSetting)
             self.config[package.payload.key] = package.payload.value
+
+    def _put_rule(self, rule: PolicyRule) -> None:
+        """Add or replace a rule; a replaced rule leaves the index first."""
+        old = self.rules.get(rule.id)
+        if old is not None:
+            self._unindex(old)
+        self.rules[rule.id] = rule
+        for context in rule.contexts:
+            self._index.setdefault((context, rule.action), {})[rule.id] = rule
+
+    def _unindex(self, rule: PolicyRule) -> None:
+        for context in rule.contexts:
+            key = (context, rule.action)
+            bucket = self._index[key]
+            del bucket[rule.id]
+            if not bucket:
+                del self._index[key]
 
     def _drain(
         self,
@@ -371,11 +401,14 @@ class PolicyStore:
         }
         return hashlib.sha256(canonical_json(snapshot).encode("utf-8")).hexdigest()
 
-    def context_rules(self, context: str) -> tuple[PolicyRule, ...]:
-        return tuple(r for r in self.rules.values() if context in r.contexts)
-
-    def evaluate(self, request: DecisionRequest) -> Decision:
-        return evaluate_request(self.context_rules(request.context), request)
+    def candidates(self, context: str, action: str) -> list[PolicyRule]:
+        """Every rule that can match a request for ``action`` in ``context``:
+        the wildcard-action rules, plus the action's own unless it is
+        ``"*"``, which only wildcard-action rules match."""
+        wild = self._index.get((context, WILDCARD), {})
+        if action == WILDCARD:
+            return list(wild.values())
+        return [*wild.values(), *self._index.get((context, action), {}).values()]
 
     # persistence
 

@@ -97,13 +97,25 @@ class Condition:
         return cls(atoms)
 
     def matches(self, attrs: frozenset[AttributePair]) -> bool:
+        return self.matches_grouped(group_attrs(attrs))
+
+    def matches_grouped(self, grouped: Mapping[str, set[str]]) -> bool:
+        """``matches`` over attributes already grouped by ``group_attrs``."""
         for name, allowed in self.atoms:
-            if not any(p.name == name and p.value in allowed for p in attrs):
+            if allowed.isdisjoint(grouped.get(name, ())):
                 return False
         return True
 
     def to_wire(self) -> dict[str, list[str]]:
         return {name: sorted(values) for name, values in self.atoms}
+
+
+def group_attrs(attrs: Iterable[AttributePair]) -> dict[str, set[str]]:
+    """Attribute values by name, built once per evaluation."""
+    grouped: dict[str, set[str]] = {}
+    for pair in attrs:
+        grouped.setdefault(pair.name, set()).add(pair.value)
+    return grouped
 
 
 def attrs_to_wire(attrs: frozenset[AttributePair]) -> dict[str, list[str]]:
@@ -398,11 +410,17 @@ class Decision:
 
 
 def rule_matches(rule: PolicyRule, request: DecisionRequest) -> bool:
+    return _rule_matches(rule, request, group_attrs(request.subject_attrs))
+
+
+def _rule_matches(
+    rule: PolicyRule, request: DecisionRequest, grouped: Mapping[str, set[str]]
+) -> bool:
     return (
         request.context in rule.contexts
         and rule.action_matches(request.action)
         and rule.resource_matches(request.resource_id)
-        and rule.subject.matches(request.subject_attrs)
+        and rule.subject.matches_grouped(grouped)
     )
 
 
@@ -422,7 +440,8 @@ def evaluate_request(rules: Sequence[PolicyRule], request: DecisionRequest) -> D
         if rule.id in seen:
             raise DuplicateRuleId(f"rule id {rule.id!r} appears twice")
         seen.add(rule.id)
-    matched = [r for r in rules if rule_matches(r, request)]
+    grouped = group_attrs(request.subject_attrs)
+    matched = [r for r in rules if _rule_matches(r, request, grouped)]
     verdict = combine_effects(r.effect for r in matched)
     if verdict is Verdict.NOT_APPLICABLE:
         return Decision(verdict, "not-applicable")
@@ -473,8 +492,12 @@ class PolicyDocument:
     regression: tuple[RegressionCase, ...] = ()
 
     def __post_init__(self) -> None:
-        ids = [r.id for r in self.rules]
-        dup = {i for i in ids if ids.count(i) > 1}
+        seen: set[str] = set()
+        dup: set[str] = set()
+        for rule in self.rules:
+            if rule.id in seen:
+                dup.add(rule.id)
+            seen.add(rule.id)
         if dup:
             raise DuplicateRuleId(f"duplicate rule ids: {sorted(dup)}")
 

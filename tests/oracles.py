@@ -72,6 +72,30 @@ def naive_cited_ids(rules, request) -> tuple:
     return tuple(sorted(ids))
 
 
+def naive_assess_impact(rules, package, regression):
+    """(flipped cases in regression order, first protected flip or None).
+
+    Replays every case over the whole rule set before and after the
+    package; only rule packages change the rule set.
+    """
+    before = list(rules.values())
+    kind = package.kind.value
+    if kind == "RuleAdd":
+        after = [r for r in before if r.id != package.payload.id] + [package.payload]
+    elif kind == "RuleRemove":
+        after = [r for r in before if r.id != package.payload]
+    else:
+        after = before
+    flipped = []
+    blocking = None
+    for case in regression:
+        if naive_evaluate(before, case.request) != naive_evaluate(after, case.request):
+            flipped.append(case)
+            if case.protected and blocking is None:
+                blocking = case
+    return tuple(flipped), blocking
+
+
 # --- delegation closure ---------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from smsc.catalogue import CellProfile
 from smsc.cell import Cell
@@ -26,10 +27,16 @@ from smsc.policy import (
     PolicyRule,
     RegressionCase,
     Verdict,
+    evaluate_request,
     rule_matches,
 )
 
-from .oracles import enumerate_conflicts
+from .oracles import (
+    enumerate_conflicts,
+    naive_assess_impact,
+    naive_cited_ids,
+    naive_evaluate,
+)
 
 
 def rule(rid, effect, cond, action="read", resource="repo-*", contexts=("work",)):
@@ -264,6 +271,94 @@ def test_rejected_package_mid_drain_does_not_stop_the_drain():
     assert store.applied_seq["org"] == 2
 
 
+# --- indexed evaluation and incremental impact against the oracles --------
+
+_IDS = ("r0", "r1", "r2")
+_CONTEXTS = ("work", "home")
+
+_rules = st.builds(
+    rule,
+    rid=st.sampled_from(_IDS),
+    effect=st.sampled_from(Effect),
+    cond=st.fixed_dictionaries({}, optional={
+        "role": st.lists(st.sampled_from(("admin", "user")), min_size=1, unique=True),
+        "dept": st.lists(st.sampled_from(("eng", "ops")), min_size=1, unique=True),
+    }),
+    action=st.sampled_from(("read", "mgmt:x", "*")),
+    resource=st.sampled_from(("repo-a", "repo-*", "*")),
+    contexts=st.lists(st.sampled_from(_CONTEXTS), min_size=1, unique=True),
+)
+
+_REQUESTS = tuple(
+    DecisionRequest(frozenset(attrs), action, resource, context, 0)
+    for attrs in (
+        (),
+        (AttributePair("role", "admin"),),
+        (AttributePair("role", "user"), AttributePair("dept", "eng")),
+        (AttributePair("role", "admin"), AttributePair("role", "user"),
+         AttributePair("dept", "ops")),
+    )
+    for action in ("read", "write", "mgmt:x", "*")
+    for resource in ("repo-a", "repo-b", "log")
+    for context in _CONTEXTS + ("lab",)
+)
+
+
+def _rule_package(seq, change):
+    """A RuleAdd for a rule, a RuleRemove for a rule id."""
+    if isinstance(change, PolicyRule):
+        return upd(seq, UpdateKind.RULE_ADD, change)
+    return upd(seq, UpdateKind.RULE_REMOVE, change)
+
+
+@given(steps=st.lists(st.one_of(_rules, st.sampled_from(_IDS)), max_size=8))
+@example(steps=[
+    rule("r0", Effect.DENY, {}, action="read", contexts=("work",)),
+    rule("r0", Effect.PERMIT, {"role": ["admin"]}, action="*", contexts=("home",)),
+])
+def test_indexed_decisions_match_the_oracle(steps):
+    store = PolicyStore()
+    model = {}
+    for seq, change in enumerate(steps):
+        assert store.apply_update(_rule_package(seq, change)).status is ApplyStatus.APPLIED
+        if isinstance(change, PolicyRule):
+            model[change.id] = change
+        else:
+            model.pop(change, None)
+        for request in _REQUESTS:
+            scoped = [r for r in model.values() if request.context in r.contexts]
+            decision = evaluate_request(
+                store.candidates(request.context, request.action), request
+            )
+            assert decision.verdict.value == naive_evaluate(scoped, request), request
+            assert decision.matched_rule_ids == naive_cited_ids(scoped, request), request
+
+
+@given(
+    seeded=st.lists(_rules, max_size=3, unique_by=lambda r: r.id),
+    change=st.one_of(_rules, st.sampled_from(_IDS)),
+    regression=st.lists(
+        st.builds(
+            RegressionCase,
+            request=st.sampled_from(_REQUESTS),
+            expected=st.sampled_from((Verdict.PERMIT, Verdict.DENY, Verdict.NOT_APPLICABLE)),
+            protected=st.booleans(),
+        ),
+        max_size=6,
+    ),
+)
+def test_incremental_impact_matches_a_full_replay(seeded, change, regression):
+    rules = {r.id: r for r in seeded}
+    package = _rule_package(0, change)
+    assessment = assess_update_impact(rules, package, regression)
+    flipped, blocking = naive_assess_impact(rules, package, regression)
+    assert assessment.flipped == flipped
+    assert assessment.blocking == blocking
+    assert assessment.verdict is (
+        AssessmentVerdict.REJECT if blocking else AssessmentVerdict.ACCEPT
+    )
+
+
 # --- archive and persistence ----------------------------------------------
 
 
@@ -276,7 +371,17 @@ def test_archive_keeps_rejected_packages():
 
 
 def test_store_wire_round_trip_is_lossless():
-    store = _guarded_store()
+    store = PolicyStore(
+        rules=[
+            rule("allow-read", Effect.PERMIT, {}, action="read"),
+            rule("deny-ops", Effect.DENY, {"dept": ["ops"]}, action="write"),
+            rule("any-action", Effect.PERMIT, {"role": ["user"]}, action="*",
+                 resource="*", contexts=("work", "home")),
+            rule("mgmt", Effect.PERMIT, {"role": ["admin"]}, action="mgmt:x",
+                 resource="*", contexts=("home",)),
+        ],
+        regression=[pin(action="read", expected=Verdict.PERMIT, protected=True)],
+    )
     store.apply_update(upd(0, payload="h0"))
     store.apply_update(upd(2, payload="h2"))  # stays pending
     store.apply_update(upd(0, origin="other", kind=UpdateKind.CONFIG_SET,
@@ -289,6 +394,20 @@ def test_store_wire_round_trip_is_lossless():
     for target in (store, clone):
         target.apply_update(upd(1, payload="h1"))
     assert clone.applied_seq == store.applied_seq == {"org": 2, "other": 0}
+    # and its rule index follows later rule changes like the original's
+    narrowed = rule("any-action", Effect.PERMIT, {"role": ["user"]}, action="write",
+                    resource="*", contexts=("home",))
+    for target in (store, clone):
+        for package in (upd(3, UpdateKind.RULE_ADD, narrowed),
+                        upd(4, UpdateKind.RULE_REMOVE, "deny-ops")):
+            assert target.apply_update(package).status is ApplyStatus.APPLIED
+    assert clone.to_wire() == store.to_wire()
+    for request in _REQUESTS:
+        decide = [
+            evaluate_request(target.candidates(request.context, request.action), request)
+            for target in (store, clone)
+        ]
+        assert decide[0] == decide[1], request
 
 
 def test_digest_is_per_origin_high_water():
