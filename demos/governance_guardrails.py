@@ -60,11 +60,14 @@ block_all = PolicyRule(
     resource="email-filter",
     contexts=frozenset({"personal"}),
 )
+content_before, marks_before = store.content_digest(), store.digest()
 report = store.apply_update(
     make_update("admin", 1, UpdateKind.RULE_ADD, block_all, ["personal"], 1))
 print(f"  {report.status.value}: {report.detail}")
 print(f"  version still {store.version}, rules: {sorted(store.rules)}")
-print(f"  but seq 1 is consumed: high water = {store.digest()}")
+print(f"  but seq 1 is consumed: high water {marks_before} -> {store.digest()}")
+print(f"  content digest unchanged (it ignores bookkeeping): "
+      f"{store.content_digest() == content_before}")
 
 print("\n== seq 3 arrives before seq 2 ==")
 report = store.apply_update(
@@ -89,8 +92,3 @@ missing = [
 print(f"  peer has {peer_high_water}; archive serves {missing}")
 print("  (the rejected seq 1 is served too, so the peer's own assessment"
       " gets its say)")
-
-print("\n== the content digest ignores bookkeeping ==")
-clone = PolicyStore.from_wire(store.to_wire())
-print(f"  round-tripped clone digest equal: "
-      f"{clone.content_digest() == store.content_digest()}")

@@ -8,13 +8,7 @@ under a deterministic discrete-event clock with scriptable faults.
 """
 
 from .bus import Envelope, MessageBus, Subscription
-from .catalogue import (
-    Catalogue,
-    CatalogueEntry,
-    CellProfile,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .catalogue import Catalogue, CatalogueEntry, CellProfile
 from .cell import Cell, OutboundMessage
 from .discovery import Advertisement, AdvertOutcome, DiscoveryService, RegistrationRequest
 from .errors import SmscError
@@ -121,12 +115,10 @@ __all__ = [
     "evaluate_request",
     "expand_delegations",
     "issue_token",
-    "load_checkpoint",
     "load_policy_document",
     "load_scenario",
     "make_update",
     "parse_scenario",
     "run_scenario",
-    "save_checkpoint",
     "verify_token",
 ]

@@ -1,4 +1,4 @@
-"""Per-cell catalogue of known peers, plus checkpointing.
+"""Per-cell catalogue of known peers.
 
 Every cell keeps its own view of the federation: which peers it has
 heard from, when, and whether it trusts them per context.  Trust is
@@ -13,15 +13,10 @@ the peer with no memory of the eviction.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Optional
 
 from .errors import PolicyError, SelfRegistration, TrustedQueryWithoutContext
-from .governance import PolicyStore
-
-CHECKPOINT_VERSION = 1
 
 TrustPolicy = Mapping[str, Iterable[str]]
 
@@ -80,21 +75,6 @@ class CatalogueEntry:
     def trusted_anywhere(self) -> bool:
         return any(self.trusted.values())
 
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "profile": self.profile.to_wire(),
-            "lastSeenTick": self.last_seen_tick,
-            "trusted": dict(sorted(self.trusted.items())),
-        }
-
-    @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "CatalogueEntry":
-        return cls(
-            profile=CellProfile.from_wire(data["profile"]),
-            last_seen_tick=data["lastSeenTick"],
-            trusted=dict(data["trusted"]),
-        )
-
 
 def _derive_trust(profile: CellProfile, policy: TrustPolicy) -> dict[str, bool]:
     trusted = {}
@@ -127,11 +107,6 @@ class Catalogue:
         )
         self.entries[profile.cell_id] = entry
         return entry
-
-    def touch(self, cell_id: str, now: int) -> None:
-        entry = self.entries.get(cell_id)
-        if entry is not None and now > entry.last_seen_tick:
-            self.entries[cell_id] = replace(entry, last_seen_tick=now)
 
     def expire_stale(self, now: int) -> list[str]:
         """Drop entries whose TTL has lapsed; returns their ids sorted."""
@@ -179,50 +154,3 @@ class Catalogue:
             self.entries[cid] = replace(
                 entry, trusted=_derive_trust(entry.profile, self.trust_policy)
             )
-
-    def to_wire(self) -> list[dict[str, Any]]:
-        return [self.entries[cid].to_wire() for cid in sorted(self.entries)]
-
-    def load_wire(self, data: Iterable[Mapping[str, Any]]) -> None:
-        for wire in data:
-            entry = CatalogueEntry.from_wire(wire)
-            self.entries[entry.profile.cell_id] = entry
-
-
-# checkpointing
-
-
-def checkpoint_to_wire(catalogue: Catalogue, store: PolicyStore) -> dict[str, Any]:
-    return {
-        "entries": catalogue.to_wire(),
-        "policyStore": store.to_wire(),
-        "version": CHECKPOINT_VERSION,
-    }
-
-
-def checkpoint_from_wire(
-    data: Mapping[str, Any],
-    owner_id: str,
-    trust_policy: Optional[TrustPolicy] = None,
-) -> tuple[Catalogue, PolicyStore]:
-    if data.get("version") != CHECKPOINT_VERSION:
-        raise PolicyError(f"unsupported checkpoint version {data.get('version')!r}")
-    catalogue = Catalogue(owner_id, trust_policy)
-    catalogue.load_wire(data.get("entries", []))
-    store = PolicyStore.from_wire(data.get("policyStore", {}))
-    return catalogue, store
-
-
-def save_checkpoint(path: str, catalogue: Catalogue, store: PolicyStore) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint_to_wire(catalogue, store), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def load_checkpoint(
-    path: str, owner_id: str, trust_policy: Optional[TrustPolicy] = None
-) -> tuple[Catalogue, PolicyStore]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return checkpoint_from_wire(json.load(fh), owner_id, trust_policy)

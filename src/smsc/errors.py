@@ -102,9 +102,5 @@ class InvalidProbability(ParseError):
     pass
 
 
-class UnknownLink(SmscError):
-    pass
-
-
 class UnknownCell(SmscError):
     pass

@@ -60,12 +60,8 @@ class ConfigSetting:
 Payload = Union[PolicyRule, ConfigSetting, str]
 
 
-def _payload_to_wire(kind: UpdateKind, payload: Payload) -> Any:
-    if kind is UpdateKind.RULE_ADD:
-        return payload.to_wire()
-    if kind is UpdateKind.CONFIG_SET:
-        return payload.to_wire()
-    return payload
+def _payload_to_wire(payload: Payload) -> Any:
+    return payload if isinstance(payload, str) else payload.to_wire()
 
 
 def payload_from_wire(kind: UpdateKind, data: Any) -> Payload:
@@ -110,7 +106,7 @@ class UpdatePackage:
             "origin": self.origin,
             "seq": self.seq,
             "kind": self.kind.value,
-            "payload": _payload_to_wire(self.kind, self.payload),
+            "payload": _payload_to_wire(self.payload),
             "contexts": sorted(self.contexts),
             "issuedTick": self.issued_tick,
         }
@@ -381,9 +377,6 @@ class PolicyStore:
         out.sort(key=lambda p: (p.origin, p.seq))
         return out
 
-    def archived(self, origin: str, seq: int) -> Optional[UpdatePackage]:
-        return self.archive.get(origin, {}).get(seq)
-
     def digest(self) -> dict[str, int]:
         """Per-origin high-water marks, the anti-entropy summary."""
         return dict(sorted(self.applied_seq.items()))
@@ -410,7 +403,7 @@ class PolicyStore:
             return list(wild.values())
         return [*wild.values(), *self._index.get((context, action), {}).values()]
 
-    # persistence
+    # snapshot
 
     def to_wire(self) -> dict[str, Any]:
         return {
@@ -427,26 +420,6 @@ class PolicyStore:
                 for seq in sorted(self.archive[origin])
             ],
         }
-
-    @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "PolicyStore":
-        store = cls(
-            rules=(PolicyRule.from_wire(r) for r in data.get("rules", [])),
-            regression=tuple(
-                RegressionCase.from_wire(c) for c in data.get("regression", [])
-            ),
-        )
-        store.blocklist = {(c, e) for c, e in data.get("blocklist", [])}
-        store.config = dict(data.get("config", {}))
-        store.version = data.get("version", 0)
-        store.applied_seq = {o: int(s) for o, s in data.get("appliedSeq", {}).items()}
-        for wire in data.get("pending", []):
-            pkg = UpdatePackage.from_wire(wire)
-            store._pending.setdefault(pkg.origin, {})[pkg.seq] = pkg
-        for wire in data.get("archive", []):
-            pkg = UpdatePackage.from_wire(wire)
-            store.archive.setdefault(pkg.origin, {})[pkg.seq] = pkg
-        return store
 
 
 # static conflict analysis

@@ -19,9 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
     BadSignature,
@@ -96,11 +96,9 @@ class Condition:
         atoms = tuple(sorted((name, frozenset(vals)) for name, vals in mapping.items()))
         return cls(atoms)
 
-    def matches(self, attrs: frozenset[AttributePair]) -> bool:
-        return self.matches_grouped(group_attrs(attrs))
-
     def matches_grouped(self, grouped: Mapping[str, set[str]]) -> bool:
-        """``matches`` over attributes already grouped by ``group_attrs``."""
+        """Whether every atom allows one of the request's values, over
+        attributes already grouped by ``group_attrs``."""
         for name, allowed in self.atoms:
             if allowed.isdisjoint(grouped.get(name, ())):
                 return False

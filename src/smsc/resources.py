@@ -8,25 +8,15 @@ invoked may assume the request was permitted.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from .catalogue import Catalogue
 from .errors import UnknownResourceKind
 
 
-@dataclass(frozen=True)
-class ResourceDescriptor:
-    kind: str
-    operations: tuple[str, ...]
-
-
 class ManagedResource(ABC):
     kind: str = ""
     operations: tuple[str, ...] = ()
-
-    def describe(self) -> ResourceDescriptor:
-        return ResourceDescriptor(self.kind, self.operations)
 
     @abstractmethod
     def invoke(self, action: str, args: Mapping[str, Any], context: str) -> Any:

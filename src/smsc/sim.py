@@ -16,9 +16,8 @@ fault-injection experiments comparable across configurations.
 The per-tick structures are built once, in ``Simulator.__init__``, and
 rely on three invariants:
 
-* Links are fixed after construction.  ``set_drop`` replaces a link's
-  loss rate, never its endpoints, so the neighbour lists and the
-  ``(src, dst)`` to link-key map stay valid for the whole run.
+* Links never change after construction, so the neighbour lists and
+  the ``(src, dst)`` to link-key map stay valid for the whole run.
 * In-flight envelopes are bucketed by delivery tick, and each bucket is
   in ``net_seq`` order, because ``net_seq`` is assigned in append order.
   Loss draws are therefore taken in ``net_seq`` order without a sort.
@@ -38,7 +37,6 @@ from .errors import (
     ParseError,
     SmscError,
     UnknownCellRef,
-    UnknownLink,
 )
 from .governance import UpdateKind, payload_from_wire
 from .policy import (
@@ -401,8 +399,6 @@ class SimEnvelope:
     kind: str
     src: str
     dst: str
-    sent_tick: int
-    deliver_tick: int
     net_seq: int
     body: Mapping[str, Any]
 
@@ -413,7 +409,9 @@ class Simulator:
         self.log = log or EventLog()
         self.tick = 0
         self.cells: dict[str, Cell] = {}
-        self._decisions: list[tuple[int, str, dict[str, Any]]] = []
+        # latest decision detail by (cell, action, context) and by
+        # (cell, action, None), for ``decision-equals``
+        self._latest: dict[tuple[str, str, Optional[str]], dict[str, Any]] = {}
         for cs in spec.cells:
             self.cells[cs.cell_id] = Cell(
                 cell_id=cs.cell_id,
@@ -445,7 +443,6 @@ class Simulator:
         self.partitions: list[PartitionWindow] = list(spec.partitions)
         self._in_flight: dict[int, list[SimEnvelope]] = {}
         self._next_net_seq = 0
-        self._pending_drop: dict[frozenset[str], float] = {}
         self._script_by_tick: dict[int, list[ScriptAction]] = {}
         for action in spec.script:
             self._script_by_tick.setdefault(action.tick, []).append(action)
@@ -455,7 +452,9 @@ class Simulator:
         def observe(kind: str, detail: dict[str, Any]) -> None:
             self.log.record(self.tick, cell_id, kind, detail)
             if kind == "decision":
-                self._decisions.append((self.tick, cell_id, detail))
+                action = detail.get("action")
+                self._latest[cell_id, action, detail.get("context")] = detail
+                self._latest[cell_id, action, None] = detail
 
         return observe
 
@@ -494,15 +493,6 @@ class Simulator:
             for w in self.partitions
         ]
         self.log.record(self.tick, SIM, "fault", {"fault": "heal"})
-
-    def set_drop(self, a: str, b: str, drop: float) -> None:
-        """Change a link's loss rate, effective from the next tick."""
-        if not 0.0 <= drop <= 1.0:
-            raise InvalidProbability(f"drop {drop} outside [0, 1]")
-        key = frozenset((a, b))
-        if key not in self.links:
-            raise UnknownLink(f"no link {a}-{b}")
-        self._pending_drop[key] = drop
 
     # --- per-tick machinery -----------------------------------------------
 
@@ -600,29 +590,16 @@ class Simulator:
             return
         deliver_tick = tick + self.links[key].latency
         self._in_flight.setdefault(deliver_tick, []).append(SimEnvelope(
-            kind=kind, src=src, dst=dst, sent_tick=tick,
-            deliver_tick=deliver_tick,
-            net_seq=self._next_net_seq, body=body,
+            kind=kind, src=src, dst=dst, net_seq=self._next_net_seq, body=body,
         ))
         self._next_net_seq += 1
 
     # --- assertions -------------------------------------------------------
 
-    def _latest_decision(
-        self, cell: str, action: str, context: Optional[str]
-    ) -> Optional[dict[str, Any]]:
-        for _, cid, detail in reversed(self._decisions):
-            if cid != cell or detail.get("action") != action:
-                continue
-            if context is not None and detail.get("context") != context:
-                continue
-            return detail
-        return None
-
     def _evaluate_assertion(self, spec: AssertionSpec) -> dict[str, Any]:
         p = spec.params
         if spec.check == "decision-equals":
-            found = self._latest_decision(p["cell"], p["action"], p.get("context"))
+            found = self._latest.get((p["cell"], p["action"], p.get("context")))
             got = found["verdict"] if found else "no-decision"
             ok = got == p["expected"]
             detail = f"{p['cell']}/{p['action']}: {got}, expected {p['expected']}"
@@ -663,9 +640,6 @@ class Simulator:
     # --- main loop --------------------------------------------------------
 
     def _step_body(self, tick: int) -> None:
-        for key, drop in self._pending_drop.items():
-            self.links[key] = replace(self.links[key], drop=drop)
-        self._pending_drop.clear()
         self._run_script(tick)
         if tick > 0:
             self._deliver_due(tick)

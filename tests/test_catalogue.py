@@ -1,14 +1,7 @@
 import pytest
 
-from smsc.catalogue import (
-    Catalogue,
-    CatalogueEntry,
-    CellProfile,
-    load_checkpoint,
-    save_checkpoint,
-)
+from smsc.catalogue import Catalogue, CellProfile
 from smsc.errors import PolicyError, SelfRegistration, TrustedQueryWithoutContext
-from smsc.governance import PolicyStore, UpdateKind, make_update
 
 
 def profile(cid, contexts=("work",), caps=("ring",), kind="call-filter",
@@ -60,18 +53,6 @@ def test_ttl_is_strict():
     assert cat.get("a") is None
 
 
-def test_touch_refreshes_but_never_rewinds():
-    cat = Catalogue("me")
-    cat.upsert(profile("a", ttl=5), now=10)
-    cat.touch("a", 12)
-    assert cat.get("a").last_seen_tick == 12
-    cat.touch("a", 3)
-    assert cat.get("a").last_seen_tick == 12
-    cat.touch("ghost", 99)  # unknown ids are ignored
-    assert cat.expire_stale(17) == []
-    assert cat.expire_stale(18) == ["a"]
-
-
 def test_fresh_advert_readmits_after_eviction():
     cat = Catalogue("me")
     cat.upsert(profile("a", ttl=2), now=0)
@@ -108,34 +89,3 @@ def test_set_trust_policy_rederives_existing_entries():
     assert cat.trusted_partners() == []
     cat.set_trust_policy({"work": []})
     assert cat.trusted_partners() == ["a"]
-
-
-def test_checkpoint_file_round_trip(tmp_path):
-    cat = Catalogue("me", {"work": ["ring"]})
-    cat.upsert(profile("a"), 3)
-    cat.upsert(profile("b", contexts=("home",)), 4)
-    store = PolicyStore()
-    store.apply_update(
-        make_update("org", 0, UpdateKind.BLOCKLIST_ADD, "bad-host", ["work"], 0)
-    )
-    path = str(tmp_path / "checkpoint.json")
-    save_checkpoint(path, cat, store)
-
-    cat2, store2 = load_checkpoint(path, "me", {"work": ["ring"]})
-    assert cat2.to_wire() == cat.to_wire()
-    assert store2.to_wire() == store.to_wire()
-    assert store2.content_digest() == store.content_digest()
-    # no stray temp file left behind
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
-
-
-def test_checkpoint_version_gate(tmp_path):
-    from smsc.catalogue import checkpoint_from_wire
-
-    with pytest.raises(PolicyError):
-        checkpoint_from_wire({"version": 99}, "me")
-
-
-def test_entry_wire_round_trip():
-    entry = CatalogueEntry(profile("a"), 7, {"work": True, "home": False})
-    assert CatalogueEntry.from_wire(entry.to_wire()) == entry

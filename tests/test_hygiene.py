@@ -1,0 +1,40 @@
+"""Source hygiene: no leftover imports, no stale exports.
+
+Both checks read the package statically (``ast``) or through its public
+namespace, so they guard every later deletion without naming what was
+deleted.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import smsc
+
+SRC = Path(smsc.__file__).parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = _imported_names(tree) - used
+    assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
+
+
+def test_every_export_resolves():
+    missing = [name for name in smsc.__all__ if not hasattr(smsc, name)]
+    assert not missing
+    assert len(set(smsc.__all__)) == len(smsc.__all__)

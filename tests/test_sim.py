@@ -10,7 +10,6 @@ from smsc.errors import (
     ParseError,
     SmscError,
     UnknownCellRef,
-    UnknownLink,
 )
 from smsc.governance import UpdateKind, make_update
 from smsc.prng import stream_for_link
@@ -277,19 +276,6 @@ def test_exactly_one_draw_per_due_envelope():
     for _ in range(consumed):
         fresh.next_float()
     assert sim._stream(frozenset(("c0", "c1"))).next_float() == fresh.next_float()
-
-
-def test_set_drop_validates_and_defers():
-    sim = Simulator(parse_scenario(scenario_wire()))
-    with pytest.raises(UnknownLink):
-        sim.set_drop("c0", "ghost", 0.5)
-    with pytest.raises(InvalidProbability):
-        sim.set_drop("c0", "c1", 2.0)
-    sim.set_drop("c0", "c1", 1.0)
-    key = frozenset(("c0", "c1"))
-    assert sim.links[key].drop == 0.0
-    sim.step()
-    assert sim.links[key].drop == 1.0
 
 
 CELL_POOL = [f"c{i}" for i in range(8)]
