@@ -7,7 +7,7 @@ security updates.  The ``sim`` module runs whole federations of cells
 under a deterministic discrete-event clock with scriptable faults.
 """
 
-from .bus import Envelope, MessageBus, Subscription
+from .bus import MessageBus
 from .catalogue import Catalogue, CatalogueEntry, CellProfile
 from .cell import Cell, OutboundMessage
 from .discovery import Advertisement, AdvertOutcome, DiscoveryService, RegistrationRequest
@@ -88,7 +88,6 @@ __all__ = [
     "EchoResource",
     "Effect",
     "EmailFilterResource",
-    "Envelope",
     "EventLog",
     "ImpactAssessment",
     "ManagedResource",
@@ -104,7 +103,6 @@ __all__ = [
     "ScenarioSpec",
     "Simulator",
     "SmscError",
-    "Subscription",
     "Token",
     "UpdateKind",
     "UpdatePackage",

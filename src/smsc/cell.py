@@ -12,8 +12,9 @@ between cells.
 The observer is the cell's one recording channel: every fact the cell
 records goes to it as a ``(kind, detail)`` pair, and the simulator
 writes each pair to the event log.  Decisions and applied updates are
-also published on the bus; the queued ``audit-log`` subscriber drains
-them once per tick, in ``on_tick``, into one ``bus`` record each.
+also queued on the bus; its one consumer, the audit service, drains it
+into one ``bus`` record per envelope once per tick, in ``on_tick``, or
+at once when the queue reaches ``AUDIT_QUEUE_CAP``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional
 
-from .bus import MessageBus, Subscription
+from .bus import MessageBus
 from .catalogue import Catalogue, CellProfile, TrustPolicy
 from .discovery import Advertisement, DiscoveryService, RegistrationRequest
 from .errors import (
@@ -64,6 +65,9 @@ MANAGEMENT_COMMANDS = frozenset(
 
 # unanswered op-req/mgmt-req ids kept for pairing; the oldest goes first
 PENDING_REQUEST_CAP = 256
+
+# bus envelopes queued for the audit drain; reaching it drains at once
+AUDIT_QUEUE_CAP = 1024
 
 ENVELOPE_KINDS = frozenset({
     "advert", "register", "register-reply", "update", "digest", "digest-reply",
@@ -145,11 +149,6 @@ class Cell:
         # requestId -> (response kind, peer asked, action or command)
         self._requests: dict[int, tuple[str, str, str]] = {}
 
-        # the audit service is the one bus consumer; it drains once per
-        # tick and writes one ``bus`` record per envelope
-        self.bus.subscribe(Subscription("audit-log", "cell.*"))
-        self.bus.subscribe(Subscription("audit-log", "policy.*"))
-
     # --- plumbing ---------------------------------------------------------
 
     def _send(self, kind: str, dst: str, body: dict[str, Any]) -> None:
@@ -159,6 +158,10 @@ class Cell:
         out = self.outbox
         self.outbox = []
         return out
+
+    def _publish(self, topic: str, publisher_id: str) -> None:
+        if self.bus.publish(topic, publisher_id) >= AUDIT_QUEUE_CAP:
+            self.record_bus()
 
     # --- decision pipeline ------------------------------------------------
 
@@ -184,18 +187,17 @@ class Cell:
         return None
 
     def _record_decision(
-        self, caller: str, action: str, context: str, decision: Decision, now: int
+        self, caller: str, action: str, context: str, decision: Decision
     ) -> None:
-        detail = {
+        self._observer("decision", {
             "caller": caller,
             "action": action,
             "context": context,
             "verdict": decision.verdict.value,
             "reason": decision.reason,
             "matchedRuleIds": list(decision.matched_rule_ids),
-        }
-        self._observer("decision", detail)
-        self.bus.publish("cell.op", detail, "pep", now)
+        })
+        self._publish("cell.op", "pep")
 
     def decide_operation(
         self, tokens: Optional[Iterable[Token]], action: str,
@@ -238,7 +240,7 @@ class Cell:
         args: Mapping[str, Any] = body.get("args", {}) or {}
         context = str(body.get("context", ""))
         decision = self.decide_operation(_wire_tokens(body), action, args, context, now)
-        self._record_decision(caller, action, context, decision, now)
+        self._record_decision(caller, action, context, decision)
         if decision.verdict is Verdict.PERMIT:
             result = self.resource.invoke(action, args, context)
             return decision, _ok(result)
@@ -254,7 +256,7 @@ class Cell:
         decision = self.decide_operation(
             _wire_tokens(body), f"mgmt:{command}", {}, context, now, management=True
         )
-        self._record_decision(caller, f"mgmt:{command}", context, decision, now)
+        self._record_decision(caller, f"mgmt:{command}", context, decision)
         if decision.verdict is not Verdict.PERMIT:
             return decision, _denied(decision.reason)
         try:
@@ -320,7 +322,7 @@ class Cell:
         )
         self._next_own_seq += 1
         report = self.store.apply_update(package)
-        self._after_apply(report, now, via=None, push=push)
+        self._after_apply(report, via=None, push=push)
         return report
 
     def ingest_security_update(
@@ -345,7 +347,7 @@ class Cell:
             report = self.store.apply_update(package)
         except (SmscError, KeyError, TypeError, ValueError) as exc:
             return self._invalid_update(from_cell, exc)
-        self._after_apply(report, now, via=from_cell, push=True)
+        self._after_apply(report, via=from_cell, push=True)
         if report.status in (ApplyStatus.DUPLICATE, ApplyStatus.BUFFERED):
             self._update_record(package, report.status.value, from_cell)
         if report.evicted is not None:
@@ -368,21 +370,16 @@ class Cell:
         return ApplyStatus.INVALID
 
     def _after_apply(
-        self, report: ApplyReport, now: int, via: Optional[str], push: bool
+        self, report: ApplyReport, via: Optional[str], push: bool
     ) -> None:
         for package in report.applied:
-            self.bus.publish(
-                "policy.updated",
-                {"origin": package.origin, "seq": package.seq, "kind": package.kind.value},
-                "governance",
-                now,
-            )
             self._observer(
                 "update",
                 {"origin": package.origin, "seq": package.seq,
                  "kind": package.kind.value, "status": "applied",
                  "version": self.store.version},
             )
+            self._publish("policy.updated", "governance")
             if package.kind is UpdateKind.CONFIG_SET:
                 assert isinstance(package.payload, ConfigSetting)
                 self.resource.apply_config(package.payload.key, package.payload.value)
@@ -413,7 +410,7 @@ class Cell:
     def record_bus(self) -> None:
         """Write one ``bus`` record per envelope published since the last
         drain, in bus_seq order."""
-        for envelope in self.bus.drain("audit-log"):
+        for envelope in self.bus.drain():
             self._observer(
                 "bus",
                 {"topic": envelope.topic, "publisher": envelope.publisher_id,

@@ -7,28 +7,6 @@ class SmscError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- message bus ---------------------------------------------------------
-
-class MalformedTopic(SmscError):
-    pass
-
-
-class MalformedFilter(SmscError):
-    pass
-
-
-class ClockRegression(SmscError):
-    pass
-
-
-class DuplicateSubscription(SmscError):
-    pass
-
-
-class UnknownSubscriber(SmscError):
-    pass
-
-
 # --- policy engine and tokens -------------------------------------------
 
 class PolicyError(SmscError):

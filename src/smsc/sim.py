@@ -152,6 +152,21 @@ def _require(data: Mapping[str, Any], key: str, where: str) -> Any:
     return data[key]
 
 
+def _check_tokens(tokens: Any, where: str) -> None:
+    """Each stanza must be one ``token_wire_from_spec`` can turn into a token."""
+    if not isinstance(tokens, list):
+        raise ParseError(f"{where}: 'tokens' must be a list")
+    for index, data in enumerate(tokens):
+        at = f"{where} tokens[{index}]"
+        if not isinstance(data, Mapping):
+            raise ParseError(f"{at}: token stanza must be an object")
+        for key in ("issuer", "subject", "expiryTick"):
+            _require(data, key, at)
+        claims = data.get("claims", {})
+        if not isinstance(claims, Mapping) or not all(isinstance(v, list) for v in claims.values()):
+            raise ParseError(f"{at}: 'claims' must map names to lists of values")
+
+
 def _check_cell_ref(ref: Any, known: set[str], where: str) -> str:
     if ref not in known:
         raise UnknownCellRef(f"{where}: unknown cell {ref!r}")
@@ -251,6 +266,8 @@ def _parse_script(
             for key in ("a", "b"):
                 for ref in data[key]:
                     _check_cell_ref(ref, known, where)
+        if op in ("send-op", "send-mgmt"):
+            _check_tokens(data.get("tokens", []), where)
         if op == "emit-update":
             try:
                 UpdateKind(data["kind"])

@@ -161,18 +161,6 @@ def enumerate_conflicts(rules, spec):
     return found
 
 
-# --- bus filters ----------------------------------------------------------
-
-
-def segment_filter_matches(pattern: str, topic: str) -> bool:
-    p_segments = pattern.split(".")
-    t_segments = topic.split(".")
-    if p_segments[-1] == "*":
-        head = p_segments[:-1]
-        return len(t_segments) > len(head) and t_segments[: len(head)] == head
-    return p_segments == t_segments
-
-
 # --- topology -------------------------------------------------------------
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from smsc.catalogue import CellProfile
-from smsc.cell import PENDING_REQUEST_CAP, Cell
+from smsc.cell import AUDIT_QUEUE_CAP, PENDING_REQUEST_CAP, Cell
 from smsc.errors import UnknownCell
 from smsc.governance import ApplyStatus, UpdateKind, make_update
 from smsc.policy import (
@@ -262,6 +262,21 @@ def test_decision_is_published_on_the_bus_and_observed():
     assert bus_events == [{"topic": "cell.op", "publisher": "pep", "busSeq": 0}]
     cell.on_tick(6)
     assert len([k for k, _ in events if k == "bus"]) == 1
+
+
+def test_audit_queue_is_bounded_without_ticks():
+    """A cell driven without ``on_tick`` never holds more than
+    AUDIT_QUEUE_CAP undrained envelopes, and loses none of them."""
+    seqs = []
+    cell = make_cell(
+        observer=lambda kind, detail: seqs.append(detail["busSeq"]) if kind == "bus" else None
+    )
+    body = op_body(token())
+    for published in range(1, 5001):
+        cell.handle_operation(body, "ext", 1)
+        assert published - len(seqs) < AUDIT_QUEUE_CAP
+    cell.on_tick(2)
+    assert seqs == list(range(5000))
 
 
 # --- management ------------------------------------------------------------

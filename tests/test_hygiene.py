@@ -1,6 +1,6 @@
-"""Source hygiene: no leftover imports, no stale exports.
+"""Source hygiene: no leftover imports, no stale exports, no dead errors.
 
-Both checks read the package statically (``ast``) or through its public
+The checks read the package statically (``ast``) or through its public
 namespace, so they guard every later deletion without naming what was
 deleted.
 """
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import smsc
+from smsc import errors
 
 SRC = Path(smsc.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -38,3 +39,30 @@ def test_every_export_resolves():
     missing = [name for name in smsc.__all__ if not hasattr(smsc, name)]
     assert not missing
     assert len(set(smsc.__all__)) == len(smsc.__all__)
+
+
+def _raised_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    """Each class in ``errors.py`` is raised somewhere in the package, or is
+    a base of one that is."""
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    defined = [n.name for n in tree.body if isinstance(n, ast.ClassDef)]
+    raised = set().union(*(
+        _raised_names(ast.parse(p.read_text(encoding="utf-8")))
+        for p in SRC.glob("*.py")
+    ))
+    raised_classes = [getattr(errors, name) for name in raised if name in defined]
+    dead = [
+        name for name in defined
+        if not any(issubclass(cls, getattr(errors, name)) for cls in raised_classes)
+    ]
+    assert not dead, f"errors.py defines but nothing raises {dead}"

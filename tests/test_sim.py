@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smsc.cell import OutboundMessage
+from smsc.cli import main as cli_main
 from smsc.errors import (
     InvalidProbability,
     ParseError,
@@ -144,6 +145,43 @@ def test_parse_rejections(mangle, exc):
     mangle(wire)
     with pytest.raises(exc):
         parse_scenario(wire)
+
+
+def _without(key):
+    stanza = dict(USER_TOKEN)
+    del stanza[key]
+    return stanza
+
+
+BAD_TOKEN_STANZAS = {
+    "no-issuer": ([_without("issuer")], "'issuer'"),
+    "no-subject": ([_without("subject")], "'subject'"),
+    "no-expiry": ([_without("expiryTick")], "'expiryTick'"),
+    "claims-list": ([{**USER_TOKEN, "claims": ["role"]}], "'claims'"),
+    "claims-string": ([{**USER_TOKEN, "claims": "role"}], "'claims'"),
+    "claim-values-int": ([{**USER_TOKEN, "claims": {"role": 5}}], "'claims'"),
+    "stanza-string": (["token"], "token stanza"),
+    "tokens-object": (USER_TOKEN, "'tokens'"),
+}
+
+
+@pytest.mark.parametrize("op", ["send-op", "send-mgmt"])
+@pytest.mark.parametrize("name", sorted(BAD_TOKEN_STANZAS))
+def test_bad_token_stanza_is_a_parse_error(op, name, tmp_path, capsys):
+    """A token stanza the run could not turn into a token is rejected at
+    parse time, naming the script entry and the field, and ``smsc run``
+    exits 2 instead of failing mid-run."""
+    tokens, field = BAD_TOKEN_STANZAS[name]
+    action = {"tick": 1, "op": op, "to": "c1", "context": "work", "tokens": tokens}
+    action.update({"action": "echo"} if op == "send-op" else {"command": "flag-spam"})
+    wire = scenario_wire(script=[action])
+    with pytest.raises(ParseError, match=r"script\[0\]") as info:
+        parse_scenario(wire)
+    assert field in str(info.value)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(wire))
+    assert cli_main(["run", "--scenario", str(path)]) == 2
+    assert "script[0]" in capsys.readouterr().err
 
 
 def test_parse_defaults():
