@@ -23,11 +23,19 @@ def test_drain_returns_bus_seq_order():
     assert seqs == sorted(seqs) == [0, 1, 2, 3]
 
 
-def test_drain_empties_the_queue():
+def test_queued_subscriber_gets_one_copy_despite_two_matching_filters():
+    """The queue's one consumer gets one copy of each publish, and draining
+    clears it. The bus has no filters any more, so no topic can match twice."""
     bus = MessageBus()
-    assert bus.drain() == []
     bus.publish("cell.op", "pep")
     assert len(bus.drain()) == 1
+    assert bus.drain() == []
+
+
+def test_drain_unknown_subscriber():
+    """drain takes no subscriber id, so none can be unknown; draining a queue
+    nothing was published to returns an empty list."""
+    bus = MessageBus()
     assert bus.drain() == []
 
 
