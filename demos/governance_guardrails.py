@@ -84,10 +84,9 @@ print(f"  config now {store.config}")
 print("\n== anti-entropy: what would a stale peer need? ==")
 peer_high_water = {"admin": 0}
 missing = [
-    (origin, seq)
+    (origin, package.seq)
     for origin in sorted(store.archive)
-    for seq in sorted(store.archive[origin])
-    if seq > peer_high_water.get(origin, -1)
+    for package in store.archive[origin][peer_high_water.get(origin, -1) + 1:]
 ]
 print(f"  peer has {peer_high_water}; archive serves {missing}")
 print("  (the rejected seq 1 is served too, so the peer's own assessment"

@@ -15,7 +15,6 @@ from .errors import SmscError
 from .governance import (
     ApplyReport,
     ApplyStatus,
-    AssessmentVerdict,
     ConfigSetting,
     ConflictReport,
     DomainSpec,
@@ -70,7 +69,6 @@ __all__ = [
     "AdvertOutcome",
     "ApplyReport",
     "ApplyStatus",
-    "AssessmentVerdict",
     "AttributePair",
     "CallFilterResource",
     "Catalogue",

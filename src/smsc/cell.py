@@ -143,7 +143,6 @@ class Cell:
         )
 
         self.outbox: list[OutboundMessage] = []
-        self._next_own_seq = 0
         self._rr_index = 0
         self._next_request_id = 0
         # requestId -> (response kind, peer asked, action or command)
@@ -271,7 +270,7 @@ class Cell:
         if command == "add-rule":
             try:
                 rule = PolicyRule.from_wire(payload)
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError, PolicyError) as exc:
                 raise MalformedCommand(f"add-rule: {exc}") from None
             report = self.emit_update(UpdateKind.RULE_ADD, rule, {context}, now, push=False)
             if report.status is ApplyStatus.REJECTED:
@@ -298,7 +297,8 @@ class Cell:
             setting = ConfigSetting(str(payload["key"]), payload.get("value"))
             self.emit_update(UpdateKind.CONFIG_SET, setting, {context}, now, push=False)
             return _ok({"key": setting.key, "version": self.store.version})
-        if not isinstance(payload, Mapping):
+        if not isinstance(payload, Mapping) or not all(
+                isinstance(caps, list) for caps in payload.values()):
             raise MalformedCommand("set-trust payload must map context to capabilities")
         self.catalogue.set_trust_policy(
             {str(c): [str(x) for x in caps] for c, caps in payload.items()}
@@ -316,17 +316,16 @@ class Cell:
 
         With ``push=False`` it stays local and only anti-entropy spreads
         it.  A package the local store itself rejects is not distributed.
+        The seq follows the own-origin archive, peer-delivered ones included.
         """
-        package = make_update(
-            self.cell_id, self._next_own_seq, kind, payload, contexts, now
-        )
-        self._next_own_seq += 1
+        seq = len(self.store.archive.get(self.cell_id, ()))
+        package = make_update(self.cell_id, seq, kind, payload, contexts, now)
         report = self.store.apply_update(package)
         self._after_apply(report, via=None, push=push)
         return report
 
     def ingest_security_update(
-        self, package_wire: Mapping[str, Any], from_cell: str, now: int
+        self, package_wire: Mapping[str, Any], from_cell: str
     ) -> ApplyStatus:
         """Ingest one pushed or back-filled package.
 
@@ -380,9 +379,6 @@ class Cell:
                  "version": self.store.version},
             )
             self._publish("policy.updated", "governance")
-            if package.kind is UpdateKind.CONFIG_SET:
-                assert isinstance(package.payload, ConfigSetting)
-                self.resource.apply_config(package.payload.key, package.payload.value)
             if push:
                 self._forward(package, via)
         for package in report.rejected:
@@ -426,13 +422,13 @@ class Cell:
         if now % self.advertise_interval == 0:
             self.advertise_now(now)
         if now % self.anti_entropy_interval == 0:
-            self._send_digest(now)
+            self._send_digest()
 
     def advertise_now(self, now: int) -> None:
         advert = self.discovery.make_advertisement(now)
         self._send("advert", "*", advert.to_wire())
 
-    def _send_digest(self, now: int) -> None:
+    def _send_digest(self) -> None:
         partners = self.catalogue.trusted_partners()
         if not partners:
             return
@@ -513,12 +509,12 @@ class Cell:
         elif kind == "register-reply":
             self.discovery.handle_registration_reply(CellProfile.from_wire(body), now)
         elif kind == "update":
-            self.ingest_security_update(body, src, now)
+            self.ingest_security_update(body, src)
         elif kind == "digest":
             self._handle_digest(src, body)
         elif kind == "digest-reply":
             for package_wire in body.get("packages", []):
-                self.ingest_security_update(package_wire, src, now)
+                self.ingest_security_update(package_wire, src)
         elif kind == "op-req":
             _, response = self.handle_operation(body, src, now)
             self._send("op-resp", src, {**response, "requestId": body.get("requestId")})
@@ -533,12 +529,11 @@ class Cell:
         if sender is None or not sender.trusted_anywhere():
             self._observer("digest-ignored", {"from": src})
             return
-        peer_applied: Mapping[str, int] = body.get("applied", {})
+        archive, marks = self.store.archive, body.get("applied", {})
         packages = [
-            self.store.archive[origin][seq].to_wire()
-            for origin in sorted(self.store.archive)
-            for seq in sorted(self.store.archive[origin])
-            if seq > peer_applied.get(origin, -1)
+            package.to_wire()
+            for origin in sorted(archive)
+            for package in archive[origin][max(marks.get(origin, -1) + 1, 0):]
         ]
         if packages:
             self._send("digest-reply", src, {"packages": packages})

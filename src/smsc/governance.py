@@ -10,7 +10,9 @@ overflows, the package furthest ahead is dropped and reported.
 Before a rule change lands it is assessed against the cell's pinned
 regression cases.  A package that would flip a protected case is
 rejected outright; its sequence number is still consumed so the origin
-stream keeps moving.
+stream keeps moving.  The archive of consumed packages is the one
+sequence record: an origin's package with seq n sits at index n of its
+list, so the list's length is the next seq the store expects.
 
 ``detect_conflicts`` is the static companion check: given finite value
 domains it decides, exactly, whether two opposite-effect rules can fire
@@ -151,14 +153,11 @@ def make_update(
     return replace(unsigned, signature=sign_payload(origin, unsigned.body()))
 
 
-class AssessmentVerdict(str, Enum):
-    ACCEPT = "Accept"
-    REJECT = "Reject"
-
-
 @dataclass(frozen=True)
 class ImpactAssessment:
-    verdict: AssessmentVerdict
+    """Pinned cases an update flips; ``blocking``, the first protected one,
+    is set exactly when the update must be rejected."""
+
     flipped: tuple[RegressionCase, ...] = ()
     blocking: Optional[RegressionCase] = None
 
@@ -179,7 +178,7 @@ def assess_update_impact(
     but do not block.
     """
     if package.kind in (UpdateKind.BLOCKLIST_ADD, UpdateKind.CONFIG_SET):
-        return ImpactAssessment(AssessmentVerdict.ACCEPT)
+        return ImpactAssessment()
     added: Optional[PolicyRule] = None
     if package.kind is UpdateKind.RULE_ADD:
         assert isinstance(package.payload, PolicyRule)
@@ -189,7 +188,6 @@ def assess_update_impact(
         gone_id = package.payload
     changed = [r for r in (added, rules.get(gone_id)) if r is not None]
     flipped: list[RegressionCase] = []
-    blocking: Optional[RegressionCase] = None
     for case in regression:
         request = case.request
         if not any(rule_matches(r, request) for r in changed):
@@ -202,10 +200,7 @@ def assess_update_impact(
         new = evaluate_request(after, request).verdict
         if old != new:
             flipped.append(case)
-            if case.protected and blocking is None:
-                blocking = case
-    verdict = AssessmentVerdict.REJECT if blocking else AssessmentVerdict.ACCEPT
-    return ImpactAssessment(verdict, tuple(flipped), blocking)
+    return ImpactAssessment(tuple(flipped), next((c for c in flipped if c.protected), None))
 
 
 class ApplyStatus(str, Enum):
@@ -239,10 +234,11 @@ class PolicyStore:
     """Versioned security state of one cell.
 
     ``version`` counts applied packages; duplicates, buffered packages
-    and rejections leave it unchanged.  Every consumed package, rejected
-    ones included, is archived so the cell can serve gap-fill requests.
-    Rules are indexed by (context, action), so an evaluation reads only
-    ``candidates`` instead of every rule.
+    and rejections leave it unchanged.  ``archive`` maps each origin to
+    its consumed packages, rejected ones included, in seq order with no
+    holes: it serves gap-fill requests, and its lengths are the per-origin
+    high-water marks.  Rules are indexed by (context, action), so an
+    evaluation reads only ``candidates`` instead of every rule.
     """
 
     def __init__(
@@ -262,19 +258,18 @@ class PolicyStore:
         self.config: dict[str, Any] = {}
         self.version = 0
         self.regression: tuple[RegressionCase, ...] = tuple(regression)
-        self.applied_seq: dict[str, int] = {}
         self._pending: dict[str, dict[int, UpdatePackage]] = {}
-        self.archive: dict[str, dict[int, UpdatePackage]] = {}
+        self.archive: dict[str, list[UpdatePackage]] = {}
 
     # ingestion
 
     def apply_update(self, package: UpdatePackage) -> ApplyReport:
         if package.signature != sign_payload(package.origin, package.body()):
             raise BadSignature(f"bad signature on {package.origin}/{package.seq}")
-        last = self.applied_seq.get(package.origin, -1)
-        if package.seq <= last:
+        expected = len(self.archive.get(package.origin, ()))
+        if package.seq < expected:
             return ApplyReport(ApplyStatus.DUPLICATE)
-        if package.seq > last + 1:
+        if package.seq > expected:
             return ApplyReport(ApplyStatus.BUFFERED, evicted=self._buffer(package))
         applied: list[UpdatePackage] = []
         rejected: list[UpdatePackage] = []
@@ -300,12 +295,10 @@ class PolicyStore:
     ) -> str:
         """Assess and apply (or reject) the next-in-order package."""
         assessment = assess_update_impact(self.rules, package, self.regression)
-        self.applied_seq[package.origin] = package.seq
-        self.archive.setdefault(package.origin, {})[package.seq] = package
-        if assessment.verdict is AssessmentVerdict.REJECT:
+        self.archive.setdefault(package.origin, []).append(package)
+        case = assessment.blocking
+        if case is not None:
             rejected.append(package)
-            case = assessment.blocking
-            assert case is not None
             return (
                 f"would flip protected case "
                 f"{case.request.action}/{case.request.resource_id}@{case.request.context}"
@@ -357,8 +350,7 @@ class PolicyStore:
         if not slot:
             return
         while True:
-            want = self.applied_seq.get(origin, -1) + 1
-            nxt = slot.pop(want, None)
+            nxt = slot.pop(len(self.archive[origin]), None)
             if nxt is None:
                 break
             self._consume(nxt, applied, rejected)
@@ -372,27 +364,25 @@ class PolicyStore:
             return len(self._pending.get(origin, {}))
         return sum(len(slot) for slot in self._pending.values())
 
-    def pending_packages(self) -> list[UpdatePackage]:
-        out = [p for slot in self._pending.values() for p in slot.values()]
-        out.sort(key=lambda p: (p.origin, p.seq))
-        return out
-
     def digest(self) -> dict[str, int]:
         """Per-origin high-water marks, the anti-entropy summary."""
-        return dict(sorted(self.applied_seq.items()))
+        return {origin: len(self.archive[origin]) - 1 for origin in sorted(self.archive)}
+
+    def _content(self) -> dict[str, Any]:
+        """The effective security content: rules, blocklist and config."""
+        return {
+            "rules": [self.rules[rid].to_wire() for rid in sorted(self.rules)],
+            "blocklist": sorted(list(pair) for pair in self.blocklist),
+            "config": dict(sorted(self.config.items())),
+        }
 
     def content_digest(self) -> str:
-        """Hash of the effective security content (rules, blocklist, config).
+        """Hash of the effective security content.
 
         Sequence bookkeeping is deliberately excluded: a rejected package
         consumes its seq but must leave this digest untouched.
         """
-        snapshot = {
-            "rules": [self.rules[rid].to_wire() for rid in sorted(self.rules)],
-            "blocklist": sorted(list(pair) for pair in self.blocklist),
-            "config": self.config,
-        }
-        return hashlib.sha256(canonical_json(snapshot).encode("utf-8")).hexdigest()
+        return hashlib.sha256(canonical_json(self._content()).encode("utf-8")).hexdigest()
 
     def candidates(self, context: str, action: str) -> list[PolicyRule]:
         """Every rule that can match a request for ``action`` in ``context``:
@@ -407,17 +397,19 @@ class PolicyStore:
 
     def to_wire(self) -> dict[str, Any]:
         return {
-            "rules": [self.rules[rid].to_wire() for rid in sorted(self.rules)],
-            "blocklist": sorted(list(pair) for pair in self.blocklist),
-            "config": dict(sorted(self.config.items())),
+            **self._content(),
             "version": self.version,
             "regression": [c.to_wire() for c in self.regression],
-            "appliedSeq": dict(sorted(self.applied_seq.items())),
-            "pending": [p.to_wire() for p in self.pending_packages()],
+            "appliedSeq": self.digest(),
+            "pending": [
+                self._pending[origin][seq].to_wire()
+                for origin in sorted(self._pending)
+                for seq in sorted(self._pending[origin])
+            ],
             "archive": [
-                self.archive[origin][seq].to_wire()
+                package.to_wire()
                 for origin in sorted(self.archive)
-                for seq in sorted(self.archive[origin])
+                for package in self.archive[origin]
             ],
         }
 

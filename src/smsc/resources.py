@@ -22,9 +22,6 @@ class ManagedResource(ABC):
     def invoke(self, action: str, args: Mapping[str, Any], context: str) -> Any:
         ...
 
-    def apply_config(self, key: str, value: Any) -> None:
-        pass
-
 
 class EmailFilterResource(ManagedResource):
     """Inbound mail screen.  ``flag`` is the local mark a user leaves on a
@@ -37,7 +34,6 @@ class EmailFilterResource(ManagedResource):
     def __init__(self) -> None:
         self.delivered: list[tuple[str, str, str]] = []
         self.flagged: set[tuple[str, str]] = set()
-        self.config: dict[str, Any] = {}
 
     def invoke(self, action: str, args: Mapping[str, Any], context: str) -> Any:
         sender = str(args.get("from", ""))
@@ -46,9 +42,6 @@ class EmailFilterResource(ManagedResource):
             return {"delivered": True, "from": sender}
         self.flagged.add((context, sender))
         return {"flagged": sender}
-
-    def apply_config(self, key: str, value: Any) -> None:
-        self.config[key] = value
 
 
 class CallFilterResource(ManagedResource):
@@ -60,7 +53,6 @@ class CallFilterResource(ManagedResource):
     def __init__(self) -> None:
         self.calls: list[tuple[str, str]] = []
         self.texts: list[tuple[str, str, str]] = []
-        self.config: dict[str, Any] = {}
 
     def invoke(self, action: str, args: Mapping[str, Any], context: str) -> Any:
         caller = str(args.get("from", ""))
@@ -69,9 +61,6 @@ class CallFilterResource(ManagedResource):
             return {"rang": True, "from": caller}
         self.texts.append((context, caller, str(args.get("body", ""))))
         return {"sent": True, "from": caller}
-
-    def apply_config(self, key: str, value: Any) -> None:
-        self.config[key] = value
 
 
 class RegistryResource(ManagedResource):

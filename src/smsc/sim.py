@@ -152,6 +152,13 @@ def _require(data: Mapping[str, Any], key: str, where: str) -> Any:
     return data[key]
 
 
+def _require_list(data: Mapping[str, Any], key: str, where: str) -> list[Any]:
+    value = _require(data, key, where)
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: {key!r} must be a list")
+    return value
+
+
 def _check_tokens(tokens: Any, where: str) -> None:
     """Each stanza must be one ``token_wire_from_spec`` can turn into a token."""
     if not isinstance(tokens, list):
@@ -230,11 +237,10 @@ def _parse_link(data: Mapping[str, Any], known: set[str]) -> LinkSpec:
 
 
 def _parse_partition(data: Mapping[str, Any], known: set[str]) -> PartitionWindow:
-    group_a = frozenset(
-        _check_cell_ref(c, known, "partition") for c in _require(data, "a", "partition")
-    )
-    group_b = frozenset(
-        _check_cell_ref(c, known, "partition") for c in _require(data, "b", "partition")
+    group_a, group_b = (
+        frozenset(_check_cell_ref(c, known, "partition")
+                  for c in _require_list(data, key, "partition"))
+        for key in ("a", "b")
     )
     if group_a & group_b:
         raise ParseError("partition: groups overlap")
@@ -264,19 +270,18 @@ def _parse_script(
                 _check_cell_ref(data[key], known, where)
         if op == "partition":
             for key in ("a", "b"):
-                for ref in data[key]:
+                for ref in _require_list(data, key, where):
                     _check_cell_ref(ref, known, where)
         if op in ("send-op", "send-mgmt"):
             _check_tokens(data.get("tokens", []), where)
+        if op == "send-op" and not isinstance(data.get("args", {}), Mapping):
+            raise ParseError(f"{where}: 'args' must be an object")
         if op == "emit-update":
-            try:
-                UpdateKind(data["kind"])
-            except ValueError:
-                raise ParseError(
-                    f"{where}: unknown update kind {data['kind']!r}"
-                ) from None
-            if not data["contexts"]:
-                raise ParseError(f"{where}: emit-update needs contexts")
+            if data["kind"] not in [kind.value for kind in UpdateKind]:
+                raise ParseError(f"{where}: unknown update kind {data['kind']!r}")
+            contexts = _require_list(data, "contexts", where)
+            if not contexts or not all(isinstance(c, str) for c in contexts):
+                raise ParseError(f"{where}: 'contexts' must list at least one context")
         params = {k: v for k, v in data.items() if k not in ("tick", "op")}
         out.append(ScriptAction(tick, op, params))
     return tuple(out)
@@ -387,10 +392,9 @@ def token_wire_from_spec(data: Mapping[str, Any]) -> dict[str, Any]:
 
 
 class EventLog:
-    """Append-only JSON-lines log; also kept in memory for assertions.
-
-    Only the encoded lines are kept; ``records`` decodes them on demand.
-    """
+    """Append-only JSON-lines log, held in one place: a log with a sink
+    writes every line to it and keeps nothing; one without keeps the
+    encoded lines, and ``records`` decodes them on demand."""
 
     def __init__(self, sink: Optional[TextIO] = None):
         self._sink = sink
@@ -403,8 +407,9 @@ class EventLog:
     def record(self, tick: int, cell: str, kind: str, detail: Mapping[str, Any]) -> None:
         entry = {"tick": tick, "cell": cell, "kind": kind, "detail": dict(detail)}
         line = canonical_json(entry)
-        self.lines.append(line)
-        if self._sink is not None:
+        if self._sink is None:
+            self.lines.append(line)
+        else:
             self._sink.write(line + "\n")
 
 
@@ -703,11 +708,9 @@ def run_scenario(
 ) -> dict[str, Any]:
     if log_path is not None:
         with open(log_path, "w", encoding="utf-8") as sink:
-            sim = Simulator(spec, EventLog(sink))
-            report = sim.run()
+            report = Simulator(spec, EventLog(sink)).run()
     else:
-        sim = Simulator(spec)
-        report = sim.run()
+        report = Simulator(spec).run()
     if report_path is not None:
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -173,3 +173,17 @@ def naive_neighbors(links, cell_id):
         elif link.b == cell_id:
             out.append(link.a)
     return sorted(out)
+
+
+# --- anti-entropy ---------------------------------------------------------
+
+
+def naive_digest_reply(packages, marks):
+    """Wire form of every consumed package whose seq is above the peer's
+    mark for its origin (-1 when the peer names none), in (origin, seq)
+    order."""
+    out = []
+    for package in sorted(packages, key=lambda p: (p.origin, p.seq)):
+        if package.seq > marks.get(package.origin, -1):
+            out.append(package.to_wire())
+    return out

@@ -373,7 +373,57 @@ def test_impact_rejection_blocks_add_rule_but_consumes_seq():
         mgmt_body("add-rule", harmless.to_wire()), "ext", 2
     )
     assert response["status"] == "ok"
-    assert cell.store.applied_seq[cell.cell_id] == 1
+    assert cell.store.digest()[cell.cell_id] == 1
+
+
+_GOOD_RULE = rule("extra", Effect.PERMIT, {}, "echo").to_wire()
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("add-rule", {**_GOOD_RULE, "id": "Bad Id"}),
+    ("add-rule", {**_GOOD_RULE, "effect": "Maybe"}),
+    ("add-rule", {**_GOOD_RULE, "contexts": []}),
+    ("set-trust", {"work": 5}),
+], ids=["bad-id", "bad-effect", "no-contexts", "trust-not-a-list"])
+@pytest.mark.parametrize("path", ["direct", "wire"])
+def test_malformed_payload_of_a_permitted_command_is_contained(command, payload, path):
+    """A permitted command whose payload fails validation is answered
+    ``malformed-payload``, directly and over the wire, and changes nothing."""
+    events = []
+    b = make_cell("b", trust={"work": []},
+                  observer=lambda kind, detail: events.append((kind, detail)))
+    if path == "direct":
+        decision, response = b.handle_management(mgmt_body(command, payload), "ext", 1)
+        assert decision.verdict is Verdict.PERMIT
+    else:
+        a = make_cell("a")
+        a.request_management("b", [admin_token()], command, payload, "work")
+        (msg,) = a.take_outbox()
+        b.handle_envelope(msg.kind, "a", msg.body, 1)
+        (reply,) = b.take_outbox()
+        assert reply.kind == "mgmt-resp"
+        assert reply.body["requestId"] == msg.body["requestId"]
+        response = {k: v for k, v in reply.body.items() if k != "requestId"}
+        assert [k for k, _ in events] == ["decision"]
+    assert response["status"] == "denied"
+    assert response["reason"].startswith("malformed-payload: ")
+    assert b.store.version == 0 and b.store.digest() == {}
+    assert b.catalogue.trust_policy == {"work": []}
+
+
+def test_own_seq_follows_the_archive_past_a_peer_delivered_package():
+    """A trusted peer may deliver a validly signed package under this
+    cell's own origin; the cell's next own update takes the next seq
+    instead of reusing one and being dropped as a duplicate."""
+    cell = make_cell("c0", trust={"work": []})
+    cell.catalogue.upsert(peer_profile("p1"), 0)
+    relayed = make_update("c0", 0, UpdateKind.BLOCKLIST_ADD, "h0", ("work",), 0)
+    assert cell.ingest_security_update(relayed.to_wire(), "p1") is ApplyStatus.APPLIED
+    report = cell.emit_update(UpdateKind.BLOCKLIST_ADD, "h1", {"work"}, 1)
+    assert report.status is ApplyStatus.APPLIED
+    assert [p.seq for p in report.applied] == [1]
+    assert cell.store.digest() == {"c0": 1}
+    assert ("work", "h1") in cell.store.blocklist
 
 
 def test_flag_spam_updates_blocklist_and_pushes():
@@ -404,16 +454,13 @@ def test_local_commands_are_not_pushed(command, payload):
     assert [m for m in cell.take_outbox() if m.kind == "update"] == []
 
 
-def test_set_config_reaches_store_and_resource():
-    calls = []
+def test_set_config_reaches_the_store():
     cell = make_cell()
-    cell.resource.apply_config = lambda key, value: calls.append((key, value))
     _, response = cell.handle_management(
         mgmt_body("set-config", {"key": "mode", "value": "strict"}), "ext", 1
     )
     assert response["status"] == "ok"
     assert cell.store.config == {"mode": "strict"}
-    assert calls == [("mode", "strict")]
 
 
 def test_set_trust_is_local_and_rederives():
@@ -446,18 +493,18 @@ def test_ingest_requires_trust_in_every_package_context():
     cell.catalogue.upsert(peer_profile("p1", contexts=("work",)), 0)
     # trusted for work only; a work+home package must be refused
     outcome = cell.ingest_security_update(
-        signed_wire(contexts=("work", "home")), "p1", 1
+        signed_wire(contexts=("work", "home")), "p1"
     )
     assert outcome is ApplyStatus.UNTRUSTED_SOURCE
     assert cell.store.version == 0
-    outcome = cell.ingest_security_update(signed_wire(contexts=("work",)), "p1", 1)
+    outcome = cell.ingest_security_update(signed_wire(contexts=("work",)), "p1")
     assert outcome is ApplyStatus.APPLIED
     assert ("work", "bad-host") in cell.store.blocklist
 
 
 def test_ingest_from_unknown_sender_refused():
     cell = make_cell(trust={"work": []})
-    outcome = cell.ingest_security_update(signed_wire(), "stranger", 1)
+    outcome = cell.ingest_security_update(signed_wire(), "stranger")
     assert outcome is ApplyStatus.UNTRUSTED_SOURCE
     assert cell.store.version == 0
 
@@ -466,7 +513,7 @@ def test_ingest_forwards_except_via_origin_self():
     cell = make_cell(trust={"work": []})
     for cid in ("p1", "p2", "org"):
         cell.catalogue.upsert(peer_profile(cid), 0)
-    outcome = cell.ingest_security_update(signed_wire(origin="org"), "p1", 1)
+    outcome = cell.ingest_security_update(signed_wire(origin="org"), "p1")
     assert outcome is ApplyStatus.APPLIED
     pushes = [m for m in cell.take_outbox() if m.kind == "update"]
     assert [m.dst for m in pushes] == ["p2"]
@@ -477,13 +524,13 @@ def test_ingest_gap_buffers():
     cell = make_cell(trust={"work": []},
                      observer=lambda kind, detail: events.append((kind, detail)))
     cell.catalogue.upsert(peer_profile("p1"), 0)
-    outcome = cell.ingest_security_update(signed_wire(seq=1), "p1", 1)
+    outcome = cell.ingest_security_update(signed_wire(seq=1), "p1")
     assert outcome is ApplyStatus.BUFFERED
     statuses = [d["status"] for k, d in events if k == "update"]
     assert statuses == ["buffered"]
-    outcome = cell.ingest_security_update(signed_wire(seq=0, payload="other"), "p1", 2)
+    outcome = cell.ingest_security_update(signed_wire(seq=0, payload="other"), "p1")
     assert outcome is ApplyStatus.APPLIED
-    assert cell.store.applied_seq["org"] == 1
+    assert cell.store.digest()["org"] == 1
 
 
 def forged_wire(**kwargs):
@@ -510,9 +557,9 @@ def test_hostile_package_from_trusted_peer_is_contained(wire, error):
     cell = make_cell(trust={"work": []},
                      observer=lambda kind, detail: events.append((kind, detail)))
     cell.catalogue.upsert(peer_profile("p1"), 0)
-    outcome = cell.ingest_security_update(wire, "p1", 1)
+    outcome = cell.ingest_security_update(wire, "p1")
     assert outcome is ApplyStatus.INVALID
-    assert cell.store.version == 0 and cell.store.applied_seq == {}
+    assert cell.store.version == 0 and cell.store.digest() == {}
     assert cell.take_outbox() == []
     updates = [d for k, d in events if k == "update"]
     assert updates == [{"status": "invalid", "from": "p1", "error": error}]
@@ -526,7 +573,7 @@ def test_digest_reply_ingests_the_packages_around_a_bad_one():
     packages = [forged_wire(seq=0), kindless_wire(), signed_wire(seq=0),
                 signed_wire(seq=1, payload="other")]
     cell.handle_envelope("digest-reply", "p1", {"packages": packages}, 2)
-    assert cell.store.applied_seq == {"org": 1}
+    assert cell.store.digest() == {"org": 1}
     assert {("work", "bad-host"), ("work", "other")} <= cell.store.blocklist
     statuses = [d["status"] for k, d in events if k == "update"]
     assert statuses == ["invalid", "invalid", "applied", "applied"]
@@ -542,6 +589,20 @@ def test_digest_reply_serves_missing_archived_packages():
     replies = [m for m in cell.take_outbox() if m.kind == "digest-reply"]
     assert len(replies) == 1
     assert [p["seq"] for p in replies[0].body["packages"]] == [1]
+
+
+@pytest.mark.parametrize("mark", ["0", None, 0.5, [0]])
+def test_digest_mark_that_is_not_an_int_is_contained(mark):
+    events = []
+    cell = make_cell(trust={"work": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
+    cell.catalogue.upsert(peer_profile("p1"), 0)
+    cell.emit_update(UpdateKind.BLOCKLIST_ADD, "h0", {"work"}, 0)
+    cell.take_outbox()
+    cell.handle_envelope("digest", "p1", {"applied": {"cell": mark}}, 5)
+    assert cell.take_outbox() == []
+    assert events[-1][0] == "reject"
+    assert events[-1][1]["kind"] == "digest"
 
 
 def test_digest_from_untrusted_peer_ignored():

@@ -9,7 +9,6 @@ from smsc.errors import BadSignature, MalformedUpdate, UnknownAttributeDomain
 from smsc.governance import (
     PENDING_CAP,
     ApplyStatus,
-    AssessmentVerdict,
     ConfigSetting,
     DomainSpec,
     PolicyStore,
@@ -35,6 +34,7 @@ from .oracles import (
     enumerate_conflicts,
     naive_assess_impact,
     naive_cited_ids,
+    naive_digest_reply,
     naive_evaluate,
 )
 
@@ -111,7 +111,7 @@ def test_in_order_apply_bumps_version():
         report = store.apply_update(upd(seq, payload=f"host-{seq}"))
         assert report.status is ApplyStatus.APPLIED
     assert store.version == 3
-    assert store.applied_seq == {"org": 2}
+    assert store.digest() == {"org": 2}
     assert ("work", "host-1") in store.blocklist
 
 
@@ -143,7 +143,7 @@ def test_independent_origins_have_independent_streams():
     store.apply_update(upd(0, origin="a"))
     assert store.apply_update(upd(1, origin="b")).status is ApplyStatus.BUFFERED
     store.apply_update(upd(0, origin="b", payload="x"))
-    assert store.applied_seq == {"a": 0, "b": 1}
+    assert store.digest() == {"a": 0, "b": 1}
 
 
 def test_pending_buffer_capped():
@@ -158,7 +158,7 @@ def test_pending_buffer_capped():
                                       frozenset({"echo"}), "echo", 0, 50), 0)
 
     def ingest(seq):
-        return cell.ingest_security_update(upd(seq, payload=f"h{seq}").to_wire(), "org", 1)
+        return cell.ingest_security_update(upd(seq, payload=f"h{seq}").to_wire(), "org")
 
     for seq in range(2, PENDING_CAP + 2):
         assert ingest(seq) is ApplyStatus.BUFFERED
@@ -172,7 +172,7 @@ def test_pending_buffer_capped():
     ]
     assert cell.store.pending_count("org") == PENDING_CAP
     assert ingest(0) is ApplyStatus.APPLIED
-    assert cell.store.applied_seq["org"] == PENDING_CAP
+    assert cell.store.digest()["org"] == PENDING_CAP
     assert cell.store.pending_count() == 0
 
 
@@ -223,7 +223,7 @@ def test_protected_flip_rejected_and_seq_consumed():
     assert "protected" in report.detail
     assert store.content_digest() == digest
     assert store.version == 0
-    assert store.applied_seq == {"org": 0}
+    assert store.digest() == {"org": 0}
     # the stream continues past the rejected seq
     ok = store.apply_update(upd(1))
     assert ok.status is ApplyStatus.APPLIED
@@ -239,7 +239,7 @@ def test_unprotected_flip_accepted_but_reported():
     assessment = assess_update_impact(
         store.rules, upd(0, UpdateKind.RULE_ADD, breaker), store.regression
     )
-    assert assessment.verdict is AssessmentVerdict.ACCEPT
+    assert assessment.blocking is None
     assert len(assessment.flipped) == 1
     report = store.apply_update(upd(0, UpdateKind.RULE_ADD, breaker))
     assert report.status is ApplyStatus.APPLIED
@@ -248,7 +248,7 @@ def test_unprotected_flip_accepted_but_reported():
 def test_non_rule_updates_skip_replay():
     store = _guarded_store()
     assessment = assess_update_impact(store.rules, upd(0), store.regression)
-    assert assessment.verdict is AssessmentVerdict.ACCEPT
+    assert assessment.blocking is None
     assert assessment.flipped == ()
 
 
@@ -268,7 +268,7 @@ def test_rejected_package_mid_drain_does_not_stop_the_drain():
     assert report.status is ApplyStatus.APPLIED
     assert [p.seq for p in report.applied] == [0, 2]
     assert [p.seq for p in report.rejected] == [1]
-    assert store.applied_seq["org"] == 2
+    assert store.digest()["org"] == 2
 
 
 # --- indexed evaluation and incremental impact against the oracles --------
@@ -354,9 +354,6 @@ def test_incremental_impact_matches_a_full_replay(seeded, change, regression):
     flipped, blocking = naive_assess_impact(rules, package, regression)
     assert assessment.flipped == flipped
     assert assessment.blocking == blocking
-    assert assessment.verdict is (
-        AssessmentVerdict.REJECT if blocking else AssessmentVerdict.ACCEPT
-    )
 
 
 # --- archive and digests --------------------------------------------------
@@ -366,8 +363,7 @@ def test_archive_keeps_rejected_packages():
     store = _guarded_store()
     breaker = rule("break", Effect.DENY, {}, action="read")
     store.apply_update(upd(0, UpdateKind.RULE_ADD, breaker))
-    archived = store.archive["org"].get(0)
-    assert archived is not None and archived.payload == breaker
+    assert [p.payload for p in store.archive["org"]] == [breaker]
 
 
 def test_digest_is_per_origin_high_water():
@@ -376,6 +372,40 @@ def test_digest_is_per_origin_high_water():
     store.apply_update(upd(0, origin="b", payload="x"))
     store.apply_update(upd(1, origin="b", payload="y"))
     assert store.digest() == {"a": 0, "b": 1}
+
+
+@given(
+    streams=st.dictionaries(
+        st.sampled_from(("a", "b", "c")),
+        st.lists(st.booleans(), min_size=1, max_size=5),
+        max_size=3,
+    ),
+    marks=st.dictionaries(st.sampled_from(("a", "b", "c", "d")), st.integers(-3, 7)),
+)
+def test_digest_reply_matches_the_oracle(streams, marks):
+    """Per origin a stream of packages, each one the pinned case either
+    accepts (False) or rejects (True); the reply to any digest equals the
+    oracle's filter over everything the store consumed."""
+    guarded = _guarded_store()
+    cell = Cell("keeper", ("work",), "echo",
+                PolicyDocument(rules=tuple(guarded.rules.values()),
+                               regression=guarded.regression),
+                trust_policy={"work": []})
+    cell.catalogue.upsert(CellProfile("p1", "p1", frozenset({"work"}),
+                                      frozenset({"echo"}), "echo", 0, 50), 0)
+    breaker = rule("break", Effect.DENY, {}, action="read")
+    fed = []
+    for origin, rejects in sorted(streams.items()):
+        for seq, reject in enumerate(rejects):
+            package = (upd(seq, UpdateKind.RULE_ADD, breaker, origin=origin) if reject
+                       else upd(seq, payload=f"h{seq}", origin=origin))
+            status = cell.store.apply_update(package).status
+            assert status is (ApplyStatus.REJECTED if reject else ApplyStatus.APPLIED)
+            fed.append(package)
+    cell.handle_envelope("digest", "p1", {"applied": marks}, 5)
+    replies = [m.body["packages"] for m in cell.take_outbox() if m.kind == "digest-reply"]
+    expected = naive_digest_reply(fed, marks)
+    assert replies == ([expected] if expected else [])
 
 
 # --- conflict detection ---------------------------------------------------

@@ -1,4 +1,5 @@
-"""Source hygiene: no leftover imports, no stale exports, no dead errors.
+"""Source hygiene: no leftover imports, no stale exports, no dead errors,
+no unread parameters.
 
 The checks read the package statically (``ast``) or through its public
 namespace, so they guard every later deletion without naming what was
@@ -6,12 +7,14 @@ deleted.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import smsc
 from smsc import errors
+from smsc.resources import ManagedResource
 
 SRC = Path(smsc.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -66,3 +69,42 @@ def test_every_error_class_is_raised():
         if not any(issubclass(cls, getattr(errors, name)) for cls in raised_classes)
     ]
     assert not dead, f"errors.py defines but nothing raises {dead}"
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """``function(parameter)`` for each parameter its body never reads.
+
+    ``self``/``cls`` and the ``invoke`` of a ``ManagedResource`` class,
+    whose signature the interface fixes, are exempt.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    module = importlib.import_module(f"smsc.{path.stem}")
+    exempt = {
+        id(item)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and issubclass(getattr(module, node.name), ManagedResource)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "invoke"
+    }
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or id(node) in exempt:
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {
+            n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread += [
+            f"{node.name}({p.arg})" for p in params
+            if p is not None and p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = _unread_parameters(path)
+    assert not unread, f"{path.name} never reads {unread}"

@@ -87,6 +87,15 @@ def send_op(tick, dst, src=None, action="echo", args=None, context="work"):
 
 # --- parsing ---------------------------------------------------------------
 
+BAD_SCRIPT_FIELDS = {
+    "args-string": ({**send_op(1, "c1"), "args": "x"}, "'args'"),
+    "args-string-from": ({**send_op(1, "c1", src="c0"), "args": "x"}, "'args'"),
+    "partition-int": ({"tick": 1, "op": "partition", "a": 5, "b": ["c1"]}, "'a'"),
+    "contexts-string": ({"tick": 1, "op": "emit-update", "cell": "c0",
+                         "kind": "BlocklistAdd", "payload": "x", "contexts": "work"},
+                        "'contexts'"),
+}
+
 
 @pytest.mark.parametrize(
     "mangle,exc",
@@ -138,6 +147,11 @@ def send_op(tick, dst, src=None, action="echo", args=None, context="work"):
         (lambda w: w["topology"].update(partitions=[
             {"a": ["c0"], "b": ["c0"], "from": 0}
         ]), ParseError),
+        (lambda w: w["topology"].update(partitions=[
+            {"a": 5, "b": ["c1"], "from": 0}
+        ]), ParseError),
+        *((lambda w, action=action: w.update(script=[action]), ParseError)
+          for action, _ in BAD_SCRIPT_FIELDS.values()),
     ],
 )
 def test_parse_rejections(mangle, exc):
@@ -174,6 +188,21 @@ def test_bad_token_stanza_is_a_parse_error(op, name, tmp_path, capsys):
     tokens, field = BAD_TOKEN_STANZAS[name]
     action = {"tick": 1, "op": op, "to": "c1", "context": "work", "tokens": tokens}
     action.update({"action": "echo"} if op == "send-op" else {"command": "flag-spam"})
+    wire = scenario_wire(script=[action])
+    with pytest.raises(ParseError, match=r"script\[0\]") as info:
+        parse_scenario(wire)
+    assert field in str(info.value)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(wire))
+    assert cli_main(["run", "--scenario", str(path)]) == 2
+    assert "script[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCRIPT_FIELDS))
+def test_bad_script_field_is_a_parse_error(name, tmp_path, capsys):
+    """A script field of the wrong type is rejected at parse time, naming
+    the script entry and the field, and ``smsc run`` exits 2."""
+    action, field = BAD_SCRIPT_FIELDS[name]
     wire = scenario_wire(script=[action])
     with pytest.raises(ParseError, match=r"script\[0\]") as info:
         parse_scenario(wire)
@@ -526,14 +555,19 @@ def test_run_error_keeps_the_failed_tick_bus_records():
 
 
 def test_event_log_sink_matches_memory():
-    sink = io.StringIO()
-    log = EventLog(sink)
+    """A log with a sink holds nothing itself; the sink gets exactly the
+    lines a log without one keeps in memory."""
     spec = parse_scenario(scenario_wire(script=[send_op(1, "c1", src="c0")]))
-    Simulator(spec, log).run()
-    assert sink.getvalue() == "".join(line + "\n" for line in log.lines)
-    for line in log.lines:
-        parsed = json.loads(line)
-        assert set(parsed) == {"tick", "cell", "kind", "detail"}
+    sink = io.StringIO()
+    streamed = EventLog(sink)
+    Simulator(spec, streamed).run()
+    assert streamed.lines == [] and streamed.records == []
+    kept = EventLog()
+    Simulator(spec, kept).run()
+    assert kept.lines
+    assert sink.getvalue() == "".join(line + "\n" for line in kept.lines)
+    for record in kept.records:
+        assert set(record) == {"tick", "cell", "kind", "detail"}
 
 
 def test_identical_runs_identical_logs():
