@@ -230,7 +230,7 @@ class Cell:
         if self._blocklisted_value(args, context) is not None:
             return Decision(Verdict.DENY, "blocklisted")
         request = DecisionRequest(attrs, action, self.resource.kind, context, now)
-        return evaluate_request(self.store.candidates(context, action), request)
+        return evaluate_request(self.store.candidates(request), request)
 
     def handle_operation(
         self, body: Mapping[str, Any], caller: str, now: int

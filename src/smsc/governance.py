@@ -36,6 +36,7 @@ from .policy import (
     RegressionCase,
     canonical_json,
     evaluate_request,
+    group_attrs,
     rule_matches,
     sign_payload,
 )
@@ -90,6 +91,9 @@ class UpdatePackage:
     signature: str
 
     def __post_init__(self) -> None:
+        # a fractional seq would sit in the gap buffer for good
+        if isinstance(self.seq, bool) or not isinstance(self.seq, int):
+            raise MalformedUpdate(f"seq {self.seq!r} from {self.origin!r} is not an integer")
         if self.seq < 0:
             raise MalformedUpdate(f"negative seq {self.seq} from {self.origin!r}")
         if not self.contexts:
@@ -230,6 +234,65 @@ class ApplyReport:
     evicted: Optional[UpdatePackage] = None
 
 
+class _Bucket:
+    """The rules of one (context, action) key and their subject matcher.
+
+    Rule i of ``_order`` owns bit i.  ``_constrains[name]`` is the mask of
+    rules with an atom on ``name``; ``_allows[name][value]`` is the mask of
+    rules whose atom admits ``value``.  A request keeps, for each
+    constrained name, the OR of its values' masks plus every rule without
+    an atom there.  That is an OR per attribute, never a count, so a
+    request with two values of one attribute, or none, is exact.  A write
+    drops the matcher; the next read rebuilds it.
+    """
+
+    __slots__ = ("rules", "_order", "_constrains", "_allows")
+    _constrains: dict[str, int]
+    _allows: dict[str, dict[str, int]]
+
+    def __init__(self) -> None:
+        self.rules: dict[str, PolicyRule] = {}
+        self._order: Optional[tuple[PolicyRule, ...]] = None
+
+    def put(self, rule: PolicyRule) -> None:
+        self.rules[rule.id] = rule
+        self._order = None
+
+    def drop(self, rule_id: str) -> None:
+        del self.rules[rule_id]
+        self._order = None
+
+    def _build(self) -> tuple[PolicyRule, ...]:
+        self._order = order = tuple(self.rules.values())
+        self._constrains = constrains = {}
+        self._allows = allows = {}
+        for bit, rule in enumerate(order):
+            flag = 1 << bit
+            for name, values in rule.subject.atoms:
+                constrains[name] = constrains.get(name, 0) | flag
+                by_value = allows.setdefault(name, {})
+                for value in values:
+                    by_value[value] = by_value.get(value, 0) | flag
+        return order
+
+    def select(self, grouped: Mapping[str, set[str]]) -> list[PolicyRule]:
+        """The rules whose condition admits the grouped subject attributes."""
+        order = self._order if self._order is not None else self._build()
+        keep = (1 << len(order)) - 1
+        for name, constrained in self._constrains.items():
+            by_value = self._allows[name]
+            hit = 0
+            for value in grouped.get(name, ()):
+                hit |= by_value.get(value, 0)
+            keep &= hit | ~constrained
+        pool = []
+        while keep:
+            low = keep & -keep
+            pool.append(order[low.bit_length() - 1])
+            keep ^= low
+        return pool
+
+
 class PolicyStore:
     """Versioned security state of one cell.
 
@@ -237,8 +300,11 @@ class PolicyStore:
     and rejections leave it unchanged.  ``archive`` maps each origin to
     its consumed packages, rejected ones included, in seq order with no
     holes: it serves gap-fill requests, and its lengths are the per-origin
-    high-water marks.  Rules are indexed by (context, action), so an
-    evaluation reads only ``candidates`` instead of every rule.
+    high-water marks.  Rules are indexed by (context, action), and each
+    bucket matches a request's subject attributes against per-attribute
+    bitmasks, so an evaluation reads only the rules ``candidates`` selects
+    instead of every rule.  A bucket's matcher is built on the first read
+    after a write to that bucket, never at construction.
     """
 
     def __init__(
@@ -247,9 +313,9 @@ class PolicyStore:
         regression: Sequence[RegressionCase] = (),
     ):
         self.rules: dict[str, PolicyRule] = {}
-        # (context, action) -> {rule id: rule}; wildcard-action rules
-        # under (context, "*")
-        self._index: dict[tuple[str, str], dict[str, PolicyRule]] = {}
+        # (context, action) -> bucket; wildcard-action rules under
+        # (context, "*")
+        self._index: dict[tuple[str, str], _Bucket] = {}
         for rule in rules:
             if rule.id in self.rules:
                 raise MalformedUpdate(f"duplicate seed rule id {rule.id!r}")
@@ -330,14 +396,18 @@ class PolicyStore:
             self._unindex(old)
         self.rules[rule.id] = rule
         for context in rule.contexts:
-            self._index.setdefault((context, rule.action), {})[rule.id] = rule
+            key = (context, rule.action)
+            bucket = self._index.get(key)
+            if bucket is None:
+                bucket = self._index[key] = _Bucket()
+            bucket.put(rule)
 
     def _unindex(self, rule: PolicyRule) -> None:
         for context in rule.contexts:
             key = (context, rule.action)
             bucket = self._index[key]
-            del bucket[rule.id]
-            if not bucket:
+            bucket.drop(rule.id)
+            if not bucket.rules:
                 del self._index[key]
 
     def _drain(
@@ -384,14 +454,22 @@ class PolicyStore:
         """
         return hashlib.sha256(canonical_json(self._content()).encode("utf-8")).hexdigest()
 
-    def candidates(self, context: str, action: str) -> list[PolicyRule]:
-        """Every rule that can match a request for ``action`` in ``context``:
-        the wildcard-action rules, plus the action's own unless it is
-        ``"*"``, which only wildcard-action rules match."""
-        wild = self._index.get((context, WILDCARD), {})
-        if action == WILDCARD:
-            return list(wild.values())
-        return [*wild.values(), *self._index.get((context, action), {}).values()]
+    def candidates(self, request: DecisionRequest) -> list[PolicyRule]:
+        """Every rule that can match ``request``, each once: the rules of
+        its context's wildcard-action bucket, and of its action's own
+        bucket unless the action is ``"*"``, whose condition admits the
+        request's subject attributes.  The resource is left to the
+        evaluator, which re-checks every rule it is handed."""
+        keys = [(request.context, WILDCARD)]
+        if request.action != WILDCARD:
+            keys.append((request.context, request.action))
+        grouped = group_attrs(request.subject_attrs)
+        pool: list[PolicyRule] = []
+        for key in keys:
+            bucket = self._index.get(key)
+            if bucket is not None:
+                pool += bucket.select(grouped)
+        return pool
 
     # snapshot
 

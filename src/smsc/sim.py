@@ -159,6 +159,22 @@ def _require_list(data: Mapping[str, Any], key: str, where: str) -> list[Any]:
     return value
 
 
+def _as_int(value: Any, key: str, where: str) -> int:
+    if type(value) is not int:  # rejects bool too
+        raise ParseError(f"{where}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _require_int(data: Mapping[str, Any], key: str, where: str) -> int:
+    return _as_int(_require(data, key, where), key, where)
+
+
+def _optional_int(data: Mapping[str, Any], key: str, where: str) -> Optional[int]:
+    """``data[key]`` checked as an integer, or None when absent or null."""
+    value = data.get(key)
+    return None if value is None else _as_int(value, key, where)
+
+
 def _check_tokens(tokens: Any, where: str) -> None:
     """Each stanza must be one ``token_wire_from_spec`` can turn into a token."""
     if not isinstance(tokens, list):
@@ -189,8 +205,8 @@ def _parse_cell(data: Mapping[str, Any], resolver: Optional[PolicyResolver]) -> 
         raise ParseError(f"{where}: profile.contexts is empty")
     capabilities = profile.get("capabilities")
     ttl = profile.get("ttlTicks", 30)
-    if ttl < 1:
-        raise ParseError(f"{where}: profile.ttlTicks must be >= 1")
+    if type(ttl) is not int or ttl < 1:
+        raise ParseError(f"{where}: profile 'ttlTicks' must be an integer >= 1, got {ttl!r}")
     resource_kind = _require(data, "resourceKind", where)
     if "policy" in data:
         policy = PolicyDocument.from_wire(data["policy"])
@@ -207,8 +223,9 @@ def _parse_cell(data: Mapping[str, Any], resolver: Optional[PolicyResolver]) -> 
     intervals = data.get("intervals", {})
     advertise = intervals.get("advertise", 10)
     anti_entropy = intervals.get("antiEntropy", 5)
-    if advertise < 1 or anti_entropy < 1:
-        raise ParseError(f"{where}: intervals must be >= 1")
+    if (type(advertise) is not int or type(anti_entropy) is not int
+            or advertise < 1 or anti_entropy < 1):
+        raise ParseError(f"{where}: intervals must be integers >= 1, got {intervals!r}")
     return CellSpec(
         cell_id=cell_id,
         contexts=contexts,
@@ -228,8 +245,8 @@ def _parse_link(data: Mapping[str, Any], known: set[str]) -> LinkSpec:
     if a == b:
         raise ParseError(f"link: {a!r} linked to itself")
     latency = data.get("latency", 1)
-    if latency < 1:
-        raise ParseError(f"link {a}-{b}: latency must be >= 1")
+    if type(latency) is not int or latency < 1:
+        raise ParseError(f"link {a}-{b}: 'latency' must be an integer >= 1, got {latency!r}")
     drop = float(data.get("drop", 0.0))
     if not 0.0 <= drop <= 1.0:
         raise InvalidProbability(f"link {a}-{b}: drop {drop} outside [0, 1]")
@@ -245,7 +262,8 @@ def _parse_partition(data: Mapping[str, Any], known: set[str]) -> PartitionWindo
     if group_a & group_b:
         raise ParseError("partition: groups overlap")
     return PartitionWindow(
-        group_a, group_b, _require(data, "from", "partition"), data.get("to")
+        group_a, group_b,
+        _require_int(data, "from", "partition"), _optional_int(data, "to", "partition"),
     )
 
 
@@ -256,7 +274,7 @@ def _parse_script(
     last_tick = 0
     for index, data in enumerate(actions):
         where = f"script[{index}]"
-        tick = _require(data, "tick", where)
+        tick = _require_int(data, "tick", where)
         if tick < last_tick:
             raise ParseError(f"{where}: ticks must be non-decreasing")
         last_tick = tick
@@ -269,6 +287,7 @@ def _parse_script(
             if key in data:
                 _check_cell_ref(data[key], known, where)
         if op == "partition":
+            _optional_int(data, "until", where)
             for key in ("a", "b"):
                 for ref in _require_list(data, key, where):
                     _check_cell_ref(ref, known, where)
@@ -317,7 +336,7 @@ def _parse_assertions(
         out.append(
             AssertionSpec(
                 id=data.get("id", f"a{index}"),
-                at_tick=data.get("atTick"),
+                at_tick=_optional_int(data, "atTick", where),
                 check=check,
                 params=params,
             )
@@ -346,8 +365,8 @@ def parse_scenario(
         _parse_partition(p, known) for p in topology.get("partitions", [])
     )
     max_ticks = data.get("maxTicks", 10)
-    if max_ticks < 0:
-        raise ParseError("scenario: maxTicks must be >= 0")
+    if type(max_ticks) is not int or max_ticks < 0:
+        raise ParseError(f"scenario: 'maxTicks' must be an integer >= 0, got {max_ticks!r}")
     return ScenarioSpec(
         name=data.get("name", "unnamed"),
         seed=int(data.get("seed", 1)),

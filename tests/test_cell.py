@@ -18,6 +18,7 @@ from smsc.policy import (
     RootGrant,
     Verdict,
     issue_token,
+    sign_payload,
 )
 from smsc.resources import EchoResource
 
@@ -539,6 +540,14 @@ def forged_wire(**kwargs):
     return wire
 
 
+def resigned_wire(**fields):
+    """A package wire with ``fields`` replaced and a valid signature over
+    the result, so only the parse can reject it."""
+    body = {**signed_wire(), **fields}
+    del body["sig"]
+    return {**body, "sig": sign_payload(body["origin"], body)}
+
+
 def kindless_wire():
     wire = signed_wire()
     del wire["kind"]
@@ -551,6 +560,8 @@ def kindless_wire():
     ({**signed_wire(), "kind": "Nonsense"}, "ValueError"),
     ({**signed_wire(), "contexts": []}, "MalformedUpdate"),
     (["not", "a", "package"], "TypeError"),
+    (resigned_wire(seq=1.001), "MalformedUpdate"),
+    (resigned_wire(seq=True), "MalformedUpdate"),
 ])
 def test_hostile_package_from_trusted_peer_is_contained(wire, error):
     events = []

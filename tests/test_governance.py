@@ -32,10 +32,12 @@ from smsc.policy import (
 
 from .oracles import (
     enumerate_conflicts,
+    naive_action_matches,
     naive_assess_impact,
     naive_cited_ids,
     naive_digest_reply,
     naive_evaluate,
+    naive_subject_matches,
 )
 
 
@@ -88,6 +90,25 @@ def test_payload_shape_enforced():
         make_update("o", 0, UpdateKind.BLOCKLIST_ADD, "e", [], 0)
     with pytest.raises(MalformedUpdate):
         make_update("o", -1, UpdateKind.BLOCKLIST_ADD, "e", ["work"], 0)
+
+
+@pytest.mark.parametrize("seq", [1.5, 1.0, True, "1", None])
+def test_non_integer_seq_is_malformed(seq):
+    with pytest.raises(MalformedUpdate, match="not an integer"):
+        upd(seq)
+
+
+def test_fractional_seqs_cannot_fill_the_gap_buffer():
+    """Packages at seqs 1.001, 1.002, ... could never drain: accepted,
+    they would fill the origin's gap buffer for good and evict every
+    real out-of-order package on arrival."""
+    store = PolicyStore()
+    for i in range(1, PENDING_CAP + 1):
+        with pytest.raises(MalformedUpdate):
+            store.apply_update(upd(1 + i / 1000, payload=f"h{i}"))
+    report = store.apply_update(upd(2))
+    assert report.status is ApplyStatus.BUFFERED and report.evicted is None
+    assert store.pending_count("org") == 1
 
 
 def test_wire_round_trip():
@@ -297,6 +318,7 @@ _REQUESTS = tuple(
         (AttributePair("role", "user"), AttributePair("dept", "eng")),
         (AttributePair("role", "admin"), AttributePair("role", "user"),
          AttributePair("dept", "ops")),
+        (AttributePair("dept", "eng"), AttributePair("dept", "ops")),
     )
     for action in ("read", "write", "mgmt:x", "*")
     for resource in ("repo-a", "repo-b", "log")
@@ -311,10 +333,40 @@ def _rule_package(seq, change):
     return upd(seq, UpdateKind.RULE_REMOVE, change)
 
 
+def _check_against_the_oracle(store, model, requests):
+    """Each request's pool holds, once each and current, exactly the rules
+    of its context whose action and subject match under the oracle, and
+    evaluating the pool gives the oracle's decision over the context."""
+    for request in requests:
+        scoped = [r for r in model.values() if request.context in r.contexts]
+        pool = store.candidates(request)
+        expected = [
+            r.id for r in scoped
+            if naive_action_matches(r.action, request.action)
+            and naive_subject_matches(r.subject.atoms, request.subject_attrs)
+        ]
+        assert sorted(r.id for r in pool) == sorted(expected), request
+        assert all(model[r.id] == r for r in pool), request
+        decision = evaluate_request(pool, request)
+        assert decision.verdict.value == naive_evaluate(scoped, request), request
+        assert decision.matched_rule_ids == naive_cited_ids(scoped, request), request
+
+
 @given(steps=st.lists(st.one_of(_rules, st.sampled_from(_IDS)), max_size=8))
+# a replace that moves a rule to another action and context
 @example(steps=[
     rule("r0", Effect.DENY, {}, action="read", contexts=("work",)),
     rule("r0", Effect.PERMIT, {"role": ["admin"]}, action="*", contexts=("home",)),
+])
+# a replace that moves a rule to another action in the same context, then
+# removes that empty the (work, read) and (work, *) buckets
+@example(steps=[
+    rule("r0", Effect.PERMIT, {"role": ["admin"]}, action="read"),
+    rule("r1", Effect.DENY, {"dept": ["eng", "ops"]}, action="read"),
+    rule("r2", Effect.PERMIT, {}, action="*"),
+    rule("r0", Effect.PERMIT, {"role": ["admin"]}, action="mgmt:x"),
+    "r1",
+    "r2",
 ])
 def test_indexed_decisions_match_the_oracle(steps):
     store = PolicyStore()
@@ -325,13 +377,65 @@ def test_indexed_decisions_match_the_oracle(steps):
             model[change.id] = change
         else:
             model.pop(change, None)
-        for request in _REQUESTS:
-            scoped = [r for r in model.values() if request.context in r.contexts]
-            decision = evaluate_request(
-                store.candidates(request.context, request.action), request
-            )
-            assert decision.verdict.value == naive_evaluate(scoped, request), request
-            assert decision.matched_rule_ids == naive_cited_ids(scoped, request), request
+        _check_against_the_oracle(store, model, _REQUESTS)
+
+
+def test_matcher_over_a_bucket_wider_than_two_machine_words():
+    """140 rules in one (context, action) bucket, so the selected bits run
+    past 128; requests carry two values of one attribute, or none of an
+    attribute the rules constrain."""
+    roles, depts, levels = ("admin", "user", "ops"), ("eng", "ops", "hr", "sales"), ("l1", "l2")
+    shapes = (
+        lambda i: {},
+        lambda i: {"role": [roles[i % 3]]},
+        lambda i: {"role": [roles[i % 3]], "dept": [depts[i % 4]]},
+        lambda i: {"dept": [depts[i % 4], depts[(i + 1) % 4]]},
+        lambda i: {"level": [levels[i % 2]], "role": [roles[(i + 1) % 3]]},
+    )
+    model = {}
+    for i in range(140):
+        effect = Effect.DENY if i % 7 == 3 else Effect.PERMIT
+        added = rule(f"r{i}", effect, shapes[i % 5](i), resource="*")
+        model[added.id] = added
+    store = PolicyStore(model.values())
+    requests = [
+        DecisionRequest(frozenset(AttributePair(n, v) for n, v in attrs), "read", "repo-a",
+                        "work", 0)
+        for attrs in (
+            (),
+            (("role", "admin"),),
+            (("role", "admin"), ("role", "user")),
+            (("role", "user"), ("role", "ops"), ("dept", "hr")),
+            (("dept", "eng"), ("dept", "sales")),
+            (("level", "l2"), ("role", "admin"), ("role", "ops")),
+            (("role", "guest"), ("dept", "eng"), ("level", "l1")),
+        )
+    ]
+    late = {f"r{i}" for i in range(128, 140)}
+    assert any(late & {r.id for r in store.candidates(request)} for request in requests)
+    _check_against_the_oracle(store, model, requests)
+    for seq, gone in enumerate(sorted(model)[::3]):
+        store.apply_update(upd(seq, UpdateKind.RULE_REMOVE, gone))
+        del model[gone]
+    _check_against_the_oracle(store, model, requests)
+
+
+def test_read_right_after_a_write_to_the_same_bucket_sees_it():
+    store = PolicyStore([rule("r0", Effect.PERMIT, {"role": ["admin"]})])
+    request = DecisionRequest(
+        frozenset({AttributePair("role", "admin")}), "read", "repo-a", "work", 0
+    )
+
+    def pool_ids():
+        return sorted(r.id for r in store.candidates(request))
+
+    assert pool_ids() == ["r0"]
+    store.apply_update(upd(0, UpdateKind.RULE_ADD, rule("r1", Effect.DENY, {"role": ["admin"]})))
+    assert pool_ids() == ["r0", "r1"]
+    store.apply_update(upd(1, UpdateKind.RULE_ADD, rule("r0", Effect.PERMIT, {"role": ["user"]})))
+    assert pool_ids() == ["r1"]
+    store.apply_update(upd(2, UpdateKind.RULE_REMOVE, "r1"))
+    assert pool_ids() == []
 
 
 @given(

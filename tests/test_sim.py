@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +95,29 @@ BAD_SCRIPT_FIELDS = {
     "contexts-string": ({"tick": 1, "op": "emit-update", "cell": "c0",
                          "kind": "BlocklistAdd", "payload": "x", "contexts": "work"},
                         "'contexts'"),
+    "tick-string": ({"tick": "1", "op": "advertise", "cell": "c0"}, "'tick'"),
+    "until-string": ({"tick": 1, "op": "partition", "a": ["c0"], "b": ["c1"],
+                      "until": "x"}, "'until'"),
+}
+
+# name -> (mangle, where, field): numeric fields outside the script
+BAD_NUMERIC_FIELDS = {
+    "partition-from-string": (lambda w: w["topology"].update(partitions=[
+        {"a": ["c0"], "b": ["c1"], "from": "x"}
+    ]), "partition", "'from'"),
+    "partition-to-string": (lambda w: w["topology"].update(partitions=[
+        {"a": ["c0"], "b": ["c1"], "from": 0, "to": "x"}
+    ]), "partition", "'to'"),
+    "latency-string": (lambda w: w["topology"]["links"][0].update(latency="1"),
+                       "link c0-c1", "'latency'"),
+    "max-ticks-string": (lambda w: w.update(maxTicks="x"), "scenario", "'maxTicks'"),
+    "ttl-bool": (lambda w: w["cells"][0]["profile"].update(ttlTicks=True),
+                 "cell 'c0'", "'ttlTicks'"),
+    "interval-string": (lambda w: w["cells"][0].update(intervals={"advertise": "5"}),
+                        "cell 'c0'", "intervals"),
+    "at-tick-string": (lambda w: w.update(assertions=[
+        {"check": "converged", "atTick": "x"}
+    ]), "assertions[0]", "'atTick'"),
 }
 
 
@@ -152,6 +176,7 @@ BAD_SCRIPT_FIELDS = {
         ]), ParseError),
         *((lambda w, action=action: w.update(script=[action]), ParseError)
           for action, _ in BAD_SCRIPT_FIELDS.values()),
+        *((mangle, ParseError) for mangle, _, _ in BAD_NUMERIC_FIELDS.values()),
     ],
 )
 def test_parse_rejections(mangle, exc):
@@ -211,6 +236,23 @@ def test_bad_script_field_is_a_parse_error(name, tmp_path, capsys):
     path.write_text(json.dumps(wire))
     assert cli_main(["run", "--scenario", str(path)]) == 2
     assert "script[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_NUMERIC_FIELDS))
+def test_bad_numeric_field_is_a_parse_error(name, tmp_path, capsys):
+    """A tick, interval or latency that is not an integer is rejected at
+    parse time, naming where it sits and the field, and ``smsc run``
+    exits 2 instead of raising ``TypeError`` mid-run."""
+    mangle, where, field = BAD_NUMERIC_FIELDS[name]
+    wire = scenario_wire()
+    mangle(wire)
+    with pytest.raises(ParseError, match=re.escape(where)) as info:
+        parse_scenario(wire)
+    assert field in str(info.value)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(wire))
+    assert cli_main(["run", "--scenario", str(path)]) == 2
+    assert where in capsys.readouterr().err
 
 
 def test_parse_defaults():
