@@ -63,7 +63,8 @@ block_all = PolicyRule(
 content_before, marks_before = store.content_digest(), store.digest()
 report = store.apply_update(
     make_update("admin", 1, UpdateKind.RULE_ADD, block_all, ["personal"], 1))
-print(f"  {report.status.value}: {report.detail}")
+((_, reason),) = report.consumed
+print(f"  {report.status.value}: {reason}")
 print(f"  version still {store.version}, rules: {sorted(store.rules)}")
 print(f"  but seq 1 is consumed: high water {marks_before} -> {store.digest()}")
 print(f"  content digest unchanged (it ignores bookkeeping): "
@@ -78,7 +79,7 @@ report = store.apply_update(
     make_update("admin", 2, UpdateKind.BLOCKLIST_ADD, "phish-host",
                 ["personal"], 2))
 print(f"  seq 2: {report.status.value}, drained "
-      f"{[p.seq for p in report.applied]}; version={store.version}")
+      f"{[p.seq for p, _ in report.consumed]}; version={store.version}")
 print(f"  config now {store.config}")
 
 print("\n== anti-entropy: what would a stale peer need? ==")

@@ -309,7 +309,7 @@ class Cell:
     # --- governance flow --------------------------------------------------
 
     def emit_update(
-        self, kind: UpdateKind, payload: Any, contexts: set[str], now: int,
+        self, kind: UpdateKind, payload: Any, contexts: Iterable[str], now: int,
         push: bool = True,
     ) -> ApplyReport:
         """Own-origin package applied locally, then pushed to trusted peers.
@@ -371,23 +371,17 @@ class Cell:
     def _after_apply(
         self, report: ApplyReport, via: Optional[str], push: bool
     ) -> None:
-        for package in report.applied:
-            self._observer(
-                "update",
-                {"origin": package.origin, "seq": package.seq,
-                 "kind": package.kind.value, "status": "applied",
-                 "version": self.store.version},
-            )
+        for package, reason in report.consumed:
+            detail = {"origin": package.origin, "seq": package.seq,
+                      "kind": package.kind.value}
+            if reason is not None:
+                self._observer("update", {**detail, "status": "rejected", "detail": reason})
+                continue
+            self._observer("update", {**detail, "status": "applied",
+                                      "version": self.store.version})
             self._publish("policy.updated", "governance")
             if push:
                 self._forward(package, via)
-        for package in report.rejected:
-            self._observer(
-                "update",
-                {"origin": package.origin, "seq": package.seq,
-                 "kind": package.kind.value, "status": "rejected",
-                 "detail": report.detail},
-            )
 
     def _forward(self, package: UpdatePackage, via: Optional[str]) -> None:
         targets: set[str] = set()

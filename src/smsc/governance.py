@@ -72,6 +72,8 @@ def payload_from_wire(kind: UpdateKind, data: Any) -> Payload:
         if kind is UpdateKind.RULE_ADD:
             return PolicyRule.from_wire(data)
         if kind is UpdateKind.CONFIG_SET:
+            if not isinstance(data["key"], str):
+                raise TypeError(f"config key must be a string, got {data['key']!r}")
             return ConfigSetting(key=data["key"], value=data["value"])
         if not isinstance(data, str):
             raise TypeError(f"expected string, got {type(data).__name__}")
@@ -221,16 +223,15 @@ class ApplyStatus(str, Enum):
 class ApplyReport:
     """Outcome of one ``apply_update`` call.
 
-    ``applied``/``rejected`` list every package consumed during the call,
-    including any drained from the gap buffer; ``status`` describes the
-    package that was handed in.  ``evicted`` is the package a full gap
-    buffer dropped, which may be the one handed in.
+    ``consumed`` pairs every package consumed during the call, including
+    any drained from the gap buffer, with its rejection reason, or None
+    when it applied, in the order they were consumed; ``status``
+    describes the package that was handed in.  ``evicted`` is the package
+    a full gap buffer dropped, which may be the one handed in.
     """
 
     status: ApplyStatus
-    applied: tuple[UpdatePackage, ...] = ()
-    rejected: tuple[UpdatePackage, ...] = ()
-    detail: str = ""
+    consumed: tuple[tuple[UpdatePackage, Optional[str]], ...] = ()
     evicted: Optional[UpdatePackage] = None
 
 
@@ -337,12 +338,15 @@ class PolicyStore:
             return ApplyReport(ApplyStatus.DUPLICATE)
         if package.seq > expected:
             return ApplyReport(ApplyStatus.BUFFERED, evicted=self._buffer(package))
-        applied: list[UpdatePackage] = []
-        rejected: list[UpdatePackage] = []
-        detail = self._consume(package, applied, rejected)
-        self._drain(package.origin, applied, rejected)
-        status = ApplyStatus.APPLIED if package in applied else ApplyStatus.REJECTED
-        return ApplyReport(status, tuple(applied), tuple(rejected), detail)
+        consumed = [(package, self._consume(package))]
+        # then every buffered package it makes next in order
+        slot = self._pending.get(package.origin, {})
+        while (nxt := slot.pop(len(self.archive[package.origin]), None)) is not None:
+            consumed.append((nxt, self._consume(nxt)))
+        if not slot:
+            self._pending.pop(package.origin, None)
+        status = ApplyStatus.APPLIED if consumed[0][1] is None else ApplyStatus.REJECTED
+        return ApplyReport(status, tuple(consumed))
 
     def _buffer(self, package: UpdatePackage) -> Optional[UpdatePackage]:
         """Hold an out-of-order package.  Over the cap, drop the highest
@@ -353,26 +357,20 @@ class PolicyStore:
             return None
         return slot.pop(max(slot))
 
-    def _consume(
-        self,
-        package: UpdatePackage,
-        applied: list[UpdatePackage],
-        rejected: list[UpdatePackage],
-    ) -> str:
-        """Assess and apply (or reject) the next-in-order package."""
+    def _consume(self, package: UpdatePackage) -> Optional[str]:
+        """Assess and apply the next-in-order package; the reason it was
+        rejected, or None when it applied."""
         assessment = assess_update_impact(self.rules, package, self.regression)
         self.archive.setdefault(package.origin, []).append(package)
         case = assessment.blocking
         if case is not None:
-            rejected.append(package)
             return (
                 f"would flip protected case "
                 f"{case.request.action}/{case.request.resource_id}@{case.request.context}"
             )
         self._mutate(package)
         self.version += 1
-        applied.append(package)
-        return ""
+        return None
 
     def _mutate(self, package: UpdatePackage) -> None:
         if package.kind is UpdateKind.RULE_ADD:
@@ -409,23 +407,6 @@ class PolicyStore:
             bucket.drop(rule.id)
             if not bucket.rules:
                 del self._index[key]
-
-    def _drain(
-        self,
-        origin: str,
-        applied: list[UpdatePackage],
-        rejected: list[UpdatePackage],
-    ) -> None:
-        slot = self._pending.get(origin)
-        if not slot:
-            return
-        while True:
-            nxt = slot.pop(len(self.archive[origin]), None)
-            if nxt is None:
-                break
-            self._consume(nxt, applied, rejected)
-        if not slot:
-            self._pending.pop(origin, None)
 
     # queries
 

@@ -378,13 +378,16 @@ class DecisionRequest:
 
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "DecisionRequest":
-        return cls(
+        request = cls(
             subject_attrs=attrs_from_wire(data.get("subjectAttrs", {})),
             action=data["action"],
             resource_id=data["resourceId"],
             context=data["context"],
             tick=data.get("tick", 0),
         )
+        if not all(isinstance(v, str) for v in (request.action, request.resource_id, request.context)):
+            raise PolicyError(f"request action, resourceId and context must be strings: {data!r}")
+        return request
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ invoked may assume the request was permitted.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
 from .catalogue import Catalogue
 from .errors import UnknownResourceKind
@@ -31,16 +31,10 @@ class EmailFilterResource(ManagedResource):
     kind = "email-filter"
     operations = ("deliver", "flag")
 
-    def __init__(self) -> None:
-        self.delivered: list[tuple[str, str, str]] = []
-        self.flagged: set[tuple[str, str]] = set()
-
     def invoke(self, action: str, args: Mapping[str, Any], context: str) -> Any:
         sender = str(args.get("from", ""))
         if action == "deliver":
-            self.delivered.append((context, sender, str(args.get("subject", ""))))
             return {"delivered": True, "from": sender}
-        self.flagged.add((context, sender))
         return {"flagged": sender}
 
 
@@ -50,16 +44,10 @@ class CallFilterResource(ManagedResource):
     kind = "call-filter"
     operations = ("ring", "text")
 
-    def __init__(self) -> None:
-        self.calls: list[tuple[str, str]] = []
-        self.texts: list[tuple[str, str, str]] = []
-
     def invoke(self, action: str, args: Mapping[str, Any], context: str) -> Any:
         caller = str(args.get("from", ""))
         if action == "ring":
-            self.calls.append((context, caller))
             return {"rang": True, "from": caller}
-        self.texts.append((context, caller, str(args.get("body", ""))))
         return {"sent": True, "from": caller}
 
 
@@ -96,15 +84,14 @@ class EchoResource(ManagedResource):
         return {"echo": dict(args), "context": context}
 
 
-def build_resource(kind: str, catalogue: Optional[Catalogue] = None) -> ManagedResource:
-    if kind == EmailFilterResource.kind:
-        return EmailFilterResource()
-    if kind == CallFilterResource.kind:
-        return CallFilterResource()
-    if kind == RegistryResource.kind:
-        if catalogue is None:
-            raise UnknownResourceKind("registry resource needs a catalogue")
-        return RegistryResource(catalogue)
-    if kind == EchoResource.kind:
-        return EchoResource()
+RESOURCES = (EmailFilterResource, CallFilterResource, RegistryResource, EchoResource)
+
+RESOURCE_KINDS = frozenset(cls.kind for cls in RESOURCES)
+
+
+def build_resource(kind: str, catalogue: Catalogue) -> ManagedResource:
+    """The resource of ``kind``; a registry serves ``catalogue``."""
+    for cls in RESOURCES:
+        if cls.kind == kind:
+            return RegistryResource(catalogue) if cls is RegistryResource else cls()
     raise UnknownResourceKind(f"no resource implementation for kind {kind!r}")

@@ -35,6 +35,7 @@ from .cell import EXTERNAL_CALLER, Cell
 from .errors import (
     InvalidProbability,
     ParseError,
+    PolicyError,
     SmscError,
     UnknownCellRef,
 )
@@ -48,6 +49,7 @@ from .policy import (
     load_policy_document,
 )
 from .prng import SplitMix64, stream_for_link
+from .resources import RESOURCE_KINDS
 
 SIM = "-"  # the "cell" column for simulator-level log records
 
@@ -98,6 +100,9 @@ class PartitionWindow:
 
 @dataclass(frozen=True)
 class ScriptAction:
+    """One scripted action, built at load: a send carries ``Token``
+    objects, an ``emit-update`` its ``UpdateKind`` and parsed payload."""
+
     tick: int
     op: str
     params: Mapping[str, Any]
@@ -127,234 +132,254 @@ class ScenarioSpec:
 
 PolicyResolver = Callable[[str], PolicyDocument]
 
+# op or check -> its required fields and their types
 _SCRIPT_OPS = {
-    "advertise": ("cell",),
-    "register": ("cell", "with"),
-    "send-op": ("to", "action", "context"),
-    "send-mgmt": ("to", "command", "context"),
-    "emit-update": ("cell", "kind", "payload", "contexts"),
-    "partition": ("a", "b"),
-    "heal": (),
+    "advertise": {"cell": str},
+    "register": {"cell": str, "with": str},
+    "send-op": {"to": str, "action": str, "context": str},
+    "send-mgmt": {"to": str, "command": str, "context": str},
+    "emit-update": {"cell": str, "kind": str, "payload": object, "contexts": list},
+    "partition": {"a": list, "b": list},
+    "heal": {},
 }
 
 _CHECKS = {
-    "decision-equals": ("cell", "action", "expected"),
-    "store-version": ("cell", "expected"),
-    "catalogue-contains": ("cell", "peer"),
-    "converged": (),
-    "blocklist-contains": ("cell", "context", "entry"),
+    "decision-equals": {"cell": str, "action": str, "expected": object},
+    "store-version": {"cell": str, "expected": object},
+    "catalogue-contains": {"cell": str, "peer": str},
+    "converged": {},
+    "blocklist-contains": {"cell": str, "context": str, "entry": str},
 }
 
+_MISSING = object()
 
-def _require(data: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in data:
+# shared by every cell that names no policy (a document is immutable),
+# so that set-up builds none per cell
+_NO_POLICY = PolicyDocument()
+
+_KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(
+    data: Mapping[str, Any], key: str, where: str, kind: type = object,
+    default: Any = _MISSING, least: Optional[int] = None,
+) -> Any:
+    """``data[key]``, or ``default`` when it is absent.  A present value
+    must be a ``kind`` (an integer is never a bool) of at least ``least``,
+    or null where ``default`` is None."""
+    value = data.get(key, default)
+    if value is _MISSING:
         raise ParseError(f"{where}: missing field {key!r}")
-    return data[key]
+    if type(value) is kind and (least is None or value >= least):
+        return value  # the common case, checked first: it is on every cell's path
+    if (value is None and default is None) or (kind is not int and isinstance(value, kind)):
+        return value
+    bound = "" if least is None else f" >= {least}"
+    raise ParseError(f"{where}: {key!r} must be {_KIND_NAMES[kind]}{bound}, got {value!r}")
 
 
-def _require_list(data: Mapping[str, Any], key: str, where: str) -> list[Any]:
-    value = _require(data, key, where)
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: {key!r} must be a list")
-    return value
+def _objects(data: Mapping[str, Any], key: str, where: str, default: Any = _MISSING) -> list:
+    """``_field`` for a list of objects."""
+    items = _field(data, key, where, list, default)
+    for index, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ParseError(f"{where}: {key}[{index}] must be an object, got {item!r}")
+    return items
 
 
-def _as_int(value: Any, key: str, where: str) -> int:
-    if type(value) is not int:  # rejects bool too
-        raise ParseError(f"{where}: {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _require_int(data: Mapping[str, Any], key: str, where: str) -> int:
-    return _as_int(_require(data, key, where), key, where)
-
-
-def _optional_int(data: Mapping[str, Any], key: str, where: str) -> Optional[int]:
-    """``data[key]`` checked as an integer, or None when absent or null."""
-    value = data.get(key)
-    return None if value is None else _as_int(value, key, where)
-
-
-def _check_tokens(tokens: Any, where: str) -> None:
-    """Each stanza must be one ``token_wire_from_spec`` can turn into a token."""
-    if not isinstance(tokens, list):
-        raise ParseError(f"{where}: 'tokens' must be a list")
-    for index, data in enumerate(tokens):
-        at = f"{where} tokens[{index}]"
-        if not isinstance(data, Mapping):
-            raise ParseError(f"{at}: token stanza must be an object")
-        for key in ("issuer", "subject", "expiryTick"):
-            _require(data, key, at)
-        claims = data.get("claims", {})
-        if not isinstance(claims, Mapping) or not all(isinstance(v, list) for v in claims.values()):
-            raise ParseError(f"{at}: 'claims' must map names to lists of values")
+def _strings(data: Mapping[str, Any], key: str, where: str, default: Any = _MISSING) -> Any:
+    """``_field`` for a list of strings."""
+    values = _field(data, key, where, list, default)
+    if values is not None and not all(isinstance(v, str) for v in values):
+        raise ParseError(f"{where}: {key!r} must list strings, got {values!r}")
+    return values
 
 
 def _check_cell_ref(ref: Any, known: set[str], where: str) -> str:
-    if ref not in known:
+    if not isinstance(ref, str) or ref not in known:
         raise UnknownCellRef(f"{where}: unknown cell {ref!r}")
     return ref
 
 
+def token_from_spec(data: Any, where: str) -> Token:
+    """A scenario token stanza as a token.  Its claims map names to lists
+    of values, and a stanza without a signature is signed by its issuer."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{where}: token stanza must be an object")
+    claims = data.get("claims", {})
+    if not isinstance(claims, dict) or not all(isinstance(v, list) for v in claims.values()):
+        raise ParseError(f"{where}: 'claims' must map names to lists of values")
+    subject, issuer = _field(data, "subject", where), _field(data, "issuer", where)
+    expiry = _field(data, "expiryTick", where, int)
+    try:
+        if "sig" not in data:
+            return issue_token(subject, attrs_from_wire(claims), issuer, expiry)
+        return Token(subject, attrs_from_wire(claims), issuer, expiry,
+                     _field(data, "sig", where, str))
+    except (PolicyError, TypeError) as exc:
+        raise ParseError(f"{where}: bad token: {exc}") from None
+
+
 def _parse_cell(data: Mapping[str, Any], resolver: Optional[PolicyResolver]) -> CellSpec:
-    cell_id = _require(data, "cellId", "cell")
+    cell_id = _field(data, "cellId", "cell", str)
     where = f"cell {cell_id!r}"
-    profile = _require(data, "profile", where)
-    contexts = tuple(_require(profile, "contexts", f"{where} profile"))
+    profile = _field(data, "profile", where, dict)
+    at = f"{where} profile"
+    contexts = tuple(_strings(profile, "contexts", at))
     if not contexts:
-        raise ParseError(f"{where}: profile.contexts is empty")
-    capabilities = profile.get("capabilities")
-    ttl = profile.get("ttlTicks", 30)
-    if type(ttl) is not int or ttl < 1:
-        raise ParseError(f"{where}: profile 'ttlTicks' must be an integer >= 1, got {ttl!r}")
-    resource_kind = _require(data, "resourceKind", where)
-    if "policy" in data:
-        policy = PolicyDocument.from_wire(data["policy"])
-    elif "policyFile" in data:
-        if resolver is None:
-            raise ParseError(f"{where}: policyFile given but no way to resolve it")
-        policy = resolver(data["policyFile"])
-    else:
-        policy = PolicyDocument()
-    trust_policy = data.get("trustPolicy")
+        raise ParseError(f"{at}: 'contexts' is empty")
+    capabilities = _strings(profile, "capabilities", at, None)
+    resource_kind = _field(data, "resourceKind", where, str)
+    if resource_kind not in RESOURCE_KINDS:
+        raise ParseError(f"{where}: unknown resource kind {resource_kind!r}")
+    try:
+        if "policyFile" in data and "policy" not in data:
+            if resolver is None:
+                raise ParseError(f"{where}: policyFile given but no way to resolve it")
+            policy = resolver(data["policyFile"])
+        elif "policy" in data:
+            policy = PolicyDocument.from_wire(data["policy"])
+        else:
+            policy = _NO_POLICY
+    except (PolicyError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"{where}: bad policy: {type(exc).__name__}: {exc}") from None
+    trust_policy = _field(data, "trustPolicy", where, dict, None)
     if trust_policy is None:
         # default: inside its own contexts, a cell trusts whoever shows up
         trust_policy = {c: [] for c in contexts}
-    intervals = data.get("intervals", {})
-    advertise = intervals.get("advertise", 10)
-    anti_entropy = intervals.get("antiEntropy", 5)
-    if (type(advertise) is not int or type(anti_entropy) is not int
-            or advertise < 1 or anti_entropy < 1):
-        raise ParseError(f"{where}: intervals must be integers >= 1, got {intervals!r}")
+    elif all(isinstance(caps, list) for caps in trust_policy.values()):
+        trust_policy = {c: [str(x) for x in caps] for c, caps in trust_policy.items()}
+    else:
+        raise ParseError(f"{where}: 'trustPolicy' must map contexts to lists")
+    intervals = _field(data, "intervals", where, dict, {})
+    at_intervals = f"{where} intervals"
     return CellSpec(
         cell_id=cell_id,
         contexts=contexts,
         capabilities=tuple(capabilities) if capabilities is not None else None,
-        ttl_ticks=ttl,
+        ttl_ticks=_field(profile, "ttlTicks", at, int, 30, 1),
         resource_kind=resource_kind,
         policy=policy,
-        trust_policy={str(c): [str(x) for x in caps] for c, caps in trust_policy.items()},
-        advertise_interval=advertise,
-        anti_entropy_interval=anti_entropy,
+        trust_policy=trust_policy,
+        advertise_interval=_field(intervals, "advertise", at_intervals, int, 10, 1),
+        anti_entropy_interval=_field(intervals, "antiEntropy", at_intervals, int, 5, 1),
     )
 
 
 def _parse_link(data: Mapping[str, Any], known: set[str]) -> LinkSpec:
-    a = _check_cell_ref(_require(data, "a", "link"), known, "link")
-    b = _check_cell_ref(_require(data, "b", "link"), known, "link")
+    a = _check_cell_ref(data.get("a"), known, "link")
+    b = _check_cell_ref(data.get("b"), known, "link")
     if a == b:
         raise ParseError(f"link: {a!r} linked to itself")
-    latency = data.get("latency", 1)
-    if type(latency) is not int or latency < 1:
-        raise ParseError(f"link {a}-{b}: 'latency' must be an integer >= 1, got {latency!r}")
-    drop = float(data.get("drop", 0.0))
-    if not 0.0 <= drop <= 1.0:
-        raise InvalidProbability(f"link {a}-{b}: drop {drop} outside [0, 1]")
-    return LinkSpec(a, b, latency, drop)
+    where = f"link {a}-{b}"
+    drop = data.get("drop", 0.0)
+    if type(drop) not in (int, float) or not 0.0 <= drop <= 1.0:
+        raise InvalidProbability(f"{where}: 'drop' must be a number in [0, 1], got {drop!r}")
+    return LinkSpec(a, b, _field(data, "latency", where, int, 1, 1), float(drop))
 
 
 def _parse_partition(data: Mapping[str, Any], known: set[str]) -> PartitionWindow:
     group_a, group_b = (
         frozenset(_check_cell_ref(c, known, "partition")
-                  for c in _require_list(data, key, "partition"))
+                  for c in _field(data, key, "partition", list))
         for key in ("a", "b")
     )
     if group_a & group_b:
         raise ParseError("partition: groups overlap")
     return PartitionWindow(
         group_a, group_b,
-        _require_int(data, "from", "partition"), _optional_int(data, "to", "partition"),
+        _field(data, "from", "partition", int), _field(data, "to", "partition", int, None),
     )
 
 
-def _parse_script(
-    actions: Iterable[Mapping[str, Any]], known: set[str]
-) -> tuple[ScriptAction, ...]:
+def _parse_script(actions: list, known: set[str]) -> tuple[ScriptAction, ...]:
     out: list[ScriptAction] = []
     last_tick = 0
     for index, data in enumerate(actions):
         where = f"script[{index}]"
-        tick = _require_int(data, "tick", where)
+        tick = _field(data, "tick", where, int)
         if tick < last_tick:
             raise ParseError(f"{where}: ticks must be non-decreasing")
         last_tick = tick
-        op = _require(data, "op", where)
+        op = _field(data, "op", where, str)
         if op not in _SCRIPT_OPS:
             raise ParseError(f"{where}: unknown op {op!r}")
-        for key in _SCRIPT_OPS[op]:
-            _require(data, key, f"{where} ({op})")
+        for key, kind in _SCRIPT_OPS[op].items():
+            _field(data, key, f"{where} ({op})", kind)
         for key in ("cell", "to", "from", "with"):
             if key in data:
                 _check_cell_ref(data[key], known, where)
-        if op == "partition":
-            _optional_int(data, "until", where)
-            for key in ("a", "b"):
-                for ref in _require_list(data, key, where):
-                    _check_cell_ref(ref, known, where)
-        if op in ("send-op", "send-mgmt"):
-            _check_tokens(data.get("tokens", []), where)
-        if op == "send-op" and not isinstance(data.get("args", {}), Mapping):
-            raise ParseError(f"{where}: 'args' must be an object")
-        if op == "emit-update":
-            if data["kind"] not in [kind.value for kind in UpdateKind]:
-                raise ParseError(f"{where}: unknown update kind {data['kind']!r}")
-            contexts = _require_list(data, "contexts", where)
-            if not contexts or not all(isinstance(c, str) for c in contexts):
-                raise ParseError(f"{where}: 'contexts' must list at least one context")
+        # each field built into what the run executes
         params = {k: v for k, v in data.items() if k not in ("tick", "op")}
+        if op == "register":
+            params["wantReply"] = data.get("wantReply", True)
+        elif op == "partition":
+            for ref in data["a"] + data["b"]:
+                _check_cell_ref(ref, known, where)
+            params["until"] = _field(data, "until", where, int, None)
+        elif op in ("send-op", "send-mgmt"):
+            params["tokens"] = tuple(
+                token_from_spec(stanza, f"{where} tokens[{j}]")
+                for j, stanza in enumerate(_field(data, "tokens", where, list, []))
+            )
+            if op == "send-op":
+                params["args"] = _field(data, "args", where, dict, {})
+            else:
+                params["payload"] = data.get("payload")
+        elif op == "emit-update":
+            contexts = _strings(data, "contexts", where)
+            if not contexts:
+                raise ParseError(f"{where}: 'contexts' must list at least one context")
+            params["contexts"] = frozenset(contexts)
+            try:
+                params["kind"] = UpdateKind(data["kind"])
+                params["payload"] = payload_from_wire(params["kind"], data["payload"])
+            except (SmscError, ValueError) as exc:
+                raise ParseError(f"{where}: bad update: {exc}") from None
         out.append(ScriptAction(tick, op, params))
     return tuple(out)
 
 
-def _parse_assertions(
-    specs: Iterable[Mapping[str, Any]], known: set[str]
-) -> tuple[AssertionSpec, ...]:
+def _parse_assertions(specs: list, known: set[str]) -> tuple[AssertionSpec, ...]:
     out: list[AssertionSpec] = []
     for index, data in enumerate(specs):
         where = f"assertions[{index}]"
-        check = _require(data, "check", where)
+        check = _field(data, "check", where, str)
         if check not in _CHECKS:
             raise ParseError(f"{where}: unknown check {check!r}")
-        for key in _CHECKS[check]:
-            _require(data, key, f"{where} ({check})")
-        if check == "decision-equals" and data["expected"] not in (
-            "Permit", "Deny", "NotApplicable", "Indeterminate"
-        ):
-            raise ParseError(f"{where}: bad expected verdict {data['expected']!r}")
+        for key, kind in _CHECKS[check].items():
+            _field(data, key, f"{where} ({check})", kind)
+        if check == "decision-equals":
+            _field(data, "context", where, str, None)
+            if data["expected"] not in ("Permit", "Deny", "NotApplicable", "Indeterminate"):
+                raise ParseError(f"{where}: bad expected verdict {data['expected']!r}")
         for key in ("cell", "peer"):
             if key in data:
                 _check_cell_ref(data[key], known, where)
         if check == "converged":
-            for ref in data.get("cells", []):
+            for ref in _field(data, "cells", where, list, []):
                 _check_cell_ref(ref, known, where)
         if "atTick" not in data and not data.get("atEnd"):
             raise ParseError(f"{where}: needs atTick or atEnd")
-        params = {
-            k: v for k, v in data.items()
-            if k not in ("id", "check", "atTick", "atEnd")
-        }
-        out.append(
-            AssertionSpec(
-                id=data.get("id", f"a{index}"),
-                at_tick=_optional_int(data, "atTick", where),
-                check=check,
-                params=params,
-            )
-        )
+        params = {k: v for k, v in data.items() if k not in ("id", "check", "atTick", "atEnd")}
+        at_tick = _field(data, "atTick", where, int, None)
+        out.append(AssertionSpec(data.get("id", f"a{index}"), at_tick, check, params))
     return tuple(out)
 
 
 def parse_scenario(
     data: Mapping[str, Any], resolver: Optional[PolicyResolver] = None
 ) -> ScenarioSpec:
-    cells = tuple(_parse_cell(c, resolver) for c in _require(data, "cells", "scenario"))
+    if not isinstance(data, dict):
+        raise ParseError("scenario: must be an object")
+    cells = tuple(_parse_cell(c, resolver) for c in _objects(data, "cells", "scenario"))
     if not cells:
         raise ParseError("scenario: no cells")
     known = {c.cell_id for c in cells}
     if len(known) != len(cells):
         raise ParseError("scenario: duplicate cell ids")
-    topology = data.get("topology", {})
-    links = tuple(_parse_link(l, known) for l in topology.get("links", []))
+    topology = _field(data, "topology", "scenario", dict, {})
+    links = tuple(_parse_link(l, known) for l in _objects(topology, "links", "topology", []))
     seen_links = set()
     for link in links:
         key = frozenset((link.a, link.b))
@@ -362,20 +387,17 @@ def parse_scenario(
             raise ParseError(f"scenario: duplicate link {link.a}-{link.b}")
         seen_links.add(key)
     partitions = tuple(
-        _parse_partition(p, known) for p in topology.get("partitions", [])
+        _parse_partition(p, known) for p in _objects(topology, "partitions", "topology", [])
     )
-    max_ticks = data.get("maxTicks", 10)
-    if type(max_ticks) is not int or max_ticks < 0:
-        raise ParseError(f"scenario: 'maxTicks' must be an integer >= 0, got {max_ticks!r}")
     return ScenarioSpec(
         name=data.get("name", "unnamed"),
-        seed=int(data.get("seed", 1)),
-        max_ticks=max_ticks,
+        seed=_field(data, "seed", "scenario", int, 1),
+        max_ticks=_field(data, "maxTicks", "scenario", int, 10, 0),
         cells=cells,
         links=links,
         partitions=partitions,
-        script=_parse_script(data.get("script", []), known),
-        assertions=_parse_assertions(data.get("assertions", []), known),
+        script=_parse_script(_objects(data, "script", "scenario", []), known),
+        assertions=_parse_assertions(_objects(data, "assertions", "scenario", []), known),
     )
 
 
@@ -388,23 +410,6 @@ def load_scenario(path: str) -> ScenarioSpec:
         return load_policy_document(os.path.join(base, name))
 
     return parse_scenario(data, resolver)
-
-
-def token_wire_from_spec(data: Mapping[str, Any]) -> dict[str, Any]:
-    """Scenario token stanzas carry claims as a name-to-values map and may
-    omit the signature, in which case the named issuer signs."""
-    claims = attrs_from_wire(data.get("claims", {}))
-    if "sig" in data:
-        token = Token(
-            subject=data["subject"],
-            claims=frozenset(claims),
-            issuer=data["issuer"],
-            expiry_tick=data["expiryTick"],
-            signature=data["sig"],
-        )
-    else:
-        token = issue_token(data["subject"], claims, data["issuer"], data["expiryTick"])
-    return token.to_wire()
 
 
 # --- the event log --------------------------------------------------------
@@ -546,39 +551,29 @@ class Simulator:
         if action.op == "advertise":
             self.cells[p["cell"]].advertise_now(tick)
         elif action.op == "register":
-            self.cells[p["cell"]].register_with(
-                p["with"], tick, p.get("wantReply", True)
-            )
+            self.cells[p["cell"]].register_with(p["with"], tick, p["wantReply"])
         elif action.op == "send-op":
-            wires = [token_wire_from_spec(t) for t in p.get("tokens", [])]
             if "from" in p:
                 self.cells[p["from"]].request_operation(
-                    p["to"], [Token.from_wire(w) for w in wires],
-                    p["action"], p.get("args", {}), p["context"],
+                    p["to"], p["tokens"], p["action"], p["args"], p["context"]
                 )
             else:
-                body = {"tokens": wires, "action": p["action"],
-                        "args": p.get("args", {}), "context": p["context"]}
+                body = {"tokens": [t.to_wire() for t in p["tokens"]], "action": p["action"],
+                        "args": p["args"], "context": p["context"]}
                 self.cells[p["to"]].handle_operation(body, EXTERNAL_CALLER, tick)
         elif action.op == "send-mgmt":
-            wires = [token_wire_from_spec(t) for t in p.get("tokens", [])]
             if "from" in p:
                 self.cells[p["from"]].request_management(
-                    p["to"], [Token.from_wire(w) for w in wires],
-                    p["command"], p.get("payload"), p["context"],
+                    p["to"], p["tokens"], p["command"], p["payload"], p["context"]
                 )
             else:
-                body = {"tokens": wires, "command": p["command"],
-                        "payload": p.get("payload"), "context": p["context"]}
+                body = {"tokens": [t.to_wire() for t in p["tokens"]], "command": p["command"],
+                        "payload": p["payload"], "context": p["context"]}
                 self.cells[p["to"]].handle_management(body, EXTERNAL_CALLER, tick)
         elif action.op == "emit-update":
-            kind = UpdateKind(p["kind"])
-            payload = payload_from_wire(kind, p["payload"])
-            self.cells[p["cell"]].emit_update(
-                kind, payload, set(p["contexts"]), tick
-            )
+            self.cells[p["cell"]].emit_update(p["kind"], p["payload"], p["contexts"], tick)
         elif action.op == "partition":
-            self.inject_partition(p["a"], p["b"], p.get("until"))
+            self.inject_partition(p["a"], p["b"], p["until"])
         elif action.op == "heal":
             self.inject_heal()
 

@@ -422,7 +422,7 @@ def test_own_seq_follows_the_archive_past_a_peer_delivered_package():
     assert cell.ingest_security_update(relayed.to_wire(), "p1") is ApplyStatus.APPLIED
     report = cell.emit_update(UpdateKind.BLOCKLIST_ADD, "h1", {"work"}, 1)
     assert report.status is ApplyStatus.APPLIED
-    assert [p.seq for p in report.applied] == [1]
+    assert [(p.seq, reason) for p, reason in report.consumed] == [(1, None)]
     assert cell.store.digest() == {"c0": 1}
     assert ("work", "h1") in cell.store.blocklist
 
@@ -534,6 +534,35 @@ def test_ingest_gap_buffers():
     assert cell.store.digest()["org"] == 1
 
 
+def test_drained_rejection_is_logged_with_its_own_reason_in_order():
+    """A buffered package that the impact check rejects once a gap fill
+    drains it is logged with the protected case it would flip, after the
+    package that drained it and before the one it unblocks."""
+    pin = RegressionCase(
+        DecisionRequest(frozenset({AttributePair("role", "user")}), "echo", "echo", "work", 0),
+        Verdict.PERMIT,
+        protected=True,
+    )
+    events = []
+    cell = make_cell(policy=document(regression=(pin,)), trust={"work": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
+    cell.catalogue.upsert(peer_profile("p1"), 0)
+    breaker = rule("break", Effect.DENY, {"role": ["user"]}, "echo")
+    wires = [make_update("org", 1, UpdateKind.RULE_ADD, breaker, ("work",), 0).to_wire(),
+             signed_wire(seq=2, payload="later")]
+    for wire in wires:
+        assert cell.ingest_security_update(wire, "p1") is ApplyStatus.BUFFERED
+    assert cell.ingest_security_update(signed_wire(seq=0), "p1") is ApplyStatus.APPLIED
+    consumed = [(d["seq"], d["status"], d.get("detail")) for k, d in events
+                if k == "update" and d["status"] != "buffered"]
+    assert consumed == [
+        (0, "applied", None),
+        (1, "rejected", "would flip protected case echo/echo@work"),
+        (2, "applied", None),
+    ]
+    assert "break" not in cell.store.rules and cell.store.digest() == {"org": 2}
+
+
 def forged_wire(**kwargs):
     wire = signed_wire(**kwargs)
     wire["sig"] = "0" * 64
@@ -562,6 +591,7 @@ def kindless_wire():
     (["not", "a", "package"], "TypeError"),
     (resigned_wire(seq=1.001), "MalformedUpdate"),
     (resigned_wire(seq=True), "MalformedUpdate"),
+    (resigned_wire(kind="ConfigSet", payload={"key": ["k"], "value": 1}), "MalformedUpdate"),
 ])
 def test_hostile_package_from_trusted_peer_is_contained(wire, error):
     events = []

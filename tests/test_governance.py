@@ -142,7 +142,7 @@ def test_duplicate_is_inert():
     digest = store.content_digest()
     report = store.apply_update(upd(0))
     assert report.status is ApplyStatus.DUPLICATE
-    assert report.applied == ()
+    assert report.consumed == ()
     assert store.version == 1
     assert store.content_digest() == digest
 
@@ -154,7 +154,7 @@ def test_gap_buffers_until_filled():
     assert store.version == 0
     report = store.apply_update(upd(0, payload="h0"))
     assert report.status is ApplyStatus.APPLIED
-    assert [p.seq for p in report.applied] == [0, 1, 2]
+    assert [(p.seq, reason) for p, reason in report.consumed] == [(0, None), (1, None), (2, None)]
     assert store.version == 3
     assert store.pending_count() == 0
 
@@ -241,7 +241,8 @@ def test_protected_flip_rejected_and_seq_consumed():
     breaker = rule("break", Effect.DENY, {}, action="read")
     report = store.apply_update(upd(0, UpdateKind.RULE_ADD, breaker))
     assert report.status is ApplyStatus.REJECTED
-    assert "protected" in report.detail
+    ((package, reason),) = report.consumed
+    assert package.seq == 0 and "protected" in reason
     assert store.content_digest() == digest
     assert store.version == 0
     assert store.digest() == {"org": 0}
@@ -287,8 +288,9 @@ def test_rejected_package_mid_drain_does_not_stop_the_drain():
     store.apply_update(upd(2, payload="after"))
     report = store.apply_update(upd(0, payload="before"))
     assert report.status is ApplyStatus.APPLIED
-    assert [p.seq for p in report.applied] == [0, 2]
-    assert [p.seq for p in report.rejected] == [1]
+    assert [(p.seq, reason is None) for p, reason in report.consumed] == [
+        (0, True), (1, False), (2, True)]
+    assert "protected" in report.consumed[1][1]
     assert store.digest()["org"] == 2
 
 

@@ -1,9 +1,10 @@
+import copy
 import io
 import json
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from smsc.cell import OutboundMessage
 from smsc.cli import main as cli_main
@@ -22,7 +23,7 @@ from smsc.sim import (
     load_scenario,
     parse_scenario,
     run_scenario,
-    token_wire_from_spec,
+    token_from_spec,
 )
 
 from .oracles import naive_neighbors
@@ -75,6 +76,14 @@ def scenario_wire(n_cells=2, links=None, **extra):
     return wire
 
 
+RULE = PERMIT_ANY["rules"][0]
+
+
+def emit_update(kind, payload, tick=1, cell="c0"):
+    return {"tick": tick, "op": "emit-update", "cell": cell, "kind": kind,
+            "payload": payload, "contexts": ["work"]}
+
+
 def send_op(tick, dst, src=None, action="echo", args=None, context="work"):
     action_wire = {
         "tick": tick, "op": "send-op", "to": dst,
@@ -98,9 +107,17 @@ BAD_SCRIPT_FIELDS = {
     "tick-string": ({"tick": "1", "op": "advertise", "cell": "c0"}, "'tick'"),
     "until-string": ({"tick": 1, "op": "partition", "a": ["c0"], "b": ["c1"],
                       "until": "x"}, "'until'"),
+    "claim-value-int": ({**send_op(1, "c1"), "tokens": [
+        {**USER_TOKEN, "claims": {"role": [5]}}]}, "tokens[0]"),
+    "subject-not-a-token": ({**send_op(1, "c1", src="c0"), "tokens": [
+        {**USER_TOKEN, "subject": "Bad Subject"}]}, "'Bad Subject'"),
+    "rule-effect-maybe": (emit_update("RuleAdd", {**RULE, "effect": "Maybe"}), "'Maybe'"),
+    "rule-id-not-a-token": (emit_update("RuleAdd", {**RULE, "id": "Bad Id"}), "'Bad Id'"),
+    "config-without-key": (emit_update("ConfigSet", {"value": 1}), "'key'"),
+    "config-key-list": (emit_update("ConfigSet", {"key": ["k"], "value": 1}), "config key"),
 }
 
-# name -> (mangle, where, field): numeric fields outside the script
+# name -> (mangle, where, field): fields outside the script
 BAD_NUMERIC_FIELDS = {
     "partition-from-string": (lambda w: w["topology"].update(partitions=[
         {"a": ["c0"], "b": ["c1"], "from": "x"}
@@ -118,7 +135,31 @@ BAD_NUMERIC_FIELDS = {
     "at-tick-string": (lambda w: w.update(assertions=[
         {"check": "converged", "atTick": "x"}
     ]), "assertions[0]", "'atTick'"),
+    "topology-list": (lambda w: w.update(topology=[]), "scenario", "'topology'"),
+    "intervals-list": (lambda w: w["cells"][0].update(intervals=[1]),
+                       "cell 'c0'", "'intervals'"),
+    "trust-policy-list": (lambda w: w["cells"][0].update(trustPolicy=["work"]),
+                          "cell 'c0'", "'trustPolicy'"),
+    "script-object": (lambda w: w.update(script=send_op(1, "c1")), "scenario", "'script'"),
+    "rule-without-effect": (lambda w: w["cells"][0].update(policy={**PERMIT_ANY, "rules": [
+        {k: v for k, v in RULE.items() if k != "effect"}
+    ]}), "cell 'c0'", "'effect'"),
+    "contexts-string": (lambda w: w["cells"][0]["profile"].update(contexts="work"),
+                        "cell 'c0'", "'contexts'"),
+    "seed-float": (lambda w: w.update(seed=1.5), "scenario", "'seed'"),
+    "drop-bool": (lambda w: w["topology"]["links"][0].update(drop=True),
+                  "link c0-c1", "'drop'"),
+    "regression-context-list": (lambda w: w["cells"][0].update(policy={**PERMIT_ANY, "regression": [
+        {"request": {"action": "echo", "resourceId": "echo", "context": ["work"]},
+         "expected": "Permit"}
+    ]}), "cell 'c0'", "context must be strings"),
 }
+
+# the entries each table held before, which keep their test_parse_rejections ids
+_SCRIPT_MANGLES = [lambda w, action=action: w.update(script=[action])
+                   for action, _ in BAD_SCRIPT_FIELDS.values()]
+_OTHER_MANGLES = [mangle for mangle, _, _ in BAD_NUMERIC_FIELDS.values()]
+_EARLIER_SCRIPT, _EARLIER_OTHER = 6, 7
 
 
 @pytest.mark.parametrize(
@@ -174,9 +215,9 @@ BAD_NUMERIC_FIELDS = {
         (lambda w: w["topology"].update(partitions=[
             {"a": 5, "b": ["c1"], "from": 0}
         ]), ParseError),
-        *((lambda w, action=action: w.update(script=[action]), ParseError)
-          for action, _ in BAD_SCRIPT_FIELDS.values()),
-        *((mangle, ParseError) for mangle, _, _ in BAD_NUMERIC_FIELDS.values()),
+        *((mangle, ParseError) for mangle in (
+            _SCRIPT_MANGLES[:_EARLIER_SCRIPT] + _OTHER_MANGLES[:_EARLIER_OTHER]
+            + _SCRIPT_MANGLES[_EARLIER_SCRIPT:] + _OTHER_MANGLES[_EARLIER_OTHER:])),
     ],
 )
 def test_parse_rejections(mangle, exc):
@@ -240,9 +281,10 @@ def test_bad_script_field_is_a_parse_error(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(BAD_NUMERIC_FIELDS))
 def test_bad_numeric_field_is_a_parse_error(name, tmp_path, capsys):
-    """A tick, interval or latency that is not an integer is rejected at
-    parse time, naming where it sits and the field, and ``smsc run``
-    exits 2 instead of raising ``TypeError`` mid-run."""
+    """A field outside the script of the wrong type (a tick, interval or
+    latency that is not an integer, a container of the wrong kind, a
+    malformed inline rule) is rejected at parse time, naming where it
+    sits and the field, and ``smsc run`` exits 2 instead of raising."""
     mangle, where, field = BAD_NUMERIC_FIELDS[name]
     wire = scenario_wire()
     mangle(wire)
@@ -273,12 +315,97 @@ def test_policy_file_requires_resolver():
         parse_scenario(wire)
 
 
-def test_token_wire_from_spec_signs_or_keeps_signature():
-    signed = token_wire_from_spec(USER_TOKEN)
-    assert signed["sig"]
+def test_token_from_spec_signs_or_keeps_signature():
+    signed = token_from_spec(USER_TOKEN, "here")
+    assert signed.signature and signed.subject == "u" and signed.expiry_tick == 999
     forged = dict(USER_TOKEN)
     forged["sig"] = "f" * 64
-    assert token_wire_from_spec(forged)["sig"] == "f" * 64
+    assert token_from_spec(forged, "here").signature == "f" * 64
+
+
+# a small valid scenario that uses every section, op and check
+_REGRESSION = {"request": {"subjectAttrs": {"role": ["user"]}, "action": "echo",
+                           "resourceId": "echo", "context": "work", "tick": 0},
+               "expected": "Permit", "protected": True}
+SMALL = scenario_wire(
+    seed=3, maxTicks=8,
+    cells=[
+        {**cell_wire("c0", intervals={"advertise": 2, "antiEntropy": 3}),
+         "profile": {"contexts": ["work"], "capabilities": ["echo"], "ttlTicks": 20},
+         "policy": {**PERMIT_ANY, "regression": [_REGRESSION]}, "trustPolicy": {"work": []}},
+        cell_wire("c1", kind="registry"),
+    ],
+    links=[{"a": "c0", "b": "c1", "latency": 1, "drop": 0.1}],
+    script=[
+        {"tick": 0, "op": "advertise", "cell": "c0"},
+        {"tick": 1, "op": "register", "cell": "c0", "with": "c1", "wantReply": True},
+        send_op(1, "c1", src="c0", action="lookup", args={"context": "work"}),
+        {**send_op(2, "c0"), "tokens": [{**USER_TOKEN, "sig": "0" * 64}]},
+        {"tick": 2, "op": "send-mgmt", "to": "c0", "command": "set-config", "context": "work",
+         "tokens": [USER_TOKEN], "payload": {"key": "k", "value": 1}},
+        {"tick": 2, "op": "send-mgmt", "to": "c1", "from": "c0", "command": "flag-spam",
+         "context": "work", "tokens": [USER_TOKEN], "payload": {"entry": "e"}},
+        emit_update("RuleAdd", {**RULE, "id": "r2"}, tick=3),
+        emit_update("ConfigSet", {"key": "k", "value": [1]}, tick=3),
+        emit_update("BlocklistAdd", "bad", tick=3, cell="c1"),
+        {"tick": 4, "op": "partition", "a": ["c0"], "b": ["c1"], "until": 5},
+        {"tick": 5, "op": "heal"},
+    ],
+    assertions=[
+        {"id": "d", "check": "decision-equals", "cell": "c0", "action": "echo",
+         "context": "work", "expected": "Indeterminate", "atTick": 3},
+        {"id": "v", "check": "store-version", "cell": "c0", "expected": 3, "atEnd": True},
+        {"id": "cat", "check": "catalogue-contains", "cell": "c0", "peer": "c1",
+         "expected": True, "atEnd": True},
+        {"id": "conv", "check": "converged", "cells": ["c0"], "atEnd": True},
+        {"id": "bl", "check": "blocklist-contains", "cell": "c1", "context": "work",
+         "entry": "bad", "atEnd": True},
+    ],
+)
+SMALL["topology"]["partitions"] = [{"a": ["c0"], "b": ["c1"], "from": 6, "to": 7}]
+
+
+def _paths(node, prefix=()):
+    """The path of every field of a JSON document, nested ones included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+# small JSON values of every type, so that any replacement stays cheap to run
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(-2, 9) | st.text("ab-", max_size=3),
+    lambda inner: (st.lists(inner, max_size=2)
+                   | st.dictionaries(st.text("ab", max_size=2), inner, max_size=2)),
+    max_leaves=3,
+)
+
+
+def test_small_scenario_passes():
+    report = Simulator(parse_scenario(copy.deepcopy(SMALL))).run()
+    assert report["passed"], report["assertions"]
+
+
+@settings(max_examples=400)
+@given(path=st.sampled_from(tuple(_paths(SMALL))), value=_JSON)
+def test_a_field_of_another_type_fails_the_load_or_runs(path, value):
+    """Any one field replaced by a value of another JSON type is either a
+    parse error or a scenario whose run returns a report: nothing a
+    scenario file holds can fail mid-run."""
+    wire = copy.deepcopy(SMALL)
+    node = wire
+    for key in path[:-1]:
+        node = node[key]
+    assume(type(value) is not type(node[path[-1]]))
+    node[path[-1]] = value
+    try:
+        spec = parse_scenario(wire)
+    except ParseError:
+        return
+    report = Simulator(spec).run()
+    assert set(report) == {"passed", "assertions", "finalTick"}
 
 
 # --- transport -------------------------------------------------------------
@@ -583,11 +710,10 @@ def test_run_error_is_reported_not_raised():
 
 
 def test_run_error_keeps_the_failed_tick_bus_records():
-    bad_config = {"tick": 1, "op": "emit-update", "cell": "c0", "kind": "ConfigSet",
-                  "payload": {"value": 1}, "contexts": ["work"]}
-    sim, report = run_sim(scenario_wire(script=[send_op(1, "c0"), bad_config]))
+    self_register = {"tick": 1, "op": "register", "cell": "c0", "with": "c0"}
+    sim, report = run_sim(scenario_wire(script=[send_op(1, "c0"), self_register]))
     assert report["assertions"][0]["id"] == "run-error"
-    assert "MalformedUpdate" in report["assertions"][0]["detail"]
+    assert "SelfRegistration" in report["assertions"][0]["detail"]
     kinds = [(r["tick"], r["cell"], r["kind"]) for r in sim.log.records]
     assert kinds == [(1, "c0", "decision"), (1, "c0", "bus"),
                      (1, "-", "assert"), (1, "-", "end")]
