@@ -52,15 +52,32 @@ class CellProfile:
 
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "CellProfile":
-        return cls(
-            cell_id=data["cellId"],
-            endpoint=data["endpoint"],
-            contexts=frozenset(data["contexts"]),
-            capabilities=frozenset(data["capabilities"]),
-            resource_kind=data["resourceKind"],
-            advertised_at_tick=data["advertisedAtTick"],
-            ttl_ticks=data["ttlTicks"],
-        )
+        """A peer's profile.  Each field must have the exact type ``to_wire``
+        writes (an integer is never a bool), or ``PolicyError`` is raised;
+        the one combined test comes first, since every advert reads here."""
+        cell_id, endpoint, kind = data["cellId"], data["endpoint"], data["resourceKind"]
+        tick, ttl = data["advertisedAtTick"], data["ttlTicks"]
+        contexts, capabilities = data["contexts"], data["capabilities"]
+        if not (type(cell_id) is type(endpoint) is type(kind) is str
+                and type(tick) is type(ttl) is int
+                and type(contexts) is type(capabilities) is list
+                and all(type(c) is str for c in contexts)
+                and all(type(c) is str for c in capabilities)):
+            bad = next(key for key, want in _PROFILE_TYPES.items()
+                       if not _holds(data[key], want))
+            raise PolicyError(f"profile {cell_id!r}: {bad!r} has the wrong type: {data[bad]!r}")
+        return cls(cell_id, endpoint, frozenset(contexts), frozenset(capabilities),
+                   kind, tick, ttl)
+
+
+# profile wire field -> the one type it holds; a list holds strings
+_PROFILE_TYPES = {"cellId": str, "endpoint": str, "resourceKind": str,
+                  "advertisedAtTick": int, "ttlTicks": int,
+                  "contexts": list, "capabilities": list}
+
+
+def _holds(value: Any, kind: type) -> bool:
+    return type(value) is kind and (kind is not list or all(type(v) is str for v in value))
 
 
 @dataclass(frozen=True)

@@ -712,6 +712,44 @@ def test_peer_expiry_audited():
     assert cell.catalogue.get("p1") is None
 
 
+# profile field -> a value of another type than the wire carries
+BAD_PROFILE_FIELDS = {
+    "cell-id-int": ("cellId", 7),
+    "endpoint-null": ("endpoint", None),
+    "resource-kind-list": ("resourceKind", ["echo"]),
+    "contexts-string": ("contexts", "work"),
+    "contexts-int-item": ("contexts", ["work", 1]),
+    "capabilities-string": ("capabilities", "echo"),
+    "tick-bool": ("advertisedAtTick", True),
+    "tick-float": ("advertisedAtTick", 0.0),
+    "ttl-float": ("ttlTicks", 1.5),
+    "ttl-bool": ("ttlTicks", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PROFILE_FIELDS))
+@pytest.mark.parametrize("kind", ["advert", "register", "register-reply"])
+def test_profile_field_of_another_type_is_rejected(kind, name):
+    """A peer profile whose field has another type than ``to_wire`` writes
+    is one ``PolicyError`` reject, and ticking past every TTL (which sorts
+    the catalogue ids) raises nothing."""
+    events = []
+    cell = make_cell(trust={"work": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
+    cell.catalogue.upsert(peer_profile("p1"), 0)
+    field, value = BAD_PROFILE_FIELDS[name]
+    profile = {**peer_profile("p2").to_wire(), field: value}
+    body = {"advert": {"profile": profile, "nonce": 0},
+            "register": {"profile": profile, "wantReply": False},
+            "register-reply": profile}[kind]
+    cell.handle_envelope(kind, "p2", body, 1)
+    assert events == [("reject", {"kind": kind, "from": "p2", "error": "PolicyError"})]
+    assert sorted(cell.catalogue.entries) == ["p1"]
+    for tick in (5, 100):
+        cell.on_tick(tick)
+    assert cell.catalogue.entries == {}
+
+
 # --- request/response correlation -----------------------------------------
 
 
