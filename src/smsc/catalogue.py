@@ -8,11 +8,14 @@ not mention is untrusted there.
 
 Entries age out: one whose last-seen tick plus its advertised TTL is
 strictly below the current tick is expired.  A fresh advert re-admits
-the peer with no memory of the eviction.
+the peer with no memory of the eviction.  The catalogue also keeps a
+lower bound on the first tick at which any entry expires, so that its
+owner knows when it next has to look.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Optional
 
@@ -113,6 +116,9 @@ class Catalogue:
             c: sorted(caps) for c, caps in (trust_policy or {}).items()
         }
         self.entries: dict[str, CatalogueEntry] = {}
+        # no entry expires before this tick: upsert lowers it, and
+        # expire_stale sets it to the exact first expiry
+        self.earliest_expiry: float = math.inf
 
     def upsert(self, profile: CellProfile, now: int) -> CatalogueEntry:
         if profile.cell_id == self.owner_id:
@@ -123,14 +129,25 @@ class Catalogue:
             trusted=_derive_trust(profile, self.trust_policy),
         )
         self.entries[profile.cell_id] = entry
+        expiry = now + profile.ttl_ticks + 1
+        if expiry < self.earliest_expiry:
+            self.earliest_expiry = expiry
         return entry
 
     def expire_stale(self, now: int) -> list[str]:
-        """Drop entries whose TTL has lapsed; returns their ids sorted."""
-        stale = sorted(
-            cid for cid, e in self.entries.items()
-            if e.last_seen_tick + e.profile.ttl_ticks < now
-        )
+        """Drop entries whose TTL has lapsed; returns their ids sorted.
+        One pass, which also sets the expiry bound to the exact first
+        expiry of the entries left."""
+        stale = []
+        first = math.inf
+        for cid, entry in self.entries.items():
+            expiry = entry.last_seen_tick + entry.profile.ttl_ticks + 1
+            if expiry <= now:
+                stale.append(cid)
+            elif expiry < first:
+                first = expiry
+        self.earliest_expiry = first
+        stale.sort()
         for cid in stale:
             del self.entries[cid]
         return stale

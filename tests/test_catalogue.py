@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from smsc.catalogue import Catalogue, CellProfile
 from smsc.errors import PolicyError, SelfRegistration, TrustedQueryWithoutContext
@@ -51,6 +54,36 @@ def test_ttl_is_strict():
     assert cat.get("a") is not None
     assert cat.expire_stale(16) == ["a"]       # 10 + 5 < 16
     assert cat.get("a") is None
+
+
+# (peer, ttl, ticks since the last step): upsert; (None, _, gap): expire_stale
+CATALOGUE_STEPS = st.lists(st.tuples(
+    st.one_of(st.none(), st.sampled_from("abcd")),
+    st.integers(1, 6),
+    st.integers(0, 4),
+), max_size=30)
+
+
+@given(CATALOGUE_STEPS)
+def test_expire_stale_matches_a_full_scan(steps):
+    """``expire_stale`` drops exactly the entries a full scan finds lapsed
+    and leaves the expiry bound at the exact first expiry, and the bound
+    never passes an entry's expiry."""
+    cat = Catalogue("me")
+    now = 0
+    for peer, ttl, gap in steps:
+        now += gap
+        if peer is not None:
+            cat.upsert(profile(peer, tick=now, ttl=ttl), now)
+        else:
+            lapsed = sorted(cid for cid, e in cat.entries.items()
+                            if e.last_seen_tick + e.profile.ttl_ticks < now)
+            assert cat.expire_stale(now) == lapsed
+            expiries = [e.last_seen_tick + e.profile.ttl_ticks + 1
+                        for e in cat.entries.values()]
+            assert cat.earliest_expiry == min(expiries, default=math.inf)
+        for e in cat.entries.values():
+            assert cat.earliest_expiry <= e.last_seen_tick + e.profile.ttl_ticks + 1
 
 
 def test_fresh_advert_readmits_after_eviction():
