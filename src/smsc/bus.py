@@ -29,6 +29,9 @@ class MessageBus:
         self._next_seq += 1
         return len(self._queue)
 
+    def __len__(self) -> int:
+        return len(self._queue)
+
     def drain(self) -> list[Envelope]:
         """Return and clear the queued envelopes, bus_seq order."""
         queue = self._queue

@@ -13,8 +13,9 @@ The observer is the cell's one recording channel: every fact the cell
 records goes to it as a ``(kind, detail)`` pair, and the simulator
 writes each pair to the event log.  Decisions and applied updates are
 also queued on the bus; its one consumer, the audit service, drains it
-into one ``bus`` record per envelope once per tick, in ``on_tick``, or
-at once when the queue reaches ``AUDIT_QUEUE_CAP``.
+into one ``bus`` record per envelope in ``on_tick`` (a cell whose bus
+holds envelopes is due on that tick), or at once when the queue reaches
+``AUDIT_QUEUE_CAP``.
 """
 
 from __future__ import annotations
@@ -409,7 +410,11 @@ class Cell:
 
     def on_tick(self, now: int) -> None:
         """Periodic work: record the tick's bus envelopes, expire stale
-        peers, then advertise and send a digest when they are due."""
+        peers, then advertise and send a digest when they are due.
+
+        It may be called every tick.  On a tick before ``due_tick`` it
+        records and sends nothing, which is why the simulator calls it
+        only for due cells."""
         self.record_bus()
         for cell_id in self.catalogue.expire_stale(now):
             self._observer("peer-expired", {"peer": cell_id})
@@ -417,6 +422,16 @@ class Cell:
             self.advertise_now(now)
         if now % self.anti_entropy_interval == 0:
             self._send_digest()
+
+    def due_tick(self, now: int) -> int:
+        """The first tick from ``now`` on whose ``on_tick`` may record or
+        send: ``now`` while the bus holds envelopes, else the next advert
+        or digest tick or the catalogue's expiry bound, if that is sooner."""
+        if len(self.bus):
+            return now
+        return max(now, min(now + -now % self.advertise_interval,
+                            now + -now % self.anti_entropy_interval,
+                            self.catalogue.earliest_expiry))
 
     def advertise_now(self, now: int) -> None:
         advert = self.discovery.make_advertisement(now)

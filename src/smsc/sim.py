@@ -1,12 +1,13 @@
 """Deterministic discrete-event simulation of a cell federation.
 
 Time is a logical tick counter.  Within one tick the order of work is
-fixed: scripted actions, then network deliveries, then each cell's
-periodic tick, then dispatch of everything the cells produced, then any
-assertions scheduled for that tick.  All iteration is over sorted ids
-and monotonic sequence numbers, and every random draw comes from a
-per-link counter-free generator seeded from the scenario seed, so two
-runs of the same scenario produce byte-identical event logs.
+fixed: scripted actions, then network deliveries, then the periodic
+tick of each cell that is due, in id order, then dispatch of everything
+the cells produced, then any assertions scheduled for that tick.  All
+iteration is over sorted ids and monotonic sequence numbers, and every
+random draw comes from a per-link counter-free generator seeded from the
+scenario seed, so two runs of the same scenario produce byte-identical
+event logs.
 
 Message loss: every envelope due for delivery consumes exactly one draw
 from its link's stream, whether or not a partition already doomed it.
@@ -14,7 +15,7 @@ Loss decisions therefore do not depend on partition timing, which keeps
 fault-injection experiments comparable across configurations.
 
 The per-tick structures are built once, in ``Simulator.__init__``, and
-rely on three invariants:
+rely on four invariants:
 
 * Links never change after construction, so the neighbour lists and
   the ``(src, dst)`` to link-key map stay valid for the whole run.
@@ -22,6 +23,12 @@ rely on three invariants:
   in ``net_seq`` order, because ``net_seq`` is assigned in append order.
   Loss draws are therefore taken in ``net_seq`` order without a sort.
 * Surviving envelopes are delivered in ``(dst, net_seq)`` order.
+* Each cell sits in exactly one bucket of the wake schedule, at a tick
+  no later than its ``Cell.due_tick``.  Before that tick its ``on_tick``
+  would record and send nothing, so skipping it leaves the log as it
+  is, and waking early is harmless.  Only the cell's own state moves its
+  due tick, so after a delivery or script action only that cell is
+  checked again, and after its ``on_tick`` it is scheduled anew.
 """
 
 from __future__ import annotations
@@ -472,6 +479,12 @@ class Simulator:
                 observer=self._make_observer(cs.cell_id),
             )
         self._cell_order = sorted(self.cells)
+        self._ordered = [self.cells[cell_id] for cell_id in self._cell_order]
+        self._index = {cell_id: i for i, cell_id in enumerate(self._cell_order)}
+        # the wake schedule: tick -> indexes into _cell_order of the cells
+        # due then, and each cell's scheduled tick; every cell is due at 0
+        self._wake: dict[int, set[int]] = {0: set(range(len(self._ordered)))}
+        self._wake_tick = [0] * len(self._ordered)
         self.links: dict[frozenset[str], LinkSpec] = {}
         self._link_keys: dict[tuple[str, str], frozenset[str]] = {}
         self._adjacency: dict[str, list[str]] = {}
@@ -545,6 +558,29 @@ class Simulator:
     def _run_script(self, tick: int) -> None:
         for action in self._script_by_tick.get(tick, []):
             self._apply_action(action, tick)
+            for key in ("cell", "from", "to"):
+                if key in action.params:
+                    self._recheck(action.params[key], tick)
+
+    def _schedule(self, index: int, tick: int) -> None:
+        self._wake_tick[index] = tick
+        self._wake.setdefault(tick, set()).add(index)
+
+    def _recheck(self, cell_id: str, tick: int) -> None:
+        """Move the cell's wake earlier when its state made it due sooner."""
+        index = self._index[cell_id]
+        due = self._ordered[index].due_tick(tick)
+        scheduled = self._wake_tick[index]
+        if due < scheduled:
+            self._wake[scheduled].discard(index)
+            self._schedule(index, due)
+
+    def _tick_due_cells(self, tick: int) -> None:
+        cells = self._ordered
+        for index in sorted(self._wake.pop(tick, ())):
+            cell = cells[index]
+            cell.on_tick(tick)
+            self._schedule(index, cell.due_tick(tick + 1))
 
     def _apply_action(self, action: ScriptAction, tick: int) -> None:
         p = action.params
@@ -603,10 +639,15 @@ class Simulator:
             self.cells[envelope.dst].handle_envelope(
                 envelope.kind, envelope.src, envelope.body, tick
             )
+        for dst in {envelope.dst for envelope in survivors}:
+            self._recheck(dst, tick)
 
     def _dispatch_outboxes(self, tick: int) -> None:
-        for cell_id in self._cell_order:
-            for message in self.cells[cell_id].take_outbox():
+        for cell in self._ordered:
+            if not cell.outbox:
+                continue
+            cell_id = cell.cell_id
+            for message in cell.take_outbox():
                 if message.dst == "*":
                     for neighbor in self._neighbors(cell_id):
                         self._enqueue(message.kind, cell_id, neighbor,
@@ -679,8 +720,7 @@ class Simulator:
         self._run_script(tick)
         if tick > 0:
             self._deliver_due(tick)
-        for cell_id in self._cell_order:
-            self.cells[cell_id].on_tick(tick)
+        self._tick_due_cells(tick)
         self._dispatch_outboxes(tick)
         self._run_assertions(tick)
 

@@ -8,6 +8,7 @@ iteration.  Slow is fine; these only run in tests.
 from itertools import product
 
 from smsc.policy import AttributePair, DecisionRequest, Effect
+from smsc.sim import Simulator
 
 
 # --- rule matching and evaluation ----------------------------------------
@@ -187,3 +188,15 @@ def naive_digest_reply(packages, marks):
         if package.seq > marks.get(package.origin, -1):
             out.append(package.to_wire())
     return out
+
+
+# --- simulator stepping ---------------------------------------------------
+
+
+class NaiveStepping(Simulator):
+    """A simulator that calls ``on_tick`` on every cell on every tick, in
+    id order, instead of only on the cells its wake schedule says are due."""
+
+    def _tick_due_cells(self, tick):
+        for cell_id in sorted(self.cells):
+            self.cells[cell_id].on_tick(tick)

@@ -26,7 +26,7 @@ from smsc.sim import (
     token_from_spec,
 )
 
-from .oracles import naive_neighbors
+from .oracles import NaiveStepping, naive_neighbors
 
 PERMIT_ANY = {
     "rules": [{
@@ -561,6 +561,95 @@ def test_deliveries_in_dst_then_net_seq_order(links, latencies, drop):
         assert order == sorted(order)
 
 
+@st.composite
+def small_scenarios(draw):
+    """Random small federations: lossy links of mixed latency, partitions
+    from the topology and the script, short TTLs, mixed intervals, and
+    register, send-op, emit-update and advertise actions."""
+    ids = [f"c{i}" for i in range(draw(st.integers(2, 5)))]
+    max_ticks = draw(st.integers(4, 24))
+    cells = []
+    for cid in ids:
+        cell = cell_wire(cid, contexts=draw(st.sampled_from(
+            [["work"], ["work", "home"], ["home", "work"]])))
+        cell["profile"]["ttlTicks"] = draw(st.integers(1, 5))
+        cell["intervals"] = {"advertise": draw(st.integers(1, 8)),
+                             "antiEntropy": draw(st.integers(1, 8))}
+        cells.append(cell)
+    links = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if draw(st.booleans()):
+                links.append({"a": a, "b": b, "latency": draw(st.integers(1, 3)),
+                              "drop": draw(st.sampled_from([0.0, 0.3, 0.7]))})
+    topology = {"links": links}
+    if draw(st.booleans()):
+        cut = draw(st.integers(1, len(ids) - 1))
+        topology["partitions"] = [{"a": ids[:cut], "b": ids[cut:],
+                                   "from": draw(st.integers(0, max_ticks)),
+                                   "to": draw(st.integers(0, max_ticks + 2))}]
+    two = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
+    actions = []
+    for n, op in enumerate(draw(st.lists(st.sampled_from(
+            ["register", "send-op", "send-op-from", "emit-update", "advertise",
+             "partition", "heal"]), max_size=8))):
+        tick = draw(st.integers(0, max_ticks))
+        src, dst = draw(two)
+        if op == "register":
+            action = {"op": op, "cell": src, "with": dst,
+                      "wantReply": draw(st.booleans())}
+        elif op.startswith("send-op"):
+            action = send_op(tick, dst, src=src if op == "send-op-from" else None)
+        elif op == "emit-update":
+            action = emit_update("BlocklistAdd", f"spam{n}", cell=src)
+        elif op == "advertise":
+            action = {"op": op, "cell": src}
+        elif op == "partition":
+            action = {"op": op, "a": [src], "b": [dst]}
+        else:
+            action = {"op": op}
+        actions.append({**action, "tick": tick})
+    actions.sort(key=lambda action: action["tick"])
+    return scenario_wire(cells=cells, topology=topology, script=actions,
+                         maxTicks=max_ticks, seed=draw(st.integers(0, 99)))
+
+
+@given(small_scenarios())
+def test_wake_schedule_matches_ticking_every_cell(wire):
+    """Calling ``on_tick`` only on due cells writes the same log, byte for
+    byte, as calling it on every cell on every tick."""
+    spec = parse_scenario(wire)
+    logs = []
+    for simulator in (Simulator, NaiveStepping):
+        log = EventLog()
+        simulator(spec, log).run()
+        logs.append(log.lines)
+    assert logs[0] == logs[1]
+
+
+def test_new_peer_expiry_before_the_next_scheduled_wake():
+    """A peer learned between wakes moves the receiver's next wake forward
+    to the peer's expiry, and the receiver wakes at no other tick."""
+    cells = [cell_wire("c0", intervals={"advertise": 20, "antiEntropy": 20}),
+             cell_wire("c1", intervals={"advertise": 20, "antiEntropy": 20})]
+    cells[1]["profile"]["ttlTicks"] = 2
+    wire = scenario_wire(cells=cells, maxTicks=12,
+                         script=[{"tick": 5, "op": "advertise", "cell": "c1"}])
+    sim = Simulator(parse_scenario(wire))
+    woken = []
+    receiver = sim.cells["c0"]
+    on_tick = receiver.on_tick
+    receiver.on_tick = lambda now: (woken.append(now), on_tick(now))
+    sim.run()
+    # c1's adverts land at 1 and 6 and lapse after 1 + 2 and 6 + 2
+    assert woken == [0, 4, 9]
+    expired = [(r["tick"], r["cell"], r["detail"]) for r in records_of(sim, "peer-expired")]
+    assert expired == [(4, "c0", {"peer": "c1"}), (9, "c0", {"peer": "c1"})]
+    naive = EventLog()
+    NaiveStepping(parse_scenario(wire), naive).run()
+    assert sim.log.lines == naive.lines
+
+
 def test_hostile_updates_do_not_stop_the_run():
     wire = scenario_wire(assertions=[
         {"id": "untouched", "check": "store-version", "cell": "c1",
@@ -572,17 +661,17 @@ def test_hostile_updates_do_not_stop_the_run():
     forged["sig"] = "0" * 64
     kindless = make_update("c0", 0, UpdateKind.BLOCKLIST_ADD, "h", {"work"}, 0).to_wire()
     del kindless["kind"]
-    on_tick = sender.on_tick
+    dispatch = sim._dispatch_outboxes
 
-    def hostile_tick(now):
-        on_tick(now)
-        if now == 3:
+    def hostile_dispatch(tick):
+        if tick == 3:
             sender.outbox.append(OutboundMessage("update", "c1", forged))
             sender.outbox.append(OutboundMessage(
                 "digest-reply", "c1", {"packages": [kindless]}
             ))
+        dispatch(tick)
 
-    sender.on_tick = hostile_tick
+    sim._dispatch_outboxes = hostile_dispatch
     report = sim.run()
     assert report["passed"], report["assertions"]
     assert report["finalTick"] == 6
@@ -608,14 +697,14 @@ def test_unreadable_envelope_is_rejected_not_raised(kind, body):
     ])
     sim = Simulator(parse_scenario(wire))
     sender = sim.cells["c0"]
-    on_tick = sender.on_tick
+    dispatch = sim._dispatch_outboxes
 
-    def hostile_tick(now):
-        on_tick(now)
-        if now == 3:
+    def hostile_dispatch(tick):
+        if tick == 3:
             sender.outbox.append(OutboundMessage(kind, "c1", body))
+        dispatch(tick)
 
-    sender.on_tick = hostile_tick
+    sim._dispatch_outboxes = hostile_dispatch
     report = sim.run()
     assert report["passed"], report["assertions"]
     assert report["finalTick"] == 6
