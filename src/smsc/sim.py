@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Iterable, Mapping, Optional, TextIO
 
 from .cell import EXTERNAL_CALLER, Cell
@@ -435,13 +436,29 @@ class EventLog:
     def records(self) -> list[dict[str, Any]]:
         return [json.loads(line) for line in self.lines]
 
-    def record(self, tick: int, cell: str, kind: str, detail: Mapping[str, Any]) -> None:
-        entry = {"tick": tick, "cell": cell, "kind": kind, "detail": dict(detail)}
-        line = canonical_json(entry)
+    def _write(self, line: str) -> None:
         if self._sink is None:
             self.lines.append(line)
         else:
             self._sink.write(line + "\n")
+
+    def record(self, tick: int, cell: str, kind: str, detail: Mapping[str, Any]) -> None:
+        entry = {"tick": tick, "cell": cell, "kind": kind, "detail": dict(detail)}
+        self._write(canonical_json(entry))
+
+    def record_envelope(
+        self, tick: int, kind: str, dst: str, envelope_kind: str, src: str,
+        net_seq: int, reason: Optional[str] = None,
+    ) -> None:
+        """A ``deliver`` or ``drop`` record at the receiver, the same line
+        ``record`` writes, built without the encoder: its keys in sorted
+        order, each string quoted as ``canonical_json`` quotes it."""
+        cause = "" if reason is None else f',"reason":{_quote(reason)}'
+        self._write(
+            f'{{"cell":{_quote(dst)},"detail":{{"kind":{_quote(envelope_kind)},'
+            f'"netSeq":{net_seq}{cause},"src":{_quote(src)}}},'
+            f'"kind":{_quote(kind)},"tick":{tick}}}'
+        )
 
 
 # --- the simulator --------------------------------------------------------
@@ -614,6 +631,7 @@ class Simulator:
             self.inject_heal()
 
     def _deliver_due(self, tick: int) -> None:
+        record = self.log.record_envelope
         survivors: list[SimEnvelope] = []
         for envelope in self._in_flight.pop(tick, ()):
             key = self._link_keys[envelope.src, envelope.dst]
@@ -625,17 +643,13 @@ class Simulator:
             else:
                 survivors.append(envelope)
                 continue
-            self.log.record(tick, envelope.dst, "drop", {
-                "kind": envelope.kind, "src": envelope.src,
-                "netSeq": envelope.net_seq, "reason": reason,
-            })
+            record(tick, "drop", envelope.dst, envelope.kind, envelope.src,
+                   envelope.net_seq, reason)
         # survivors are in net_seq order; the stable sort keeps it per dst
         survivors.sort(key=lambda e: e.dst)
         for envelope in survivors:
-            self.log.record(tick, envelope.dst, "deliver", {
-                "kind": envelope.kind, "src": envelope.src,
-                "netSeq": envelope.net_seq,
-            })
+            record(tick, "deliver", envelope.dst, envelope.kind, envelope.src,
+                   envelope.net_seq)
             self.cells[envelope.dst].handle_envelope(
                 envelope.kind, envelope.src, envelope.body, tick
             )

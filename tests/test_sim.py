@@ -15,6 +15,7 @@ from smsc.errors import (
     UnknownCellRef,
 )
 from smsc.governance import UpdateKind, make_update
+from smsc.policy import canonical_json
 from smsc.prng import stream_for_link
 from smsc.sim import (
     EventLog,
@@ -825,6 +826,33 @@ def test_event_log_sink_matches_memory():
     assert sink.getvalue() == "".join(line + "\n" for line in kept.lines)
     for record in kept.records:
         assert set(record) == {"tick", "cell", "kind", "detail"}
+
+
+# text that often holds the characters JSON escapes
+_WIRE_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'), st.characters()
+))
+
+
+@given(
+    st.sampled_from(["deliver", "drop"]),
+    _WIRE_TEXT, _WIRE_TEXT, _WIRE_TEXT,
+    st.integers(min_value=0), st.integers(min_value=0),
+    st.one_of(st.none(), st.sampled_from(["partition", "loss"]), _WIRE_TEXT),
+)
+def test_envelope_line_equals_the_canonical_record(kind, dst, envelope_kind, src,
+                                                   net_seq, tick, reason):
+    """A ``deliver``/``drop`` line written without the encoder is the line
+    ``canonical_json`` gives for the same record, for any cell id, kind
+    and reason (quotes, backslashes, control and non-ASCII characters)."""
+    log = EventLog()
+    log.record_envelope(tick, kind, dst, envelope_kind, src, net_seq, reason)
+    detail = {"kind": envelope_kind, "src": src, "netSeq": net_seq}
+    if reason is not None:
+        detail["reason"] = reason
+    assert log.lines == [canonical_json(
+        {"tick": tick, "cell": dst, "kind": kind, "detail": detail}
+    )]
 
 
 def test_identical_runs_identical_logs():
