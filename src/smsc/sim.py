@@ -447,16 +447,15 @@ class EventLog:
         self._write(canonical_json(entry))
 
     def record_envelope(
-        self, tick: int, kind: str, dst: str, envelope_kind: str, src: str,
-        net_seq: int, reason: Optional[str] = None,
+        self, tick: int, kind: str, envelope: SimEnvelope, reason: Optional[str] = None
     ) -> None:
-        """A ``deliver`` or ``drop`` record at the receiver, the same line
-        ``record`` writes, built without the encoder: its keys in sorted
-        order, each string quoted as ``canonical_json`` quotes it."""
+        """The ``deliver`` or ``drop`` record of an envelope at its receiver,
+        the line ``record`` would write, built without the encoder: keys in
+        sorted order, each string quoted as ``canonical_json`` quotes it."""
         cause = "" if reason is None else f',"reason":{_quote(reason)}'
         self._write(
-            f'{{"cell":{_quote(dst)},"detail":{{"kind":{_quote(envelope_kind)},'
-            f'"netSeq":{net_seq}{cause},"src":{_quote(src)}}},'
+            f'{{"cell":{_quote(envelope.dst)},"detail":{{"kind":{_quote(envelope.kind)},'
+            f'"netSeq":{envelope.net_seq}{cause},"src":{_quote(envelope.src)}}},'
             f'"kind":{_quote(kind)},"tick":{tick}}}'
         )
 
@@ -496,12 +495,10 @@ class Simulator:
                 observer=self._make_observer(cs.cell_id),
             )
         self._cell_order = sorted(self.cells)
-        self._ordered = [self.cells[cell_id] for cell_id in self._cell_order]
-        self._index = {cell_id: i for i, cell_id in enumerate(self._cell_order)}
-        # the wake schedule: tick -> indexes into _cell_order of the cells
-        # due then, and each cell's scheduled tick; every cell is due at 0
-        self._wake: dict[int, set[int]] = {0: set(range(len(self._ordered)))}
-        self._wake_tick = [0] * len(self._ordered)
+        # the wake schedule: tick -> ids of the cells due then, and each
+        # cell's scheduled tick; every cell is due at 0
+        self._wake: dict[int, set[str]] = {0: set(self.cells)}
+        self._wake_tick = dict.fromkeys(self.cells, 0)
         self.links: dict[frozenset[str], LinkSpec] = {}
         self._link_keys: dict[tuple[str, str], frozenset[str]] = {}
         self._adjacency: dict[str, list[str]] = {}
@@ -579,25 +576,23 @@ class Simulator:
                 if key in action.params:
                     self._recheck(action.params[key], tick)
 
-    def _schedule(self, index: int, tick: int) -> None:
-        self._wake_tick[index] = tick
-        self._wake.setdefault(tick, set()).add(index)
+    def _schedule(self, cell_id: str, tick: int) -> None:
+        self._wake_tick[cell_id] = tick
+        self._wake.setdefault(tick, set()).add(cell_id)
 
     def _recheck(self, cell_id: str, tick: int) -> None:
         """Move the cell's wake earlier when its state made it due sooner."""
-        index = self._index[cell_id]
-        due = self._ordered[index].due_tick(tick)
-        scheduled = self._wake_tick[index]
+        due = self.cells[cell_id].due_tick(tick)
+        scheduled = self._wake_tick[cell_id]
         if due < scheduled:
-            self._wake[scheduled].discard(index)
-            self._schedule(index, due)
+            self._wake[scheduled].discard(cell_id)
+            self._schedule(cell_id, due)
 
     def _tick_due_cells(self, tick: int) -> None:
-        cells = self._ordered
-        for index in sorted(self._wake.pop(tick, ())):
-            cell = cells[index]
+        for cell_id in sorted(self._wake.pop(tick, ())):
+            cell = self.cells[cell_id]
             cell.on_tick(tick)
-            self._schedule(index, cell.due_tick(tick + 1))
+            self._schedule(cell_id, cell.due_tick(tick + 1))
 
     def _apply_action(self, action: ScriptAction, tick: int) -> None:
         p = action.params
@@ -643,13 +638,11 @@ class Simulator:
             else:
                 survivors.append(envelope)
                 continue
-            record(tick, "drop", envelope.dst, envelope.kind, envelope.src,
-                   envelope.net_seq, reason)
+            record(tick, "drop", envelope, reason)
         # survivors are in net_seq order; the stable sort keeps it per dst
         survivors.sort(key=lambda e: e.dst)
         for envelope in survivors:
-            record(tick, "deliver", envelope.dst, envelope.kind, envelope.src,
-                   envelope.net_seq)
+            record(tick, "deliver", envelope)
             self.cells[envelope.dst].handle_envelope(
                 envelope.kind, envelope.src, envelope.body, tick
             )
@@ -657,10 +650,10 @@ class Simulator:
             self._recheck(dst, tick)
 
     def _dispatch_outboxes(self, tick: int) -> None:
-        for cell in self._ordered:
+        for cell_id in self._cell_order:
+            cell = self.cells[cell_id]
             if not cell.outbox:
                 continue
-            cell_id = cell.cell_id
             for message in cell.take_outbox():
                 if message.dst == "*":
                     for neighbor in self._neighbors(cell_id):

@@ -20,6 +20,7 @@ from smsc.prng import stream_for_link
 from smsc.sim import (
     EventLog,
     PartitionWindow,
+    SimEnvelope,
     Simulator,
     load_scenario,
     parse_scenario,
@@ -846,7 +847,7 @@ def test_envelope_line_equals_the_canonical_record(kind, dst, envelope_kind, src
     ``canonical_json`` gives for the same record, for any cell id, kind
     and reason (quotes, backslashes, control and non-ASCII characters)."""
     log = EventLog()
-    log.record_envelope(tick, kind, dst, envelope_kind, src, net_seq, reason)
+    log.record_envelope(tick, kind, SimEnvelope(envelope_kind, src, dst, net_seq, {}), reason)
     detail = {"kind": envelope_kind, "src": src, "netSeq": net_seq}
     if reason is not None:
         detail["reason"] = reason
