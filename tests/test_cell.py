@@ -735,7 +735,7 @@ def test_profile_field_of_another_type_is_rejected(kind, name):
     the catalogue ids) raises nothing."""
     events = []
     cell = make_cell(trust={"work": []},
-                     observer=lambda kind, detail: events.append((kind, detail)))
+                     observer=lambda record, detail: events.append((record, detail)))
     cell.catalogue.upsert(peer_profile("p1"), 0)
     field, value = BAD_PROFILE_FIELDS[name]
     profile = {**peer_profile("p2").to_wire(), field: value}

@@ -630,7 +630,7 @@ def test_wake_schedule_matches_ticking_every_cell(wire):
 
 
 def test_new_peer_expiry_before_the_next_scheduled_wake():
-    """A peer learned between wakes moves the receiver's next wake forward
+    """A peer learned between wakes moves the receiver's next wake earlier,
     to the peer's expiry, and the receiver wakes at no other tick."""
     cells = [cell_wire("c0", intervals={"advertise": 20, "antiEntropy": 20}),
              cell_wire("c1", intervals={"advertise": 20, "antiEntropy": 20})]
