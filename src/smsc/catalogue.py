@@ -23,6 +23,8 @@ from .errors import PolicyError, SelfRegistration, TrustedQueryWithoutContext
 
 TrustPolicy = Mapping[str, Iterable[str]]
 
+_STR = frozenset({str})
+
 
 @dataclass(frozen=True)
 class CellProfile:
@@ -64,8 +66,7 @@ class CellProfile:
         if not (type(cell_id) is type(endpoint) is type(kind) is str
                 and type(tick) is type(ttl) is int
                 and type(contexts) is type(capabilities) is list
-                and all(type(c) is str for c in contexts)
-                and all(type(c) is str for c in capabilities)):
+                and _STR.issuperset(map(type, contexts + capabilities))):
             raise PolicyError(f"profile {cell_id!r}: a field has the wrong type")
         return cls(cell_id, endpoint, frozenset(contexts), frozenset(capabilities),
                    kind, tick, ttl)
