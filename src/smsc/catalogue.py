@@ -23,7 +23,7 @@ from .errors import PolicyError, SelfRegistration, TrustedQueryWithoutContext
 
 TrustPolicy = Mapping[str, Iterable[str]]
 
-_STR = frozenset({str})
+_STR = frozenset({str})  # the one type the items of a profile list have
 
 
 @dataclass(frozen=True)
