@@ -393,8 +393,9 @@ class Cell:
         targets.discard(package.origin)
         if via is not None:
             targets.discard(via)
+        wire = package.to_wire()
         for target in sorted(targets):
-            self._send("update", target, package.to_wire())
+            self._send("update", target, wire)
 
     # --- periodic work ----------------------------------------------------
 

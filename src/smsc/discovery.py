@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Any, Mapping, Optional
 
 from .catalogue import Catalogue, CellProfile
-from .errors import SelfRegistration
+from .errors import PolicyError, SelfRegistration
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,10 @@ class Advertisement:
 
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "Advertisement":
-        return cls(profile=CellProfile.from_wire(data["profile"]), nonce=data["nonce"])
+        nonce = data["nonce"]
+        if type(nonce) is not int:
+            raise PolicyError(f"advert nonce {nonce!r} is not an integer")
+        return cls(profile=CellProfile.from_wire(data["profile"]), nonce=nonce)
 
 
 @dataclass(frozen=True)
@@ -39,10 +42,10 @@ class RegistrationRequest:
 
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "RegistrationRequest":
-        return cls(
-            profile=CellProfile.from_wire(data["profile"]),
-            want_reply=bool(data["wantReply"]),
-        )
+        want_reply = data["wantReply"]
+        if type(want_reply) is not bool:
+            raise PolicyError(f"wantReply {want_reply!r} is not a boolean")
+        return cls(profile=CellProfile.from_wire(data["profile"]), want_reply=want_reply)
 
 
 class AdvertOutcome(str, Enum):

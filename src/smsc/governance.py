@@ -3,7 +3,10 @@
 Cells change their security configuration only through signed
 ``UpdatePackage`` objects, sequence-numbered per origin.  The store
 applies them exactly once and in order: stale sequence numbers are
-duplicates, gaps are buffered until the missing package arrives.  The
+duplicates, gaps are buffered until the missing package arrives.  A
+package is verified once: an exact copy of an archived package, signature
+and JSON form included, is a duplicate without a second signature check,
+and anything else, a forged copy included, is checked first.  The
 gap buffer holds at most ``PENDING_CAP`` packages per origin; when it
 overflows, the package furthest ahead is dropped and reported.
 
@@ -94,8 +97,12 @@ class UpdatePackage:
 
     def __post_init__(self) -> None:
         # a fractional seq would sit in the gap buffer for good
-        if isinstance(self.seq, bool) or not isinstance(self.seq, int):
+        if type(self.seq) is not int:
             raise MalformedUpdate(f"seq {self.seq!r} from {self.origin!r} is not an integer")
+        # a float or bool tick equals an int that it does not sign like
+        if type(self.issued_tick) is not int:
+            raise MalformedUpdate(
+                f"issued tick {self.issued_tick!r} from {self.origin!r} is not an integer")
         if self.seq < 0:
             raise MalformedUpdate(f"negative seq {self.seq} from {self.origin!r}")
         if not self.contexts:
@@ -123,6 +130,15 @@ class UpdatePackage:
         wire = self.body()
         wire["sig"] = self.signature
         return wire
+
+    def identical(self, other: "UpdatePackage") -> bool:
+        """Whether ``other`` is this package down to its JSON form, so that
+        it carries the same valid signature.  Field equality is not enough
+        for a config value: ``1``, ``1.0`` and ``true`` are equal in Python
+        but encode, and so sign, apart."""
+        return self == other and (self.kind is not UpdateKind.CONFIG_SET or (
+            canonical_json(_payload_to_wire(self.payload))
+            == canonical_json(_payload_to_wire(other.payload))))
 
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "UpdatePackage":
@@ -331,9 +347,16 @@ class PolicyStore:
     # ingestion
 
     def apply_update(self, package: UpdatePackage) -> ApplyReport:
+        """Verify and apply one package.  An exact copy of the archived
+        package at its seq is a duplicate at once, since that one was
+        verified when it was consumed; any other package must carry a
+        valid signature, or ``BadSignature`` is raised."""
+        archived = self.archive.get(package.origin, ())
+        expected = len(archived)
+        if package.seq < expected and package.identical(archived[package.seq]):
+            return ApplyReport(ApplyStatus.DUPLICATE)
         if package.signature != sign_payload(package.origin, package.body()):
             raise BadSignature(f"bad signature on {package.origin}/{package.seq}")
-        expected = len(self.archive.get(package.origin, ()))
         if package.seq < expected:
             return ApplyReport(ApplyStatus.DUPLICATE)
         if package.seq > expected:

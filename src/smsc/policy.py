@@ -92,7 +92,12 @@ class Condition:
                 _check_token(value, "attribute value")
 
     @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Iterable[str]]) -> "Condition":
+    def from_mapping(cls, mapping: Mapping[str, list[str]]) -> "Condition":
+        """A condition from its wire form, each name mapped to a list of
+        values; any other collection, a string above all, is refused."""
+        for values in mapping.values():
+            if type(values) is not list:
+                raise PolicyError(f"condition values must be lists: {mapping!r}")
         atoms = tuple(sorted((name, frozenset(vals)) for name, vals in mapping.items()))
         return cls(atoms)
 
@@ -168,13 +173,16 @@ class PolicyRule:
 
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "PolicyRule":
+        contexts = data["contexts"]
+        if type(contexts) is not list:
+            raise PolicyError(f"rule contexts must be a list, got {contexts!r}")
         return cls(
             id=data["id"],
             effect=Effect(data["effect"]),
             subject=Condition.from_mapping(data.get("subject", {})),
             action=data["action"],
             resource=data["resource"],
-            contexts=frozenset(data["contexts"]),
+            contexts=frozenset(contexts),
         )
 
 
@@ -513,13 +521,16 @@ class PolicyDocument:
 
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "PolicyDocument":
+        issuers = data.get("trustedIssuers", [])
+        if type(issuers) is not list:
+            raise PolicyError(f"trustedIssuers must be a list, got {issuers!r}")
         return cls(
             rules=tuple(PolicyRule.from_wire(r) for r in data.get("rules", [])),
             delegations=tuple(
                 DelegationAssertion.from_wire(d) for d in data.get("delegations", [])
             ),
             roots=tuple(RootGrant.from_wire(g) for g in data.get("roots", [])),
-            trusted_issuers=frozenset(data.get("trustedIssuers", [])),
+            trusted_issuers=frozenset(issuers),
             regression=tuple(RegressionCase.from_wire(c) for c in data.get("regression", [])),
         )
 

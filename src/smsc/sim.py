@@ -165,7 +165,8 @@ _MISSING = object()
 # so that set-up builds none per cell
 _NO_POLICY = PolicyDocument()
 
-_KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+_KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object",
+               bool: "a boolean"}
 
 
 def _field(
@@ -320,7 +321,7 @@ def _parse_script(actions: list, known: set[str]) -> tuple[ScriptAction, ...]:
         # each field built into what the run executes
         params = {k: v for k, v in data.items() if k not in ("tick", "op")}
         if op == "register":
-            params["wantReply"] = data.get("wantReply", True)
+            params["wantReply"] = _field(data, "wantReply", where, bool, True)
         elif op == "partition":
             for ref in data["a"] + data["b"]:
                 _check_cell_ref(ref, known, where)

@@ -5,7 +5,7 @@ import pytest
 from smsc.catalogue import CellProfile
 from smsc.cell import AUDIT_QUEUE_CAP, PENDING_REQUEST_CAP, Cell
 from smsc.errors import UnknownCell
-from smsc.governance import ApplyStatus, UpdateKind, make_update
+from smsc.governance import ApplyStatus, ConfigSetting, UpdateKind, make_update
 from smsc.policy import (
     AttributePair,
     Condition,
@@ -591,6 +591,8 @@ def kindless_wire():
     (["not", "a", "package"], "TypeError"),
     (resigned_wire(seq=1.001), "MalformedUpdate"),
     (resigned_wire(seq=True), "MalformedUpdate"),
+    (resigned_wire(issuedTick=1.5), "MalformedUpdate"),
+    (resigned_wire(issuedTick=True), "MalformedUpdate"),
     (resigned_wire(kind="ConfigSet", payload={"key": ["k"], "value": 1}), "MalformedUpdate"),
 ])
 def test_hostile_package_from_trusted_peer_is_contained(wire, error):
@@ -604,6 +606,74 @@ def test_hostile_package_from_trusted_peer_is_contained(wire, error):
     assert cell.take_outbox() == []
     updates = [d for k, d in events if k == "update"]
     assert updates == [{"status": "invalid", "from": "p1", "error": error}]
+
+
+def config_wire(value):
+    return make_update("org", 0, UpdateKind.CONFIG_SET, ConfigSetting("mode", value),
+                       ("work",), 1).to_wire()
+
+
+def counted_signatures(monkeypatch):
+    """The keys that ``smsc.governance`` calls ``sign_payload`` with from now on."""
+    keys = []
+
+    def counting(key, payload):
+        keys.append(key)
+        return sign_payload(key, payload)
+
+    monkeypatch.setattr("smsc.governance.sign_payload", counting)
+    return keys
+
+
+# each a copy of the seq-0 package with one change and the original sig
+FORGED_DUPLICATES = {
+    "sig-zeroed": (signed_wire(), forged_wire(), "BadSignature"),
+    "payload-changed": (signed_wire(), {**signed_wire(), "payload": "other-host"},
+                        "BadSignature"),
+    "tick-float": (config_wire(1), {**config_wire(1), "issuedTick": 1.0}, "MalformedUpdate"),
+    "tick-bool": (config_wire(1), {**config_wire(1), "issuedTick": True}, "MalformedUpdate"),
+    "value-bool": (config_wire(1), {**config_wire(1), "payload": {"key": "mode", "value": True}},
+                   "BadSignature"),
+    "value-float": (config_wire(1), {**config_wire(1), "payload": {"key": "mode", "value": 1.0}},
+                    "BadSignature"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGED_DUPLICATES))
+def test_forged_duplicate_is_verified_and_logged_invalid(name, monkeypatch):
+    """A package at an archived seq that is not an exact copy of the
+    archived one, down to the JSON type of each number, is checked like
+    any new package, so a forged one is logged ``invalid``."""
+    original, copy, error = FORGED_DUPLICATES[name]
+    events = []
+    cell = make_cell(trust={"work": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
+    cell.catalogue.upsert(peer_profile("p1"), 0)
+    assert cell.ingest_security_update(original, "p1") is ApplyStatus.APPLIED
+    content = cell.store.content_digest()
+    signed = counted_signatures(monkeypatch)
+    assert cell.ingest_security_update(copy, "p1") is ApplyStatus.INVALID
+    assert events[-1] == ("update", {"status": "invalid", "from": "p1", "error": error})
+    assert cell.store.content_digest() == content and cell.store.version == 1
+    assert signed == ([] if error == "MalformedUpdate" else ["org"])
+
+
+@pytest.mark.parametrize("original", [signed_wire(), config_wire(1)], ids=["blocklist", "config"])
+def test_exact_duplicate_is_not_verified_again(original, monkeypatch):
+    """An exact copy of an applied package, from another peer, is a
+    duplicate without a second signature check."""
+    events = []
+    cell = make_cell(trust={"work": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
+    for peer in ("p1", "p2"):
+        cell.catalogue.upsert(peer_profile(peer), 0)
+    signed = counted_signatures(monkeypatch)
+    assert cell.ingest_security_update(original, "p1") is ApplyStatus.APPLIED
+    assert signed == ["org"]
+    assert cell.ingest_security_update(dict(original), "p2") is ApplyStatus.DUPLICATE
+    assert signed == ["org"]
+    assert events[-1] == ("update", {"origin": "org", "seq": 0, "status": "duplicate",
+                                     "from": "p2"})
 
 
 def test_digest_reply_ingests_the_packages_around_a_bad_one():
@@ -748,6 +818,27 @@ def test_profile_field_of_another_type_is_rejected(kind, name):
     for tick in (5, 100):
         cell.on_tick(tick)
     assert cell.catalogue.entries == {}
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("advert", "nonce", 0.5),
+    ("advert", "nonce", True),
+    ("advert", "nonce", "1"),
+    ("register", "wantReply", "no"),
+    ("register", "wantReply", 0),
+    ("register", "wantReply", None),
+])
+def test_nonce_or_want_reply_of_another_type_is_rejected(kind, field, value):
+    """A float nonce would become the sender's last nonce, and a
+    ``wantReply`` of ``"no"`` would read as yes; each is one
+    ``PolicyError`` reject that neither stores the peer nor replies."""
+    events = []
+    cell = make_cell(trust={"work": []},
+                     observer=lambda record, detail: events.append((record, detail)))
+    cell.handle_envelope(kind, "p2", {"profile": peer_profile("p2").to_wire(), field: value}, 1)
+    assert events == [("reject", {"kind": kind, "from": "p2", "error": "PolicyError"})]
+    assert cell.catalogue.get("p2") is None
+    assert cell.take_outbox() == []
 
 
 # --- request/response correlation -----------------------------------------

@@ -403,6 +403,25 @@ def test_policy_document_round_trip():
     assert again == doc
 
 
+RULE_WIRE = rule("r1", Effect.PERMIT, {"role": ["user"]}).to_wire()
+
+
+@pytest.mark.parametrize("parse", [
+    lambda: PolicyRule.from_wire({**RULE_WIRE, "contexts": "work"}),
+    lambda: PolicyRule.from_wire({**RULE_WIRE, "contexts": ("work",)}),
+    lambda: PolicyRule.from_wire({**RULE_WIRE, "subject": {"role": "user"}}),
+    lambda: Condition.from_mapping({"role": ["user"], "dept": "eng"}),
+    lambda: PolicyDocument.from_wire({"trustedIssuers": "idp"}),
+    lambda: PolicyDocument.from_wire({"rules": [{**RULE_WIRE, "contexts": "work"}]}),
+], ids=["rule-contexts", "rule-contexts-tuple", "rule-subject-values", "condition-values",
+        "trusted-issuers", "document-rule-contexts"])
+def test_a_string_where_a_list_is_expected_is_refused(parse):
+    """A string is never split into its characters: ``"work"`` would
+    otherwise read as the contexts w, o, r and k."""
+    with pytest.raises(PolicyError, match="list"):
+        parse()
+
+
 def test_policy_document_duplicate_ids():
     with pytest.raises(DuplicateRuleId):
         PolicyDocument(rules=(rule("r1", Effect.PERMIT, {}), rule("r1", Effect.DENY, {})))

@@ -117,6 +117,8 @@ BAD_SCRIPT_FIELDS = {
     "rule-id-not-a-token": (emit_update("RuleAdd", {**RULE, "id": "Bad Id"}), "'Bad Id'"),
     "config-without-key": (emit_update("ConfigSet", {"value": 1}), "'key'"),
     "config-key-list": (emit_update("ConfigSet", {"key": ["k"], "value": 1}), "config key"),
+    "want-reply-string": ({"tick": 1, "op": "register", "cell": "c0", "with": "c1",
+                           "wantReply": "no"}, "'wantReply'"),
 }
 
 # name -> (mangle, where, field): fields outside the script
