@@ -6,24 +6,38 @@ derived locally from a trust policy mapping each context to the
 capabilities a peer must advertise; a peer in a context the policy does
 not mention is untrusted there.
 
-Entries age out: one whose last-seen tick plus its advertised TTL is
-strictly below the current tick is expired.  A fresh advert re-admits
-the peer with no memory of the eviction.  The catalogue also keeps a
-lower bound on the first tick at which any entry expires, so that its
-owner knows when it next has to look.
+Trust is derived when an entry is made and again for every entry when
+the trust policy changes.  A fresh profile whose contexts and
+capabilities equal those of the entry it replaces keeps that entry's
+trust map, which the policy in force already derived; so a peer that
+re-advertises an unchanged profile costs no derivation.
+
+Entries age out: one whose last-seen tick plus its TTL is strictly
+below the current tick is expired.  The TTL is the one the peer
+advertised, capped at ``MAX_TTL_TICKS`` so that a peer cannot pin an
+entry for good; the stored profile, and anything that reports it, keeps
+the advertised value.  Each entry holds its expiry tick, computed once
+when it is made.  A fresh advert re-admits the peer with no memory of
+the eviction.  The catalogue also keeps a lower bound on the first tick
+at which any entry expires, so that its owner knows when it next has to
+look.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import PolicyError, SelfRegistration, TrustedQueryWithoutContext
 
 TrustPolicy = Mapping[str, Iterable[str]]
 
 _STR = frozenset({str})  # the one type the items of a profile list have
+
+# the longest a receiver keeps a peer it has not heard from again,
+# whatever TTL the peer advertised
+MAX_TTL_TICKS = 1000
 
 
 @dataclass(frozen=True)
@@ -72,11 +86,12 @@ class CellProfile:
                    kind, tick, ttl)
 
 
-@dataclass(frozen=True)
-class CatalogueEntry:
+class CatalogueEntry(NamedTuple):
     profile: CellProfile
     last_seen_tick: int
     trusted: Mapping[str, bool]
+    # the first tick at which the entry is stale
+    expires_at: int
 
     def trusted_in(self, context: str) -> bool:
         return bool(self.trusted.get(context, False))
@@ -110,15 +125,17 @@ class Catalogue:
         self.earliest_expiry: float = math.inf
 
     def upsert(self, profile: CellProfile, now: int) -> CatalogueEntry:
-        if profile.cell_id == self.owner_id:
+        cell_id = profile.cell_id
+        if cell_id == self.owner_id:
             raise SelfRegistration(f"{self.owner_id!r} cannot register itself")
-        entry = CatalogueEntry(
-            profile=profile,
-            last_seen_tick=now,
-            trusted=_derive_trust(profile, self.trust_policy),
-        )
-        self.entries[profile.cell_id] = entry
-        expiry = now + profile.ttl_ticks + 1
+        old = self.entries.get(cell_id)
+        if (old is not None and old.profile.contexts == profile.contexts
+                and old.profile.capabilities == profile.capabilities):
+            trusted = old.trusted
+        else:
+            trusted = _derive_trust(profile, self.trust_policy)
+        expiry = now + min(profile.ttl_ticks, MAX_TTL_TICKS) + 1
+        entry = self.entries[cell_id] = CatalogueEntry(profile, now, trusted, expiry)
         if expiry < self.earliest_expiry:
             self.earliest_expiry = expiry
         return entry
@@ -130,7 +147,7 @@ class Catalogue:
         stale = []
         first = math.inf
         for cid, entry in self.entries.items():
-            expiry = entry.last_seen_tick + entry.profile.ttl_ticks + 1
+            expiry = entry.expires_at
             if expiry <= now:
                 stale.append(cid)
             elif expiry < first:
@@ -174,6 +191,6 @@ class Catalogue:
         """Replace the trust policy and re-derive trust for every entry."""
         self.trust_policy = {c: sorted(caps) for c, caps in policy.items()}
         for cid, entry in self.entries.items():
-            self.entries[cid] = replace(
-                entry, trusted=_derive_trust(entry.profile, self.trust_policy)
+            self.entries[cid] = entry._replace(
+                trusted=_derive_trust(entry.profile, self.trust_policy)
             )

@@ -20,8 +20,7 @@ holds envelopes is due on that tick), or at once when the queue reaches
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .bus import MessageBus
 from .catalogue import Catalogue, CellProfile, TrustPolicy
@@ -84,8 +83,7 @@ _VERIFY_TAGS = {
 }
 
 
-@dataclass(frozen=True)
-class OutboundMessage:
+class OutboundMessage(NamedTuple):
     kind: str
     dst: str
     body: dict[str, Any]
@@ -372,14 +370,17 @@ class Cell:
     def _after_apply(
         self, report: ApplyReport, via: Optional[str], push: bool
     ) -> None:
+        """Record each consumed package; an applied one with the store
+        version it produced, counted back from the version after the call."""
+        version = self.store.version - sum(reason is None for _, reason in report.consumed)
         for package, reason in report.consumed:
             detail = {"origin": package.origin, "seq": package.seq,
                       "kind": package.kind.value}
             if reason is not None:
                 self._observer("update", {**detail, "status": "rejected", "detail": reason})
                 continue
-            self._observer("update", {**detail, "status": "applied",
-                                      "version": self.store.version})
+            version += 1
+            self._observer("update", {**detail, "status": "applied", "version": version})
             self._publish("policy.updated", "governance")
             if push:
                 self._forward(package, via)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, NamedTuple, Optional
 
 from .catalogue import Catalogue, CellProfile
 from .errors import PolicyError, SelfRegistration
 
 
-@dataclass(frozen=True)
-class Advertisement:
+class Advertisement(NamedTuple):
     profile: CellProfile
     nonce: int
 
@@ -29,7 +28,7 @@ class Advertisement:
         nonce = data["nonce"]
         if type(nonce) is not int:
             raise PolicyError(f"advert nonce {nonce!r} is not an integer")
-        return cls(profile=CellProfile.from_wire(data["profile"]), nonce=nonce)
+        return cls(CellProfile.from_wire(data["profile"]), nonce)
 
 
 @dataclass(frozen=True)

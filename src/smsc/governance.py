@@ -40,6 +40,7 @@ from .policy import (
     canonical_json,
     evaluate_request,
     group_attrs,
+    is_str_list,
     rule_matches,
     sign_payload,
 )
@@ -143,12 +144,18 @@ class UpdatePackage:
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "UpdatePackage":
         kind = UpdateKind(data["kind"])
+        origin, contexts = data["origin"], data["contexts"]
+        # an int origin would fail inside the signature check, and a
+        # string of contexts would be split into its characters
+        if type(origin) is not str or not is_str_list(contexts):
+            raise MalformedUpdate(
+                f"update from {origin!r}: needs a string origin and a list of string contexts")
         return cls(
-            origin=data["origin"],
+            origin=origin,
             seq=data["seq"],
             kind=kind,
             payload=payload_from_wire(kind, data["payload"]),
-            contexts=frozenset(data["contexts"]),
+            contexts=frozenset(contexts),
             issued_tick=data["issuedTick"],
             signature=data["sig"],
         )

@@ -35,6 +35,14 @@ TOKEN_RE = re.compile(r"[a-z0-9_:-]+\Z")
 
 WILDCARD = "*"
 
+_STR = frozenset({str})
+
+
+def is_str_list(value: Any) -> bool:
+    """Whether ``value`` is a list of strings, by exact type: a string in
+    its place would otherwise be split into its characters."""
+    return type(value) is list and _STR.issuperset(map(type, value))
+
 
 def _check_token(value: str, what: str) -> str:
     if value != WILDCARD and not TOKEN_RE.match(value):
@@ -219,12 +227,15 @@ class DelegationAssertion:
 
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "DelegationAssertion":
+        contexts = data["contexts"]
+        if not is_str_list(contexts):
+            raise PolicyError(f"delegation contexts must be a list of strings, got {contexts!r}")
         return cls(
             issuer=data["issuer"],
             subject=data["subject"],
             attr=AttributePair.from_wire(data["attr"]),
             depth=data["depth"],
-            contexts=frozenset(data["contexts"]),
+            contexts=frozenset(contexts),
         )
 
 

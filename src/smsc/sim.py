@@ -12,13 +12,18 @@ event logs.
 Message loss: every envelope due for delivery consumes exactly one draw
 from its link's stream, whether or not a partition already doomed it.
 Loss decisions therefore do not depend on partition timing, which keeps
-fault-injection experiments comparable across configurations.
+fault-injection experiments comparable across configurations.  It also
+makes skipping the partition check exact while no partition window is
+set: the draw is taken all the same.
 
 The per-tick structures are built once, in ``Simulator.__init__``, and
 rely on four invariants:
 
 * Links never change after construction, so the neighbour lists and
-  the ``(src, dst)`` to link-key map stay valid for the whole run.
+  the route table stay valid for the whole run.  The route table maps
+  each ``(src, dst)`` direction of a link to its link key, latency and
+  drop probability, so that sending and delivering an envelope each
+  look its link up once.  A link's stream is made on its first use.
 * In-flight envelopes are bucketed by delivery tick, and each bucket is
   in ``net_seq`` order, because ``net_seq`` is assigned in append order.
   Loss draws are therefore taken in ``net_seq`` order without a sort.
@@ -37,7 +42,8 @@ import json
 import os
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Iterable, Mapping, Optional, TextIO
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, TextIO
 
 from .cell import EXTERNAL_CALLER, Cell
 from .errors import (
@@ -464,13 +470,15 @@ class EventLog:
 # --- the simulator --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimEnvelope:
+class SimEnvelope(NamedTuple):
     kind: str
     src: str
     dst: str
     net_seq: int
     body: Mapping[str, Any]
+
+
+_DST = attrgetter("dst")  # the survivors' sort key
 
 
 class Simulator:
@@ -500,17 +508,16 @@ class Simulator:
         # cell's scheduled tick; every cell is due at 0
         self._wake: dict[int, set[str]] = {0: set(self.cells)}
         self._wake_tick = dict.fromkeys(self.cells, 0)
-        self.links: dict[frozenset[str], LinkSpec] = {}
-        self._link_keys: dict[tuple[str, str], frozenset[str]] = {}
+        # (src, dst) -> (link key, latency, drop), both directions of a link
+        self._routes: dict[tuple[str, str], tuple[frozenset[str], int, float]] = {}
         self._adjacency: dict[str, list[str]] = {}
         for link in spec.links:
             a, b = link.a, link.b
-            key = frozenset((a, b))
-            if key not in self.links:
+            if (a, b) not in self._routes:
                 self._adjacency.setdefault(a, []).append(b)
                 self._adjacency.setdefault(b, []).append(a)
-            self.links[key] = link
-            self._link_keys[a, b] = self._link_keys[b, a] = key
+            self._routes[a, b] = self._routes[b, a] = (
+                frozenset((a, b)), link.latency, link.drop)
         for peers in self._adjacency.values():
             peers.sort()
         self._streams: dict[frozenset[str], SplitMix64] = {}
@@ -627,26 +634,29 @@ class Simulator:
             self.inject_heal()
 
     def _deliver_due(self, tick: int) -> None:
-        record = self.log.record_envelope
+        record, routes, streams = self.log.record_envelope, self._routes, self._streams
+        partitioned = self._partitioned if self.partitions else None
         survivors: list[SimEnvelope] = []
         for envelope in self._in_flight.pop(tick, ()):
-            key = self._link_keys[envelope.src, envelope.dst]
-            draw = self._stream(key).next_float()
-            if self._partitioned(envelope.src, envelope.dst, tick):
+            src, dst = envelope.src, envelope.dst
+            key, _, drop = routes[src, dst]
+            stream = streams.get(key) or self._stream(key)
+            draw = stream.next_float()
+            if partitioned and partitioned(src, dst, tick):
                 reason = "partition"
-            elif draw < self.links[key].drop:
+            elif draw < drop:
                 reason = "loss"
             else:
                 survivors.append(envelope)
                 continue
             record(tick, "drop", envelope, reason)
         # survivors are in net_seq order; the stable sort keeps it per dst
-        survivors.sort(key=lambda e: e.dst)
+        survivors.sort(key=_DST)
+        cells = self.cells
         for envelope in survivors:
             record(tick, "deliver", envelope)
-            self.cells[envelope.dst].handle_envelope(
-                envelope.kind, envelope.src, envelope.body, tick
-            )
+            kind, src, dst, _, body = envelope
+            cells[dst].handle_envelope(kind, src, body, tick)
         for dst in {envelope.dst for envelope in survivors}:
             self._recheck(dst, tick)
 
@@ -655,29 +665,26 @@ class Simulator:
             cell = self.cells[cell_id]
             if not cell.outbox:
                 continue
-            for message in cell.take_outbox():
-                if message.dst == "*":
+            for kind, dst, body in cell.take_outbox():
+                if dst == "*":
                     for neighbor in self._neighbors(cell_id):
-                        self._enqueue(message.kind, cell_id, neighbor,
-                                      message.body, tick)
+                        self._enqueue(kind, cell_id, neighbor, body, tick)
                 else:
-                    self._enqueue(message.kind, cell_id, message.dst,
-                                  message.body, tick)
+                    self._enqueue(kind, cell_id, dst, body, tick)
 
     def _enqueue(
         self, kind: str, src: str, dst: str, body: Mapping[str, Any], tick: int
     ) -> None:
-        key = self._link_keys.get((src, dst))
-        if key is None or dst not in self.cells:
+        route = self._routes.get((src, dst))
+        if route is None or dst not in self.cells:
             self.log.record(tick, src, "drop", {
                 "kind": kind, "dst": dst, "reason": "no-link",
             })
             return
-        deliver_tick = tick + self.links[key].latency
-        self._in_flight.setdefault(deliver_tick, []).append(SimEnvelope(
-            kind=kind, src=src, dst=dst, net_seq=self._next_net_seq, body=body,
-        ))
-        self._next_net_seq += 1
+        net_seq = self._next_net_seq
+        self._next_net_seq = net_seq + 1
+        self._in_flight.setdefault(tick + route[1], []).append(
+            SimEnvelope(kind, src, dst, net_seq, body))
 
     # --- assertions -------------------------------------------------------
 

@@ -200,3 +200,20 @@ class NaiveStepping(Simulator):
     def _tick_due_cells(self, tick):
         for cell_id in sorted(self.cells):
             self.cells[cell_id].on_tick(tick)
+
+
+# --- catalogue trust ------------------------------------------------------
+
+
+def naive_trust(profile, policy):
+    """Per context of the profile: whether the policy names the context and
+    the profile advertises every capability the policy requires there."""
+    trusted = {}
+    for context in profile.contexts:
+        ok = context in policy
+        if ok:
+            for capability in policy[context]:
+                if capability not in profile.capabilities:
+                    ok = False
+        trusted[context] = ok
+    return trusted

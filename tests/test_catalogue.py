@@ -3,8 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from smsc.catalogue import Catalogue, CellProfile
+from smsc.catalogue import MAX_TTL_TICKS, Catalogue, CellProfile
 from smsc.errors import PolicyError, SelfRegistration, TrustedQueryWithoutContext
+
+from .oracles import naive_trust
 
 
 def profile(cid, contexts=("work",), caps=("ring",), kind="call-filter",
@@ -84,6 +86,51 @@ def test_expire_stale_matches_a_full_scan(steps):
             assert cat.earliest_expiry == min(expiries, default=math.inf)
         for e in cat.entries.values():
             assert cat.earliest_expiry <= e.last_seen_tick + e.profile.ttl_ticks + 1
+
+
+def test_advertised_ttl_is_capped_at_the_receiver():
+    """A peer cannot pin its entry with a huge TTL: it lapses by
+    ``MAX_TTL_TICKS + 1`` ticks after it was last seen, while the stored
+    profile keeps the TTL the peer advertised."""
+    cat = Catalogue("me")
+    cat.upsert(profile("a", tick=5, ttl=10**9), now=5)
+    assert cat.earliest_expiry == 5 + MAX_TTL_TICKS + 1
+    assert cat.expire_stale(5 + MAX_TTL_TICKS) == []
+    assert cat.get("a").profile.ttl_ticks == 10**9
+    assert cat.expire_stale(5 + MAX_TTL_TICKS + 1) == ["a"]
+
+
+CONTEXTS = ("work", "home")
+CAPABILITIES = ("ring", "text")
+TRUST_POLICIES = st.dictionaries(st.sampled_from(CONTEXTS),
+                                 st.lists(st.sampled_from(CAPABILITIES), max_size=2))
+# (peer, contexts, capabilities, new trust policy or None, ticks to the next step)
+TRUST_STEPS = st.lists(st.tuples(
+    st.sampled_from("ab"),
+    st.frozensets(st.sampled_from(CONTEXTS), min_size=1),
+    st.frozensets(st.sampled_from(CAPABILITIES)),
+    st.one_of(st.none(), TRUST_POLICIES),
+    st.integers(0, 4),
+), max_size=30)
+
+
+@given(TRUST_POLICIES, TRUST_STEPS)
+def test_trust_matches_a_derivation_from_scratch(policy, steps):
+    """Each step upserts a profile, may replace the trust policy, then
+    expires what lapsed.  Whichever entry ``upsert`` reuses a trust map
+    from, every entry's trust equals the trust the policy in force gives
+    its own profile."""
+    cat = Catalogue("me", policy)
+    now = 0
+    for peer, contexts, caps, new_policy, gap in steps:
+        cat.upsert(profile(peer, contexts=contexts, caps=caps, tick=now, ttl=3), now)
+        if new_policy is not None:
+            policy = new_policy
+            cat.set_trust_policy(policy)
+        now += gap
+        cat.expire_stale(now)
+        for entry in cat.entries.values():
+            assert entry.trusted == naive_trust(entry.profile, policy)
 
 
 def test_fresh_advert_readmits_after_eviction():

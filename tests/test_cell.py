@@ -534,6 +534,18 @@ def test_ingest_gap_buffers():
     assert cell.store.digest()["org"] == 1
 
 
+def test_each_drained_package_logs_the_version_it_produced():
+    events = []
+    cell = make_cell(trust={"work": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
+    cell.catalogue.upsert(peer_profile("p1"), 0)
+    cell.ingest_security_update(signed_wire(seq=1), "p1")
+    cell.ingest_security_update(signed_wire(seq=0, payload="other"), "p1")
+    applied = [(d["seq"], d["version"]) for k, d in events
+               if k == "update" and d["status"] == "applied"]
+    assert applied == [(0, 1), (1, 2)]
+
+
 def test_drained_rejection_is_logged_with_its_own_reason_in_order():
     """A buffered package that the impact check rejects once a gap fill
     drains it is logged with the protected case it would flip, after the
@@ -594,6 +606,9 @@ def kindless_wire():
     (resigned_wire(issuedTick=1.5), "MalformedUpdate"),
     (resigned_wire(issuedTick=True), "MalformedUpdate"),
     (resigned_wire(kind="ConfigSet", payload={"key": ["k"], "value": 1}), "MalformedUpdate"),
+    (resigned_wire(contexts="work"), "MalformedUpdate"),
+    (resigned_wire(contexts=["work", 7]), "MalformedUpdate"),
+    ({**signed_wire(), "origin": 7}, "MalformedUpdate"),
 ])
 def test_hostile_package_from_trusted_peer_is_contained(wire, error):
     events = []

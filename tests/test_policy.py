@@ -404,6 +404,7 @@ def test_policy_document_round_trip():
 
 
 RULE_WIRE = rule("r1", Effect.PERMIT, {"role": ["user"]}).to_wire()
+DELEGATION_WIRE = DelegationAssertion("alice", "bob", ADMIN, 1, frozenset({"work"})).to_wire()
 
 
 @pytest.mark.parametrize("parse", [
@@ -413,8 +414,13 @@ RULE_WIRE = rule("r1", Effect.PERMIT, {"role": ["user"]}).to_wire()
     lambda: Condition.from_mapping({"role": ["user"], "dept": "eng"}),
     lambda: PolicyDocument.from_wire({"trustedIssuers": "idp"}),
     lambda: PolicyDocument.from_wire({"rules": [{**RULE_WIRE, "contexts": "work"}]}),
+    lambda: DelegationAssertion.from_wire({**DELEGATION_WIRE, "contexts": "work"}),
+    lambda: DelegationAssertion.from_wire({**DELEGATION_WIRE, "contexts": ["work", 7]}),
+    lambda: PolicyDocument.from_wire(
+        {"delegations": [{**DELEGATION_WIRE, "contexts": "work"}]}),
 ], ids=["rule-contexts", "rule-contexts-tuple", "rule-subject-values", "condition-values",
-        "trusted-issuers", "document-rule-contexts"])
+        "trusted-issuers", "document-rule-contexts", "delegation-contexts",
+        "delegation-context-int", "document-delegation-contexts"])
 def test_a_string_where_a_list_is_expected_is_refused(parse):
     """A string is never split into its characters: ``"work"`` would
     otherwise read as the contexts w, o, r and k."""

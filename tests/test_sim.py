@@ -518,6 +518,20 @@ def test_exactly_one_draw_per_due_envelope():
     assert sim._stream(frozenset(("c0", "c1"))).next_float() == fresh.next_float()
 
 
+def test_a_partition_that_cuts_no_link_leaves_the_log_as_it_is():
+    """With no partition window the partition check is skipped, and the
+    loss draws must not notice: a window between two cells that share no
+    link gives the same log as no window at all."""
+    lossy = [{"a": "c0", "b": "c1", "drop": 0.4}, {"a": "c1", "b": "c2", "drop": 0.4}]
+    plain = scenario_wire(3, links=lossy, maxTicks=25,
+                          script=[send_op(tick, "c2", src="c1") for tick in range(1, 9)])
+    cut = copy.deepcopy(plain)
+    cut["topology"]["partitions"] = [{"a": ["c0"], "b": ["c2"], "from": 0}]
+    sim, _ = run_sim(plain)
+    assert any(r["detail"]["reason"] == "loss" for r in records_of(sim, "drop"))
+    assert run_sim(cut)[0].log.lines == sim.log.lines
+
+
 CELL_POOL = [f"c{i}" for i in range(8)]
 PAIRS = [(a, b) for i, a in enumerate(CELL_POOL) for b in CELL_POOL[i + 1:]]
 
