@@ -29,11 +29,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
-from .errors import PolicyError, SelfRegistration, TrustedQueryWithoutContext
+from .errors import ParseError, PolicyError, SelfRegistration, TrustedQueryWithoutContext
+from .wire import is_str_list
 
 TrustPolicy = Mapping[str, Iterable[str]]
-
-_STR = frozenset({str})  # the one type the items of a profile list have
 
 # the longest a receiver keeps a peer it has not heard from again,
 # whatever TTL the peer advertised
@@ -70,18 +69,21 @@ class CellProfile:
         }
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "CellProfile":
-        """A peer's profile.  Each field must have the exact type ``to_wire``
-        writes (an integer is never a bool), or ``PolicyError`` is raised;
-        the test is one expression, since every advert is read here."""
-        cell_id, endpoint, kind = data["cellId"], data["endpoint"], data["resourceKind"]
-        tick, ttl = data["advertisedAtTick"], data["ttlTicks"]
-        contexts, capabilities = data["contexts"], data["capabilities"]
+    def from_wire(cls, data: Any) -> "CellProfile":
+        """A peer's profile.  Each field must be present with the exact type
+        ``to_wire`` writes, as ``wire.field`` reads it, or ``ParseError`` is
+        raised; the test is one expression, since every advert is read here."""
+        if type(data) is not dict:
+            raise ParseError(f"profile: must be an object, got {data!r}")
+        get = data.get
+        cell_id, endpoint, kind = get("cellId"), get("endpoint"), get("resourceKind")
+        tick, ttl = get("advertisedAtTick"), get("ttlTicks")
+        contexts, capabilities = get("contexts"), get("capabilities")
         if not (type(cell_id) is type(endpoint) is type(kind) is str
                 and type(tick) is type(ttl) is int
                 and type(contexts) is type(capabilities) is list
-                and _STR.issuperset(map(type, contexts + capabilities))):
-            raise PolicyError(f"profile {cell_id!r}: a field has the wrong type")
+                and is_str_list(contexts + capabilities)):
+            raise ParseError(f"profile {cell_id!r}: a field is absent or of another type")
         return cls(cell_id, endpoint, frozenset(contexts), frozenset(capabilities),
                    kind, tick, ttl)
 

@@ -25,13 +25,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 from .bus import MessageBus
 from .catalogue import Catalogue, CellProfile, TrustPolicy
 from .discovery import Advertisement, DiscoveryService, RegistrationRequest
-from .errors import (
-    MalformedCommand,
-    PolicyError,
-    SmscError,
-    TokenVerificationError,
-    UnknownCell,
-)
+from .errors import MalformedCommand, SmscError, TokenVerificationError, UnknownCell
 from .governance import (
     ApplyReport,
     ApplyStatus,
@@ -54,6 +48,7 @@ from .policy import (
     verify_token,
 )
 from .resources import ManagedResource, build_resource
+from .wire import field, integers, is_str_list
 
 Observer = Callable[[str, dict[str, Any]], None]
 
@@ -97,11 +92,11 @@ def _denied(reason: str) -> dict[str, Any]:
     return {"status": "denied", "reason": reason, "result": None}
 
 
-def _wire_tokens(body: Mapping[str, Any]) -> Optional[list[Token]]:
+def _wire_tokens(body: Mapping[str, Any], where: str) -> Optional[list[Token]]:
     """The request's tokens, or None when one of them does not parse."""
     try:
-        return [Token.from_wire(t) for t in body.get("tokens", [])]
-    except (KeyError, TypeError, PolicyError):
+        return [Token.from_wire(t) for t in field(body, "tokens", where, list, [])]
+    except SmscError:
         return None
 
 
@@ -223,9 +218,6 @@ class Cell:
         except TokenVerificationError as exc:
             tag = _VERIFY_TAGS.get(type(exc).__name__, "token-invalid")
             return Decision(Verdict.INDETERMINATE, f"indeterminate: {tag}")
-        except (KeyError, TypeError):
-            # parsed, but a field has the wrong type (say, a string expiry)
-            return Decision(Verdict.INDETERMINATE, _MALFORMED_TOKEN)
         if self._blocklisted_value(args, context) is not None:
             return Decision(Verdict.DENY, "blocklisted")
         request = DecisionRequest(attrs, action, self.resource.kind, context, now)
@@ -234,10 +226,11 @@ class Cell:
     def handle_operation(
         self, body: Mapping[str, Any], caller: str, now: int
     ) -> tuple[Decision, dict[str, Any]]:
-        action = str(body.get("action", ""))
-        args: Mapping[str, Any] = body.get("args", {}) or {}
-        context = str(body.get("context", ""))
-        decision = self.decide_operation(_wire_tokens(body), action, args, context, now)
+        action = field(body, "action", "op-req", str, "")
+        args: Mapping[str, Any] = field(body, "args", "op-req", dict, {})
+        context = field(body, "context", "op-req", str, "")
+        decision = self.decide_operation(
+            _wire_tokens(body, "op-req"), action, args, context, now)
         self._record_decision(caller, action, context, decision)
         if decision.verdict is Verdict.PERMIT:
             result = self.resource.invoke(action, args, context)
@@ -249,10 +242,10 @@ class Cell:
     def handle_management(
         self, body: Mapping[str, Any], caller: str, now: int
     ) -> tuple[Decision, dict[str, Any]]:
-        command = str(body.get("command", ""))
-        context = str(body.get("context", ""))
+        command = field(body, "command", "mgmt-req", str, "")
+        context = field(body, "context", "mgmt-req", str, "")
         decision = self.decide_operation(
-            _wire_tokens(body), f"mgmt:{command}", {}, context, now, management=True
+            _wire_tokens(body, "mgmt-req"), f"mgmt:{command}", {}, context, now, management=True
         )
         self._record_decision(caller, f"mgmt:{command}", context, decision)
         if decision.verdict is not Verdict.PERMIT:
@@ -269,7 +262,7 @@ class Cell:
         if command == "add-rule":
             try:
                 rule = PolicyRule.from_wire(payload)
-            except (KeyError, TypeError, ValueError, PolicyError) as exc:
+            except SmscError as exc:
                 raise MalformedCommand(f"add-rule: {exc}") from None
             report = self.emit_update(UpdateKind.RULE_ADD, rule, {context}, now, push=False)
             if report.status is ApplyStatus.REJECTED:
@@ -291,17 +284,14 @@ class Cell:
             self.emit_update(UpdateKind.BLOCKLIST_ADD, entry, {context}, now)
             return _ok({"entry": entry, "version": self.store.version})
         if command == "set-config":
-            if not isinstance(payload, Mapping) or "key" not in payload:
-                raise MalformedCommand("set-config payload must carry key and value")
-            setting = ConfigSetting(str(payload["key"]), payload.get("value"))
+            if not isinstance(payload, Mapping) or type(payload.get("key")) is not str:
+                raise MalformedCommand("set-config payload must carry a string key and a value")
+            setting = ConfigSetting(payload["key"], payload.get("value"))
             self.emit_update(UpdateKind.CONFIG_SET, setting, {context}, now, push=False)
             return _ok({"key": setting.key, "version": self.store.version})
-        if not isinstance(payload, Mapping) or not all(
-                isinstance(caps, list) for caps in payload.values()):
+        if not isinstance(payload, Mapping) or not all(map(is_str_list, payload.values())):
             raise MalformedCommand("set-trust payload must map context to capabilities")
-        self.catalogue.set_trust_policy(
-            {str(c): [str(x) for x in caps] for c, caps in payload.items()}
-        )
+        self.catalogue.set_trust_policy(payload)
         self._observer("trust", {"policy": self.catalogue.trust_policy})
         return _ok({"trustPolicy": self.catalogue.trust_policy})
 
@@ -335,7 +325,7 @@ class Cell:
         """
         try:
             package = UpdatePackage.from_wire(package_wire)
-        except (SmscError, KeyError, TypeError, ValueError) as exc:
+        except SmscError as exc:
             return self._invalid_update(from_cell, exc)
         sender = self.catalogue.get(from_cell)
         if sender is None or not all(sender.trusted_in(c) for c in package.contexts):
@@ -343,7 +333,7 @@ class Cell:
             return ApplyStatus.UNTRUSTED_SOURCE
         try:
             report = self.store.apply_update(package)
-        except (SmscError, KeyError, TypeError, ValueError) as exc:
+        except SmscError as exc:
             return self._invalid_update(from_cell, exc)
         self._after_apply(report, via=from_cell, push=True)
         if report.status in (ApplyStatus.DUPLICATE, ApplyStatus.BUFFERED):
@@ -496,14 +486,15 @@ class Cell:
         """Route one envelope from a peer.
 
         An unknown kind raises ``UnknownCell``.  A body its handler cannot
-        read is contained: it is logged as one ``reject`` record and never
-        raises, so one hostile peer cannot abort the caller's loop.
+        read (one that ``wire`` refuses) or act on is contained: it is
+        logged as one ``reject`` record naming the ``SmscError`` class and
+        never raises, so one hostile peer cannot abort the caller's loop.
         """
         if kind not in ENVELOPE_KINDS:
             raise UnknownCell(f"unroutable envelope kind {kind!r}")
         try:
             self._route(kind, src, body, now)
-        except (KeyError, TypeError, ValueError, AttributeError, SmscError) as exc:
+        except SmscError as exc:
             self._observer(
                 "reject", {"kind": kind, "from": src, "error": type(exc).__name__}
             )
@@ -524,14 +515,13 @@ class Cell:
         elif kind == "digest":
             self._handle_digest(src, body)
         elif kind == "digest-reply":
-            for package_wire in body.get("packages", []):
+            for package_wire in field(body, "packages", kind, list, []):
                 self.ingest_security_update(package_wire, src)
-        elif kind == "op-req":
-            _, response = self.handle_operation(body, src, now)
-            self._send("op-resp", src, {**response, "requestId": body.get("requestId")})
-        elif kind == "mgmt-req":
-            _, response = self.handle_management(body, src, now)
-            self._send("mgmt-resp", src, {**response, "requestId": body.get("requestId")})
+        elif kind in ("op-req", "mgmt-req"):
+            request_id = field(body, "requestId", kind, int, None)
+            handle = self.handle_operation if kind == "op-req" else self.handle_management
+            _, response = handle(body, src, now)
+            self._send(kind.replace("req", "resp"), src, {**response, "requestId": request_id})
         else:  # op-resp, mgmt-resp
             self._handle_response(kind, src, body, now)
 
@@ -540,7 +530,7 @@ class Cell:
         if sender is None or not sender.trusted_anywhere():
             self._observer("digest-ignored", {"from": src})
             return
-        archive, marks = self.store.archive, body.get("applied", {})
+        archive, marks = self.store.archive, integers(body, "applied", "digest", {})
         packages = [
             package.to_wire()
             for origin in sorted(archive)
@@ -555,20 +545,20 @@ class Cell:
         """Pair a response with its request by id.  A response whose id is
         unknown, or that comes from another peer or on the other channel,
         is recorded with a null action and not acted on."""
-        request_id = body.get("requestId")
+        request_id = field(body, "requestId", kind, int, None)
+        status = field(body, "status", kind, str, None)
         request = self._requests.get(request_id)
         name = None
         if request is not None and request[:2] == (kind, src):
             del self._requests[request_id]
             name = request[2]
-        status = body.get("status")
         self._observer(kind, {
             "from": src, "requestId": request_id, "status": status,
             "action" if kind == "op-resp" else "command": name,
         })
         if kind == "op-resp" and name == "lookup" and status == "ok":
-            result = body.get("result") or {}
-            for profile_wire in result.get("profiles", []):
+            result = field(body, "result", kind, dict, None) or {}
+            for profile_wire in field(result, "profiles", kind, list, []):
                 profile = CellProfile.from_wire(profile_wire)
                 if profile.cell_id != self.cell_id:
                     self.catalogue.upsert(profile, now)

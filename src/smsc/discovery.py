@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from .catalogue import Catalogue, CellProfile
-from .errors import PolicyError, SelfRegistration
+from .errors import SelfRegistration
+from .wire import field
 
 
 class Advertisement(NamedTuple):
@@ -24,11 +25,9 @@ class Advertisement(NamedTuple):
         return {"profile": self.profile.to_wire(), "nonce": self.nonce}
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "Advertisement":
-        nonce = data["nonce"]
-        if type(nonce) is not int:
-            raise PolicyError(f"advert nonce {nonce!r} is not an integer")
-        return cls(CellProfile.from_wire(data["profile"]), nonce)
+    def from_wire(cls, data: Any) -> "Advertisement":
+        nonce = field(data, "nonce", "advert", int)
+        return cls(CellProfile.from_wire(data.get("profile")), nonce)
 
 
 @dataclass(frozen=True)
@@ -40,11 +39,9 @@ class RegistrationRequest:
         return {"profile": self.profile.to_wire(), "wantReply": self.want_reply}
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "RegistrationRequest":
-        want_reply = data["wantReply"]
-        if type(want_reply) is not bool:
-            raise PolicyError(f"wantReply {want_reply!r} is not a boolean")
-        return cls(profile=CellProfile.from_wire(data["profile"]), want_reply=want_reply)
+    def from_wire(cls, data: Any) -> "RegistrationRequest":
+        want_reply = field(data, "wantReply", "register", bool)
+        return cls(CellProfile.from_wire(data.get("profile")), want_reply)
 
 
 class AdvertOutcome(str, Enum):

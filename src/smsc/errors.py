@@ -63,10 +63,12 @@ class UnknownResourceKind(SmscError):
     pass
 
 
-# --- scenario loading and simulation --------------------------------------
+# --- input reading, scenario loading and simulation -----------------------
 
 class ParseError(SmscError):
-    """Scenario, policy, or request document failed validation.
+    """A peer envelope or a scenario, policy, request or domain document
+    failed validation: a field is absent or of another type than
+    ``to_wire`` writes, or a scenario value is out of range.
 
     The message names the offending field.
     """

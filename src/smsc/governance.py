@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import BadSignature, MalformedUpdate, UnknownAttributeDomain
+from .errors import BadSignature, MalformedUpdate, ParseError, UnknownAttributeDomain
 from .policy import (
     WILDCARD,
     AttributePair,
@@ -40,10 +40,10 @@ from .policy import (
     canonical_json,
     evaluate_request,
     group_attrs,
-    is_str_list,
     rule_matches,
     sign_payload,
 )
+from .wire import field, member, string_lists, strings
 
 PENDING_CAP = 64
 
@@ -72,18 +72,13 @@ def _payload_to_wire(payload: Payload) -> Any:
 
 
 def payload_from_wire(kind: UpdateKind, data: Any) -> Payload:
-    try:
-        if kind is UpdateKind.RULE_ADD:
-            return PolicyRule.from_wire(data)
-        if kind is UpdateKind.CONFIG_SET:
-            if not isinstance(data["key"], str):
-                raise TypeError(f"config key must be a string, got {data['key']!r}")
-            return ConfigSetting(key=data["key"], value=data["value"])
-        if not isinstance(data, str):
-            raise TypeError(f"expected string, got {type(data).__name__}")
-        return data
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise MalformedUpdate(f"bad {kind.value} payload: {exc}") from None
+    if kind is UpdateKind.RULE_ADD:
+        return PolicyRule.from_wire(data)
+    if kind is UpdateKind.CONFIG_SET:
+        return ConfigSetting(field(data, "key", "config", str), field(data, "value", "config"))
+    if type(data) is not str:
+        raise ParseError(f"{kind.value} payload must be a string, got {data!r}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -100,10 +95,6 @@ class UpdatePackage:
         # a fractional seq would sit in the gap buffer for good
         if type(self.seq) is not int:
             raise MalformedUpdate(f"seq {self.seq!r} from {self.origin!r} is not an integer")
-        # a float or bool tick equals an int that it does not sign like
-        if type(self.issued_tick) is not int:
-            raise MalformedUpdate(
-                f"issued tick {self.issued_tick!r} from {self.origin!r} is not an integer")
         if self.seq < 0:
             raise MalformedUpdate(f"negative seq {self.seq} from {self.origin!r}")
         if not self.contexts:
@@ -142,22 +133,16 @@ class UpdatePackage:
             == canonical_json(_payload_to_wire(other.payload))))
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "UpdatePackage":
-        kind = UpdateKind(data["kind"])
-        origin, contexts = data["origin"], data["contexts"]
-        # an int origin would fail inside the signature check, and a
-        # string of contexts would be split into its characters
-        if type(origin) is not str or not is_str_list(contexts):
-            raise MalformedUpdate(
-                f"update from {origin!r}: needs a string origin and a list of string contexts")
+    def from_wire(cls, data: Any) -> "UpdatePackage":
+        kind = member(UpdateKind, data, "kind", "update")
         return cls(
-            origin=origin,
-            seq=data["seq"],
+            origin=field(data, "origin", "update", str),
+            seq=field(data, "seq", "update", int),
             kind=kind,
-            payload=payload_from_wire(kind, data["payload"]),
-            contexts=frozenset(contexts),
-            issued_tick=data["issuedTick"],
-            signature=data["sig"],
+            payload=payload_from_wire(kind, field(data, "payload", "update")),
+            contexts=frozenset(strings(data, "contexts", "update")),
+            issued_tick=field(data, "issuedTick", "update", int),
+            signature=field(data, "sig", "update", str),
         )
 
 
@@ -530,12 +515,12 @@ class DomainSpec:
     contexts: tuple[str, ...]
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "DomainSpec":
+    def from_wire(cls, data: Any) -> "DomainSpec":
         return cls(
-            domains={k: tuple(v) for k, v in data.get("domains", {}).items()},
-            actions=tuple(data.get("actions", [])),
-            resources=tuple(data.get("resources", [])),
-            contexts=tuple(data.get("contexts", [])),
+            domains={k: tuple(v) for k, v in string_lists(data, "domains", "domains", {}).items()},
+            actions=tuple(strings(data, "actions", "domains", [])),
+            resources=tuple(strings(data, "resources", "domains", [])),
+            contexts=tuple(strings(data, "contexts", "domains", [])),
         )
 
 

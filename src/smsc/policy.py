@@ -27,21 +27,15 @@ from .errors import (
     BadSignature,
     DuplicateRuleId,
     Expired,
+    ParseError,
     PolicyError,
     UntrustedIssuer,
 )
+from .wire import field, is_str_list, member, objects, string_lists, strings
 
 TOKEN_RE = re.compile(r"[a-z0-9_:-]+\Z")
 
 WILDCARD = "*"
-
-_STR = frozenset({str})
-
-
-def is_str_list(value: Any) -> bool:
-    """Whether ``value`` is a list of strings, by exact type: a string in
-    its place would otherwise be split into its characters."""
-    return type(value) is list and _STR.issuperset(map(type, value))
 
 
 def _check_token(value: str, what: str) -> str:
@@ -75,8 +69,9 @@ class AttributePair:
         return {"name": self.name, "value": self.value}
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "AttributePair":
-        return cls(name=data["name"], value=data["value"])
+    def from_wire(cls, data: Any) -> "AttributePair":
+        return cls(name=field(data, "name", "attribute", str),
+                   value=field(data, "value", "attribute", str))
 
 
 @dataclass(frozen=True)
@@ -102,10 +97,9 @@ class Condition:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, list[str]]) -> "Condition":
         """A condition from its wire form, each name mapped to a list of
-        values; any other collection, a string above all, is refused."""
-        for values in mapping.values():
-            if type(values) is not list:
-                raise PolicyError(f"condition values must be lists: {mapping!r}")
+        string values; any other collection, a string above all, is refused."""
+        if not all(map(is_str_list, mapping.values())):
+            raise ParseError(f"condition values must be lists of strings: {mapping!r}")
         atoms = tuple(sorted((name, frozenset(vals)) for name, vals in mapping.items()))
         return cls(atoms)
 
@@ -180,17 +174,14 @@ class PolicyRule:
         }
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "PolicyRule":
-        contexts = data["contexts"]
-        if type(contexts) is not list:
-            raise PolicyError(f"rule contexts must be a list, got {contexts!r}")
+    def from_wire(cls, data: Any) -> "PolicyRule":
         return cls(
-            id=data["id"],
-            effect=Effect(data["effect"]),
-            subject=Condition.from_mapping(data.get("subject", {})),
-            action=data["action"],
-            resource=data["resource"],
-            contexts=frozenset(contexts),
+            id=field(data, "id", "rule", str),
+            effect=member(Effect, data, "effect", "rule"),
+            subject=Condition.from_mapping(field(data, "subject", "rule", dict, {})),
+            action=field(data, "action", "rule", str),
+            resource=field(data, "resource", "rule", str),
+            contexts=frozenset(strings(data, "contexts", "rule")),
         )
 
 
@@ -226,16 +217,13 @@ class DelegationAssertion:
         }
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "DelegationAssertion":
-        contexts = data["contexts"]
-        if not is_str_list(contexts):
-            raise PolicyError(f"delegation contexts must be a list of strings, got {contexts!r}")
+    def from_wire(cls, data: Any) -> "DelegationAssertion":
         return cls(
-            issuer=data["issuer"],
-            subject=data["subject"],
-            attr=AttributePair.from_wire(data["attr"]),
-            depth=data["depth"],
-            contexts=frozenset(contexts),
+            issuer=field(data, "issuer", "delegation", str),
+            subject=field(data, "subject", "delegation", str),
+            attr=AttributePair.from_wire(field(data, "attr", "delegation", dict)),
+            depth=field(data, "depth", "delegation", int),
+            contexts=frozenset(strings(data, "contexts", "delegation")),
         )
 
 
@@ -256,11 +244,11 @@ class RootGrant:
         return {"principal": self.principal, "attr": self.attr.to_wire(), "depth": self.depth}
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "RootGrant":
+    def from_wire(cls, data: Any) -> "RootGrant":
         return cls(
-            principal=data["principal"],
-            attr=AttributePair.from_wire(data["attr"]),
-            depth=data["depth"],
+            principal=field(data, "principal", "root", str),
+            attr=AttributePair.from_wire(field(data, "attr", "root", dict)),
+            depth=field(data, "depth", "root", int),
         )
 
 
@@ -347,13 +335,14 @@ class Token:
         return wire
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "Token":
+    def from_wire(cls, data: Any) -> "Token":
         return cls(
-            subject=data["subject"],
-            claims=frozenset(AttributePair.from_wire(c) for c in data["claims"]),
-            issuer=data["issuer"],
-            expiry_tick=data["expiryTick"],
-            signature=data["sig"],
+            subject=field(data, "subject", "token", str),
+            claims=frozenset(
+                AttributePair.from_wire(c) for c in field(data, "claims", "token", list)),
+            issuer=field(data, "issuer", "token", str),
+            expiry_tick=field(data, "expiryTick", "token", int),
+            signature=field(data, "sig", "token", str),
         )
 
 
@@ -396,17 +385,14 @@ class DecisionRequest:
         }
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "DecisionRequest":
-        request = cls(
-            subject_attrs=attrs_from_wire(data.get("subjectAttrs", {})),
-            action=data["action"],
-            resource_id=data["resourceId"],
-            context=data["context"],
-            tick=data.get("tick", 0),
+    def from_wire(cls, data: Any) -> "DecisionRequest":
+        return cls(
+            subject_attrs=attrs_from_wire(string_lists(data, "subjectAttrs", "request", {})),
+            action=field(data, "action", "request", str),
+            resource_id=field(data, "resourceId", "request", str),
+            context=field(data, "context", "request", str),
+            tick=field(data, "tick", "request", int, 0),
         )
-        if not all(isinstance(v, str) for v in (request.action, request.resource_id, request.context)):
-            raise PolicyError(f"request action, resourceId and context must be strings: {data!r}")
-        return request
 
 
 @dataclass(frozen=True)
@@ -493,11 +479,11 @@ class RegressionCase:
         }
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "RegressionCase":
+    def from_wire(cls, data: Any) -> "RegressionCase":
         return cls(
-            request=DecisionRequest.from_wire(data["request"]),
-            expected=Verdict(data["expected"]),
-            protected=data.get("protected", False),
+            request=DecisionRequest.from_wire(field(data, "request", "regression case", dict)),
+            expected=member(Verdict, data, "expected", "regression case"),
+            protected=field(data, "protected", "regression case", bool, False),
         )
 
 
@@ -531,18 +517,16 @@ class PolicyDocument:
         }
 
     @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "PolicyDocument":
-        issuers = data.get("trustedIssuers", [])
-        if type(issuers) is not list:
-            raise PolicyError(f"trustedIssuers must be a list, got {issuers!r}")
+    def from_wire(cls, data: Any) -> "PolicyDocument":
         return cls(
-            rules=tuple(PolicyRule.from_wire(r) for r in data.get("rules", [])),
+            rules=tuple(PolicyRule.from_wire(r) for r in objects(data, "rules", "policy", [])),
             delegations=tuple(
-                DelegationAssertion.from_wire(d) for d in data.get("delegations", [])
+                DelegationAssertion.from_wire(d) for d in objects(data, "delegations", "policy", [])
             ),
-            roots=tuple(RootGrant.from_wire(g) for g in data.get("roots", [])),
-            trusted_issuers=frozenset(issuers),
-            regression=tuple(RegressionCase.from_wire(c) for c in data.get("regression", [])),
+            roots=tuple(RootGrant.from_wire(g) for g in objects(data, "roots", "policy", [])),
+            trusted_issuers=frozenset(strings(data, "trustedIssuers", "policy", [])),
+            regression=tuple(
+                RegressionCase.from_wire(c) for c in objects(data, "regression", "policy", [])),
         )
 
 

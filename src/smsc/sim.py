@@ -46,13 +46,7 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, TextIO
 
 from .cell import EXTERNAL_CALLER, Cell
-from .errors import (
-    InvalidProbability,
-    ParseError,
-    PolicyError,
-    SmscError,
-    UnknownCellRef,
-)
+from .errors import InvalidProbability, ParseError, SmscError, UnknownCellRef
 from .governance import UpdateKind, payload_from_wire
 from .policy import (
     PolicyDocument,
@@ -64,6 +58,7 @@ from .policy import (
 )
 from .prng import SplitMix64, stream_for_link
 from .resources import RESOURCE_KINDS
+from .wire import field, member, objects, string_lists, strings
 
 SIM = "-"  # the "cell" column for simulator-level log records
 
@@ -165,49 +160,9 @@ _CHECKS = {
     "blocklist-contains": {"cell": str, "context": str, "entry": str},
 }
 
-_MISSING = object()
-
 # shared by every cell that names no policy (a document is immutable),
 # so that set-up builds none per cell
 _NO_POLICY = PolicyDocument()
-
-_KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object",
-               bool: "a boolean"}
-
-
-def _field(
-    data: Mapping[str, Any], key: str, where: str, kind: type = object,
-    default: Any = _MISSING, least: Optional[int] = None,
-) -> Any:
-    """``data[key]``, or ``default`` when it is absent.  A present value
-    must be a ``kind`` (an integer is never a bool) of at least ``least``,
-    or null where ``default`` is None."""
-    value = data.get(key, default)
-    if value is _MISSING:
-        raise ParseError(f"{where}: missing field {key!r}")
-    if type(value) is kind and (least is None or value >= least):
-        return value  # the common case, checked first: it is on every cell's path
-    if (value is None and default is None) or (kind is not int and isinstance(value, kind)):
-        return value
-    bound = "" if least is None else f" >= {least}"
-    raise ParseError(f"{where}: {key!r} must be {_KIND_NAMES[kind]}{bound}, got {value!r}")
-
-
-def _objects(data: Mapping[str, Any], key: str, where: str, default: Any = _MISSING) -> list:
-    """``_field`` for a list of objects."""
-    items = _field(data, key, where, list, default)
-    for index, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ParseError(f"{where}: {key}[{index}] must be an object, got {item!r}")
-    return items
-
-
-def _strings(data: Mapping[str, Any], key: str, where: str, default: Any = _MISSING) -> Any:
-    """``_field`` for a list of strings."""
-    values = _field(data, key, where, list, default)
-    if values is not None and not all(isinstance(v, str) for v in values):
-        raise ParseError(f"{where}: {key!r} must list strings, got {values!r}")
-    return values
 
 
 def _check_cell_ref(ref: Any, known: set[str], where: str) -> str:
@@ -221,63 +176,57 @@ def token_from_spec(data: Any, where: str) -> Token:
     of values, and a stanza without a signature is signed by its issuer."""
     if not isinstance(data, dict):
         raise ParseError(f"{where}: token stanza must be an object")
-    claims = data.get("claims", {})
-    if not isinstance(claims, dict) or not all(isinstance(v, list) for v in claims.values()):
-        raise ParseError(f"{where}: 'claims' must map names to lists of values")
-    subject, issuer = _field(data, "subject", where), _field(data, "issuer", where)
-    expiry = _field(data, "expiryTick", where, int)
+    claims = string_lists(data, "claims", where, {})
+    subject, issuer = field(data, "subject", where, str), field(data, "issuer", where, str)
+    expiry = field(data, "expiryTick", where, int)
+    sig = field(data, "sig", where, str) if "sig" in data else None
     try:
-        if "sig" not in data:
+        if sig is None:
             return issue_token(subject, attrs_from_wire(claims), issuer, expiry)
-        return Token(subject, attrs_from_wire(claims), issuer, expiry,
-                     _field(data, "sig", where, str))
-    except (PolicyError, TypeError) as exc:
+        return Token(subject, attrs_from_wire(claims), issuer, expiry, sig)
+    except SmscError as exc:
         raise ParseError(f"{where}: bad token: {exc}") from None
 
 
 def _parse_cell(data: Mapping[str, Any], resolver: Optional[PolicyResolver]) -> CellSpec:
-    cell_id = _field(data, "cellId", "cell", str)
+    cell_id = field(data, "cellId", "cell", str)
     where = f"cell {cell_id!r}"
-    profile = _field(data, "profile", where, dict)
+    profile = field(data, "profile", where, dict)
     at = f"{where} profile"
-    contexts = tuple(_strings(profile, "contexts", at))
+    contexts = tuple(strings(profile, "contexts", at))
     if not contexts:
         raise ParseError(f"{at}: 'contexts' is empty")
-    capabilities = _strings(profile, "capabilities", at, None)
-    resource_kind = _field(data, "resourceKind", where, str)
+    capabilities = strings(profile, "capabilities", at, None)
+    resource_kind = field(data, "resourceKind", where, str)
     if resource_kind not in RESOURCE_KINDS:
         raise ParseError(f"{where}: unknown resource kind {resource_kind!r}")
     try:
         if "policyFile" in data and "policy" not in data:
             if resolver is None:
-                raise ParseError(f"{where}: policyFile given but no way to resolve it")
+                raise ParseError("policyFile given but no way to resolve it")
             policy = resolver(data["policyFile"])
         elif "policy" in data:
             policy = PolicyDocument.from_wire(data["policy"])
         else:
             policy = _NO_POLICY
-    except (PolicyError, KeyError, TypeError, ValueError, AttributeError) as exc:
+    except SmscError as exc:
         raise ParseError(f"{where}: bad policy: {type(exc).__name__}: {exc}") from None
-    trust_policy = _field(data, "trustPolicy", where, dict, None)
+    trust_policy = string_lists(data, "trustPolicy", where, None)
     if trust_policy is None:
         # default: inside its own contexts, a cell trusts whoever shows up
         trust_policy = {c: [] for c in contexts}
-    elif all(isinstance(caps, list) for caps in trust_policy.values()):
-        trust_policy = {c: [str(x) for x in caps] for c, caps in trust_policy.items()}
-    else:
-        raise ParseError(f"{where}: 'trustPolicy' must map contexts to lists")
-    intervals = _field(data, "intervals", where, dict, {})
+    intervals = field(data, "intervals", where, dict, {})
     at_intervals = f"{where} intervals"
     return CellSpec(
         cell_id=cell_id,
         contexts=contexts,
         capabilities=tuple(capabilities) if capabilities is not None else None,
-        ttl_ticks=_field(profile, "ttlTicks", at, int, 30, 1),
+        ttl_ticks=field(profile, "ttlTicks", at, int, 30, 1),
         resource_kind=resource_kind,
         policy=policy,
         trust_policy=trust_policy,
-        advertise_interval=_field(intervals, "advertise", at_intervals, int, 10, 1),
-        anti_entropy_interval=_field(intervals, "antiEntropy", at_intervals, int, 5, 1),
+        advertise_interval=field(intervals, "advertise", at_intervals, int, 10, 1),
+        anti_entropy_interval=field(intervals, "antiEntropy", at_intervals, int, 5, 1),
     )
 
 
@@ -290,20 +239,20 @@ def _parse_link(data: Mapping[str, Any], known: set[str]) -> LinkSpec:
     drop = data.get("drop", 0.0)
     if type(drop) not in (int, float) or not 0.0 <= drop <= 1.0:
         raise InvalidProbability(f"{where}: 'drop' must be a number in [0, 1], got {drop!r}")
-    return LinkSpec(a, b, _field(data, "latency", where, int, 1, 1), float(drop))
+    return LinkSpec(a, b, field(data, "latency", where, int, 1, 1), float(drop))
 
 
 def _parse_partition(data: Mapping[str, Any], known: set[str]) -> PartitionWindow:
     group_a, group_b = (
         frozenset(_check_cell_ref(c, known, "partition")
-                  for c in _field(data, key, "partition", list))
+                  for c in field(data, key, "partition", list))
         for key in ("a", "b")
     )
     if group_a & group_b:
         raise ParseError("partition: groups overlap")
     return PartitionWindow(
         group_a, group_b,
-        _field(data, "from", "partition", int), _field(data, "to", "partition", int, None),
+        field(data, "from", "partition", int), field(data, "to", "partition", int, None),
     )
 
 
@@ -312,44 +261,44 @@ def _parse_script(actions: list, known: set[str]) -> tuple[ScriptAction, ...]:
     last_tick = 0
     for index, data in enumerate(actions):
         where = f"script[{index}]"
-        tick = _field(data, "tick", where, int)
+        tick = field(data, "tick", where, int)
         if tick < last_tick:
             raise ParseError(f"{where}: ticks must be non-decreasing")
         last_tick = tick
-        op = _field(data, "op", where, str)
+        op = field(data, "op", where, str)
         if op not in _SCRIPT_OPS:
             raise ParseError(f"{where}: unknown op {op!r}")
         for key, kind in _SCRIPT_OPS[op].items():
-            _field(data, key, f"{where} ({op})", kind)
+            field(data, key, f"{where} ({op})", kind)
         for key in ("cell", "to", "from", "with"):
             if key in data:
                 _check_cell_ref(data[key], known, where)
         # each field built into what the run executes
         params = {k: v for k, v in data.items() if k not in ("tick", "op")}
         if op == "register":
-            params["wantReply"] = _field(data, "wantReply", where, bool, True)
+            params["wantReply"] = field(data, "wantReply", where, bool, True)
         elif op == "partition":
             for ref in data["a"] + data["b"]:
                 _check_cell_ref(ref, known, where)
-            params["until"] = _field(data, "until", where, int, None)
+            params["until"] = field(data, "until", where, int, None)
         elif op in ("send-op", "send-mgmt"):
             params["tokens"] = tuple(
                 token_from_spec(stanza, f"{where} tokens[{j}]")
-                for j, stanza in enumerate(_field(data, "tokens", where, list, []))
+                for j, stanza in enumerate(field(data, "tokens", where, list, []))
             )
             if op == "send-op":
-                params["args"] = _field(data, "args", where, dict, {})
+                params["args"] = field(data, "args", where, dict, {})
             else:
                 params["payload"] = data.get("payload")
         elif op == "emit-update":
-            contexts = _strings(data, "contexts", where)
+            contexts = strings(data, "contexts", where)
             if not contexts:
                 raise ParseError(f"{where}: 'contexts' must list at least one context")
             params["contexts"] = frozenset(contexts)
+            params["kind"] = member(UpdateKind, data, "kind", where)
             try:
-                params["kind"] = UpdateKind(data["kind"])
                 params["payload"] = payload_from_wire(params["kind"], data["payload"])
-            except (SmscError, ValueError) as exc:
+            except SmscError as exc:
                 raise ParseError(f"{where}: bad update: {exc}") from None
         out.append(ScriptAction(tick, op, params))
     return tuple(out)
@@ -359,25 +308,25 @@ def _parse_assertions(specs: list, known: set[str]) -> tuple[AssertionSpec, ...]
     out: list[AssertionSpec] = []
     for index, data in enumerate(specs):
         where = f"assertions[{index}]"
-        check = _field(data, "check", where, str)
+        check = field(data, "check", where, str)
         if check not in _CHECKS:
             raise ParseError(f"{where}: unknown check {check!r}")
         for key, kind in _CHECKS[check].items():
-            _field(data, key, f"{where} ({check})", kind)
+            field(data, key, f"{where} ({check})", kind)
         if check == "decision-equals":
-            _field(data, "context", where, str, None)
+            field(data, "context", where, str, None)
             if data["expected"] not in ("Permit", "Deny", "NotApplicable", "Indeterminate"):
                 raise ParseError(f"{where}: bad expected verdict {data['expected']!r}")
         for key in ("cell", "peer"):
             if key in data:
                 _check_cell_ref(data[key], known, where)
         if check == "converged":
-            for ref in _field(data, "cells", where, list, []):
+            for ref in field(data, "cells", where, list, []):
                 _check_cell_ref(ref, known, where)
         if "atTick" not in data and not data.get("atEnd"):
             raise ParseError(f"{where}: needs atTick or atEnd")
         params = {k: v for k, v in data.items() if k not in ("id", "check", "atTick", "atEnd")}
-        at_tick = _field(data, "atTick", where, int, None)
+        at_tick = field(data, "atTick", where, int, None)
         out.append(AssertionSpec(data.get("id", f"a{index}"), at_tick, check, params))
     return tuple(out)
 
@@ -385,16 +334,14 @@ def _parse_assertions(specs: list, known: set[str]) -> tuple[AssertionSpec, ...]
 def parse_scenario(
     data: Mapping[str, Any], resolver: Optional[PolicyResolver] = None
 ) -> ScenarioSpec:
-    if not isinstance(data, dict):
-        raise ParseError("scenario: must be an object")
-    cells = tuple(_parse_cell(c, resolver) for c in _objects(data, "cells", "scenario"))
+    cells = tuple(_parse_cell(c, resolver) for c in objects(data, "cells", "scenario"))
     if not cells:
         raise ParseError("scenario: no cells")
     known = {c.cell_id for c in cells}
     if len(known) != len(cells):
         raise ParseError("scenario: duplicate cell ids")
-    topology = _field(data, "topology", "scenario", dict, {})
-    links = tuple(_parse_link(l, known) for l in _objects(topology, "links", "topology", []))
+    topology = field(data, "topology", "scenario", dict, {})
+    links = tuple(_parse_link(l, known) for l in objects(topology, "links", "topology", []))
     seen_links = set()
     for link in links:
         key = frozenset((link.a, link.b))
@@ -402,17 +349,17 @@ def parse_scenario(
             raise ParseError(f"scenario: duplicate link {link.a}-{link.b}")
         seen_links.add(key)
     partitions = tuple(
-        _parse_partition(p, known) for p in _objects(topology, "partitions", "topology", [])
+        _parse_partition(p, known) for p in objects(topology, "partitions", "topology", [])
     )
     return ScenarioSpec(
         name=data.get("name", "unnamed"),
-        seed=_field(data, "seed", "scenario", int, 1),
-        max_ticks=_field(data, "maxTicks", "scenario", int, 10, 0),
+        seed=field(data, "seed", "scenario", int, 1),
+        max_ticks=field(data, "maxTicks", "scenario", int, 10, 0),
         cells=cells,
         links=links,
         partitions=partitions,
-        script=_parse_script(_objects(data, "script", "scenario", []), known),
-        assertions=_parse_assertions(_objects(data, "assertions", "scenario", []), known),
+        script=_parse_script(objects(data, "script", "scenario", []), known),
+        assertions=_parse_assertions(objects(data, "assertions", "scenario", []), known),
     )
 
 

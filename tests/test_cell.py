@@ -1,9 +1,11 @@
+import copy
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from smsc.catalogue import CellProfile
-from smsc.cell import AUDIT_QUEUE_CAP, PENDING_REQUEST_CAP, Cell
+from smsc.catalogue import MAX_TTL_TICKS, CellProfile
+from smsc.cell import AUDIT_QUEUE_CAP, ENVELOPE_KINDS, PENDING_REQUEST_CAP, Cell
 from smsc.errors import UnknownCell
 from smsc.governance import ApplyStatus, ConfigSetting, UpdateKind, make_update
 from smsc.policy import (
@@ -21,6 +23,8 @@ from smsc.policy import (
     sign_payload,
 )
 from smsc.resources import EchoResource
+
+from .jsonfuzz import JSON_VALUES, field_at, field_paths, replaced
 
 
 def rule(rid, effect, cond, action, resource="echo", contexts=("work", "home")):
@@ -385,7 +389,10 @@ _GOOD_RULE = rule("extra", Effect.PERMIT, {}, "echo").to_wire()
     ("add-rule", {**_GOOD_RULE, "effect": "Maybe"}),
     ("add-rule", {**_GOOD_RULE, "contexts": []}),
     ("set-trust", {"work": 5}),
-], ids=["bad-id", "bad-effect", "no-contexts", "trust-not-a-list"])
+    ("set-trust", {"work": [7]}),
+    ("set-config", {"key": 7, "value": 1}),
+], ids=["bad-id", "bad-effect", "no-contexts", "trust-not-a-list", "trust-capability-int",
+        "config-key-int"])
 @pytest.mark.parametrize("path", ["direct", "wire"])
 def test_malformed_payload_of_a_permitted_command_is_contained(command, payload, path):
     """A permitted command whose payload fails validation is answered
@@ -595,20 +602,25 @@ def kindless_wire():
     return wire
 
 
+# each id is a fixed string, kept as it is when the error a case expects
+# changes, so that the case keeps its name in the suite's listing
 @pytest.mark.parametrize("wire,error", [
-    (forged_wire(), "BadSignature"),
-    (kindless_wire(), "KeyError"),
-    ({**signed_wire(), "kind": "Nonsense"}, "ValueError"),
-    ({**signed_wire(), "contexts": []}, "MalformedUpdate"),
-    (["not", "a", "package"], "TypeError"),
-    (resigned_wire(seq=1.001), "MalformedUpdate"),
-    (resigned_wire(seq=True), "MalformedUpdate"),
-    (resigned_wire(issuedTick=1.5), "MalformedUpdate"),
-    (resigned_wire(issuedTick=True), "MalformedUpdate"),
-    (resigned_wire(kind="ConfigSet", payload={"key": ["k"], "value": 1}), "MalformedUpdate"),
-    (resigned_wire(contexts="work"), "MalformedUpdate"),
-    (resigned_wire(contexts=["work", 7]), "MalformedUpdate"),
-    ({**signed_wire(), "origin": 7}, "MalformedUpdate"),
+    pytest.param(forged_wire(), "BadSignature", id="wire0-BadSignature"),
+    pytest.param(kindless_wire(), "ParseError", id="wire1-KeyError"),
+    pytest.param({**signed_wire(), "kind": "Nonsense"}, "ParseError", id="wire2-ValueError"),
+    pytest.param({**signed_wire(), "contexts": []}, "MalformedUpdate",
+                 id="wire3-MalformedUpdate"),
+    pytest.param(["not", "a", "package"], "ParseError", id="wire4-TypeError"),
+    pytest.param(resigned_wire(seq=1.001), "ParseError", id="wire5-MalformedUpdate"),
+    pytest.param(resigned_wire(seq=True), "ParseError", id="wire6-MalformedUpdate"),
+    pytest.param(resigned_wire(issuedTick=1.5), "ParseError", id="wire7-MalformedUpdate"),
+    pytest.param(resigned_wire(issuedTick=True), "ParseError", id="wire8-MalformedUpdate"),
+    pytest.param(resigned_wire(kind="ConfigSet", payload={"key": ["k"], "value": 1}),
+                 "ParseError", id="wire9-MalformedUpdate"),
+    pytest.param(resigned_wire(contexts="work"), "ParseError", id="wire10-MalformedUpdate"),
+    pytest.param(resigned_wire(contexts=["work", 7]), "ParseError",
+                 id="wire11-MalformedUpdate"),
+    pytest.param({**signed_wire(), "origin": 7}, "ParseError", id="wire12-MalformedUpdate"),
 ])
 def test_hostile_package_from_trusted_peer_is_contained(wire, error):
     events = []
@@ -645,8 +657,8 @@ FORGED_DUPLICATES = {
     "sig-zeroed": (signed_wire(), forged_wire(), "BadSignature"),
     "payload-changed": (signed_wire(), {**signed_wire(), "payload": "other-host"},
                         "BadSignature"),
-    "tick-float": (config_wire(1), {**config_wire(1), "issuedTick": 1.0}, "MalformedUpdate"),
-    "tick-bool": (config_wire(1), {**config_wire(1), "issuedTick": True}, "MalformedUpdate"),
+    "tick-float": (config_wire(1), {**config_wire(1), "issuedTick": 1.0}, "ParseError"),
+    "tick-bool": (config_wire(1), {**config_wire(1), "issuedTick": True}, "ParseError"),
     "value-bool": (config_wire(1), {**config_wire(1), "payload": {"key": "mode", "value": True}},
                    "BadSignature"),
     "value-float": (config_wire(1), {**config_wire(1), "payload": {"key": "mode", "value": 1.0}},
@@ -670,7 +682,7 @@ def test_forged_duplicate_is_verified_and_logged_invalid(name, monkeypatch):
     assert cell.ingest_security_update(copy, "p1") is ApplyStatus.INVALID
     assert events[-1] == ("update", {"status": "invalid", "from": "p1", "error": error})
     assert cell.store.content_digest() == content and cell.store.version == 1
-    assert signed == ([] if error == "MalformedUpdate" else ["org"])
+    assert signed == ([] if error == "ParseError" else ["org"])
 
 
 @pytest.mark.parametrize("original", [signed_wire(), config_wire(1)], ids=["blocklist", "config"])
@@ -816,7 +828,7 @@ BAD_PROFILE_FIELDS = {
 @pytest.mark.parametrize("kind", ["advert", "register", "register-reply"])
 def test_profile_field_of_another_type_is_rejected(kind, name):
     """A peer profile whose field has another type than ``to_wire`` writes
-    is one ``PolicyError`` reject, and ticking past every TTL (which sorts
+    is one ``ParseError`` reject, and ticking past every TTL (which sorts
     the catalogue ids) raises nothing."""
     events = []
     cell = make_cell(trust={"work": []},
@@ -828,7 +840,7 @@ def test_profile_field_of_another_type_is_rejected(kind, name):
             "register": {"profile": profile, "wantReply": False},
             "register-reply": profile}[kind]
     cell.handle_envelope(kind, "p2", body, 1)
-    assert events == [("reject", {"kind": kind, "from": "p2", "error": "PolicyError"})]
+    assert events == [("reject", {"kind": kind, "from": "p2", "error": "ParseError"})]
     assert sorted(cell.catalogue.entries) == ["p1"]
     for tick in (5, 100):
         cell.on_tick(tick)
@@ -846,14 +858,111 @@ def test_profile_field_of_another_type_is_rejected(kind, name):
 def test_nonce_or_want_reply_of_another_type_is_rejected(kind, field, value):
     """A float nonce would become the sender's last nonce, and a
     ``wantReply`` of ``"no"`` would read as yes; each is one
-    ``PolicyError`` reject that neither stores the peer nor replies."""
+    ``ParseError`` reject that neither stores the peer nor replies."""
     events = []
     cell = make_cell(trust={"work": []},
                      observer=lambda record, detail: events.append((record, detail)))
     cell.handle_envelope(kind, "p2", {"profile": peer_profile("p2").to_wire(), field: value}, 1)
-    assert events == [("reject", {"kind": kind, "from": "p2", "error": "PolicyError"})]
+    assert events == [("reject", {"kind": kind, "from": "p2", "error": "ParseError"})]
     assert cell.catalogue.get("p2") is None
     assert cell.take_outbox() == []
+
+
+# --- peer-input fuzz ------------------------------------------------------
+
+
+def fuzz_target(events):
+    """A cell that trusts p1 in work, holds p1's package org/0, and waits
+    for p1's answers to a lookup (request 0) and a flag-spam (request 1)."""
+    cell = make_cell(trust={"work": []},
+                     observer=lambda record, detail: events.append((record, detail)))
+    cell.resource.operations = ("echo", "lookup")
+    cell.catalogue.upsert(peer_profile("p1"), 0)
+    assert cell.ingest_security_update(signed_wire(), "p1") is ApplyStatus.APPLIED
+    cell.request_operation("p1", [token()], "lookup", {"context": "work"}, "work")
+    cell.request_management("p1", [admin_token()], "flag-spam", {"entry": "x"}, "work")
+    cell.take_outbox()
+    events.clear()
+    return cell
+
+
+# a valid body of every envelope kind, as p1 could send it to that cell
+VALID_BODIES = {
+    "advert": {"profile": peer_profile("p2").to_wire(), "nonce": 0},
+    "register": {"profile": peer_profile("p2").to_wire(), "wantReply": True},
+    "register-reply": peer_profile("p2").to_wire(),
+    "update": signed_wire(seq=1, payload="other-host"),
+    "digest": {"applied": {"org": 0, "p9": 2}},
+    "digest-reply": {"packages": [signed_wire(seq=1, payload="other-host")]},
+    "op-req": {**op_body(token()), "requestId": 4},
+    "op-resp": {"status": "ok", "reason": "permit",
+                "result": {"profiles": [peer_profile("p2").to_wire()]}, "requestId": 0},
+    "mgmt-req": {**mgmt_body("add-rule", rule("r9", Effect.DENY, {"role": ["guest"]}, "echo")
+                             .to_wire()), "requestId": 5},
+    "mgmt-resp": {"status": "ok", "reason": "permit", "result": {"entry": "x", "version": 2},
+                  "requestId": 1},
+}
+
+# kind, field path, value of another type: bodies that, read without the
+# wire reader, raise a builtin error (an unhashable request id, ``values``
+# of a list, a string plus an integer)
+FIXED_MUTATIONS = {
+    "op-resp-request-id-list": ("op-resp", ("requestId",), [1]),
+    "op-req-args-list": ("op-req", ("args",), ["msg", "hi"]),
+    "digest-mark-string": ("digest", ("applied", "org"), "0"),
+}
+
+
+def test_the_fuzz_starts_from_valid_bodies():
+    assert sorted(VALID_BODIES) == sorted(ENVELOPE_KINDS)
+    for kind, body in VALID_BODIES.items():
+        events = []
+        fuzz_target(events).handle_envelope(kind, "p1", copy.deepcopy(body), 1)
+        assert [record for record, _ in events if record == "reject"] == [], kind
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_MUTATIONS))
+def test_a_peer_field_of_another_type_is_one_parse_error_reject(name):
+    kind, path, value = FIXED_MUTATIONS[name]
+    events = []
+    cell = fuzz_target(events)
+    cell.handle_envelope(kind, "p1", replaced(copy.deepcopy(VALID_BODIES[kind]), path, value), 1)
+    assert events == [("reject", {"kind": kind, "from": "p1", "error": "ParseError"})]
+    assert cell.take_outbox() == []
+
+
+@st.composite
+def mutations(draw):
+    """An envelope kind and its valid body with one field at any depth, or
+    the whole body, replaced by a JSON value of another type."""
+    kind = draw(st.sampled_from(sorted(VALID_BODIES)))
+    body = VALID_BODIES[kind]
+    path = draw(st.sampled_from(((),) + tuple(field_paths(body))))
+    original = type(field_at(body, path))
+    value = draw(JSON_VALUES.filter(lambda v: type(v) is not original))
+    return kind, replaced(copy.deepcopy(body), path, value)
+
+
+def _verifies(package):
+    return package.signature == sign_payload(package.origin, package.body())
+
+
+@settings(max_examples=400)
+@given(case=mutations())
+def test_a_peer_field_of_another_type_is_contained(case):
+    """Nothing a peer sends escapes ``handle_envelope`` or a later
+    ``on_tick`` past every TTL, and the store changes only by consuming
+    packages whose signature verifies."""
+    kind, body = case
+    cell = fuzz_target([])
+    before = (cell.store.version, cell.store.content_digest(), cell.store.digest())
+    cell.handle_envelope(kind, "p1", body, 1)
+    for tick in (2, 100, MAX_TTL_TICKS + 100):
+        cell.on_tick(tick)
+    archive = [package for packages in cell.store.archive.values() for package in packages]
+    assert all(map(_verifies, archive))
+    after = (cell.store.version, cell.store.content_digest(), cell.store.digest())
+    assert after == before or after[2] != before[2]
 
 
 # --- request/response correlation -----------------------------------------

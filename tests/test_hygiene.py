@@ -108,3 +108,23 @@ def _unread_parameters(path: Path) -> list[str]:
 def test_every_parameter_is_read(path):
     unread = _unread_parameters(path)
     assert not unread, f"{path.name} never reads {unread}"
+
+
+# what a catch of these would hide is a program bug, logged as a peer's fault
+_BUILTIN_ERRORS = {"KeyError", "TypeError", "ValueError", "AttributeError"}
+
+
+def test_no_catch_outside_the_cli_names_a_builtin_error():
+    """Peer and file input is read by ``wire``, which raises ``SmscError``
+    subclasses, so only the CLI's process boundary catches a builtin
+    error class."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                found += [f"{path.name}:{node.lineno} {name}"
+                          for name in sorted(names & _BUILTIN_ERRORS)]
+    assert not found, f"catches of builtin errors: {found}"

@@ -9,9 +9,11 @@ from smsc.errors import (
     BadSignature,
     DuplicateRuleId,
     Expired,
+    ParseError,
     PolicyError,
     UntrustedIssuer,
 )
+from smsc.governance import DomainSpec
 from smsc.policy import (
     AttributePair,
     Condition,
@@ -21,6 +23,7 @@ from smsc.policy import (
     Effect,
     PolicyDocument,
     PolicyRule,
+    RegressionCase,
     RootGrant,
     Token,
     Verdict,
@@ -418,13 +421,31 @@ DELEGATION_WIRE = DelegationAssertion("alice", "bob", ADMIN, 1, frozenset({"work
     lambda: DelegationAssertion.from_wire({**DELEGATION_WIRE, "contexts": ["work", 7]}),
     lambda: PolicyDocument.from_wire(
         {"delegations": [{**DELEGATION_WIRE, "contexts": "work"}]}),
+    lambda: DomainSpec.from_wire({"actions": "read"}),
 ], ids=["rule-contexts", "rule-contexts-tuple", "rule-subject-values", "condition-values",
         "trusted-issuers", "document-rule-contexts", "delegation-contexts",
-        "delegation-context-int", "document-delegation-contexts"])
+        "delegation-context-int", "document-delegation-contexts", "domain-actions"])
 def test_a_string_where_a_list_is_expected_is_refused(parse):
     """A string is never split into its characters: ``"work"`` would
-    otherwise read as the contexts w, o, r and k."""
-    with pytest.raises(PolicyError, match="list"):
+    otherwise read as the contexts w, o, r and k, and the domain actions
+    ``"read"`` as the universe r, e, a and d that conflicts are sought in."""
+    with pytest.raises(ParseError, match="list"):
+        parse()
+
+
+CASE_WIRE = RegressionCase(request([ADMIN]), Verdict.PERMIT).to_wire()
+
+
+@pytest.mark.parametrize("parse,field", [
+    (lambda: PolicyRule.from_wire({**RULE_WIRE, "contexts": ["work", 7]}), "'contexts'"),
+    (lambda: DelegationAssertion.from_wire({**DELEGATION_WIRE, "issuer": 7}), "'issuer'"),
+    (lambda: RegressionCase.from_wire({**CASE_WIRE, "protected": "no"}), "'protected'"),
+], ids=["rule-context-int", "delegation-issuer-int", "regression-protected-string"])
+def test_a_scalar_of_another_type_is_a_parse_error(parse, field):
+    """A token that is not a string fails the read, before the token
+    grammar is matched against it; a ``protected`` flag of ``"no"``,
+    which is truthy, would block updates as if the case were protected."""
+    with pytest.raises(ParseError, match=field):
         parse()
 
 
