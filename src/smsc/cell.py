@@ -174,8 +174,15 @@ class Cell:
         return frozenset(attrs)
 
     def _blocklisted_value(self, args: Mapping[str, Any], context: str) -> Optional[str]:
+        """The first arg value on the context's blocklist, in the string
+        form the resources read it in: a scalar is screened as ``str(value)``."""
+        blocklist = self.store.blocklist
         for value in args.values():
-            if isinstance(value, str) and (context, value) in self.store.blocklist:
+            if type(value) is not str:
+                if isinstance(value, (dict, list)):
+                    continue
+                value = str(value)
+            if (context, value) in blocklist:
                 return value
         return None
 
@@ -321,16 +328,24 @@ class Cell:
         A package that does not parse or fails its signature check is
         contained: it is logged as ``invalid`` and never raises, so one
         hostile peer cannot abort the caller's loop.  A package the full
-        gap buffer drops is logged as ``evicted``.
+        gap buffer drops is logged as ``evicted``.  An exact copy of an
+        archived package is recognised on the wire and, once its sender
+        passes the trust check, logged as a duplicate without being parsed
+        or handed to the store.
         """
-        try:
-            package = UpdatePackage.from_wire(package_wire)
-        except SmscError as exc:
-            return self._invalid_update(from_cell, exc)
+        package = copy = self.store.archived_copy(package_wire)
+        if package is None:
+            try:
+                package = UpdatePackage.from_wire(package_wire)
+            except SmscError as exc:
+                return self._invalid_update(from_cell, exc)
         sender = self.catalogue.get(from_cell)
         if sender is None or not all(sender.trusted_in(c) for c in package.contexts):
             self._update_record(package, ApplyStatus.UNTRUSTED_SOURCE.value, from_cell)
             return ApplyStatus.UNTRUSTED_SOURCE
+        if copy is not None:
+            self._update_record(package, ApplyStatus.DUPLICATE.value, from_cell)
+            return ApplyStatus.DUPLICATE
         try:
             report = self.store.apply_update(package)
         except SmscError as exc:

@@ -6,7 +6,9 @@ applies them exactly once and in order: stale sequence numbers are
 duplicates, gaps are buffered until the missing package arrives.  A
 package is verified once: an exact copy of an archived package, signature
 and JSON form included, is a duplicate without a second signature check,
-and anything else, a forged copy included, is checked first.  The
+and anything else, a forged copy included, is checked first.
+``archived_copy`` recognises such a copy from its wire form, so that a
+receiver need not parse it either.  The
 gap buffer holds at most ``PENDING_CAP`` packages per origin; when it
 overflows, the package furthest ahead is dropped and reported.
 
@@ -337,6 +339,32 @@ class PolicyStore:
         self.archive: dict[str, list[UpdatePackage]] = {}
 
     # ingestion
+
+    def archived_copy(self, wire: Any) -> Optional[UpdatePackage]:
+        """The archived package ``wire`` is an exact copy of, or None.
+
+        A copy is the archived package's own wire form, down to the JSON
+        type of each number: ``seq`` and ``issuedTick`` are exact integers,
+        and a config value encodes as the archived one does.  Such a wire
+        parses to a package ``identical`` to the archived one, so a caller
+        may take it as that duplicate without parsing it.  Any other input,
+        whatever JSON value it is, gives None and never raises."""
+        if not isinstance(wire, dict):
+            return None
+        origin, seq = wire.get("origin"), wire.get("seq")
+        if type(origin) is not str or type(seq) is not int or seq < 0:
+            return None
+        archived = self.archive.get(origin, ())
+        if seq >= len(archived):
+            return None
+        package = archived[seq]
+        if wire.get("sig") != package.signature or type(wire.get("issuedTick")) is not int:
+            return None
+        own = package.to_wire()
+        if wire != own or (package.kind is UpdateKind.CONFIG_SET
+                           and canonical_json(wire["payload"]) != canonical_json(own["payload"])):
+            return None
+        return package
 
     def apply_update(self, package: UpdatePackage) -> ApplyReport:
         """Verify and apply one package.  An exact copy of the archived

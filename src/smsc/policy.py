@@ -293,8 +293,10 @@ def expand_delegations(
     return base_attrs | gained
 
 
-# the encoder json.dumps would build on every call with these arguments
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# the encoder json.dumps would build on every call with these arguments,
+# less the cycle check: what it encodes is parsed JSON or built from it,
+# which cannot be cyclic
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def canonical_json(value: Any) -> str:

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from smsc.catalogue import MAX_TTL_TICKS, CellProfile
 from smsc.cell import AUDIT_QUEUE_CAP, ENVELOPE_KINDS, PENDING_REQUEST_CAP, Cell
 from smsc.errors import UnknownCell
-from smsc.governance import ApplyStatus, ConfigSetting, UpdateKind, make_update
+from smsc.governance import (
+    ApplyStatus, ConfigSetting, PolicyStore, UpdateKind, UpdatePackage, make_update,
+)
 from smsc.policy import (
     AttributePair,
     Condition,
@@ -222,11 +224,26 @@ def test_blocklist_gate_is_per_context():
         op_body(token(), args={"from": "spam-host"}, context="home"), "ext", 1
     )
     assert decision.verdict is Verdict.PERMIT
-    # non-string args never match the blocklist
+    # an arg whose string form is not on the blocklist passes
     decision, _ = cell.handle_operation(
         op_body(token(), args={"count": 3}), "ext", 1
     )
     assert decision.verdict is Verdict.PERMIT
+
+
+@pytest.mark.parametrize("value,entry", [(7, "7"), (2.5, "2.5"), (True, "True"), (None, "None")])
+def test_a_scalar_arg_is_screened_in_the_string_form_a_resource_reads(value, entry):
+    """A resource reads an arg through ``str()``, so a blocklisted entry
+    sent as a number, a boolean or null is denied like the string itself;
+    a list or an object, which no resource reads as that string, passes."""
+    cell = make_cell()
+    cell.store.apply_update(make_update("org", 0, UpdateKind.BLOCKLIST_ADD, entry, ["work"], 0))
+    decision, _ = cell.handle_operation(op_body(token(), args={"from": value}), "ext", 1)
+    assert decision.verdict is Verdict.DENY and decision.reason == "blocklisted"
+    assert cell.resource.invocations == 0
+    for container in ([value], {"from": value}):
+        decision, _ = cell.handle_operation(op_body(token(), args={"from": container}), "ext", 1)
+        assert decision.verdict is Verdict.PERMIT
 
 
 def test_delegated_attribute_grants_access_in_context():
@@ -701,6 +718,37 @@ def test_exact_duplicate_is_not_verified_again(original, monkeypatch):
     assert signed == ["org"]
     assert events[-1] == ("update", {"origin": "org", "seq": 0, "status": "duplicate",
                                      "from": "p2"})
+
+
+def test_exact_copy_is_recognised_before_any_parse(monkeypatch):
+    """An exact copy of an archived package is logged as a duplicate, or
+    as untrusted-source when its sender is not trusted, without being
+    parsed or handed to the store."""
+    events = []
+    cell = make_cell(trust={"work": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
+    for peer in ("p1", "p2"):
+        cell.catalogue.upsert(peer_profile(peer), 0)
+    original = config_wire(1)
+    assert cell.ingest_security_update(original, "p1") is ApplyStatus.APPLIED
+    cell.take_outbox()
+    calls = []
+    parse, apply = UpdatePackage.from_wire, PolicyStore.apply_update
+    monkeypatch.setattr(UpdatePackage, "from_wire",
+                        classmethod(lambda cls, data: calls.append("parse") or parse(data)))
+    monkeypatch.setattr(PolicyStore, "apply_update",
+                        lambda store, package: calls.append("apply") or apply(store, package))
+    assert cell.ingest_security_update(dict(original), "p2") is ApplyStatus.DUPLICATE
+    assert cell.ingest_security_update(original, "stranger") is ApplyStatus.UNTRUSTED_SOURCE
+    assert calls == [] and cell.take_outbox() == []
+    assert [d for k, d in events[-2:]] == [
+        {"origin": "org", "seq": 0, "status": "duplicate", "from": "p2"},
+        {"origin": "org", "seq": 0, "status": "untrusted-source", "from": "stranger"},
+    ]
+    # a copy whose config value is another JSON number type takes the full path
+    twin = {**original, "payload": {"key": "mode", "value": 1.0}}
+    assert cell.ingest_security_update(twin, "p1") is ApplyStatus.INVALID
+    assert calls == ["parse", "apply"]
 
 
 def test_digest_reply_ingests_the_packages_around_a_bad_one():

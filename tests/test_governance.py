@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smsc.catalogue import CellProfile
 from smsc.cell import Cell
@@ -13,6 +13,7 @@ from smsc.governance import (
     DomainSpec,
     PolicyStore,
     UpdateKind,
+    UpdatePackage,
     assess_update_impact,
     detect_conflicts,
     make_update,
@@ -30,6 +31,7 @@ from smsc.policy import (
     rule_matches,
 )
 
+from .jsonfuzz import JSON_VALUES, field_at, field_paths, replaced
 from .oracles import (
     enumerate_conflicts,
     naive_action_matches,
@@ -145,6 +147,66 @@ def test_duplicate_is_inert():
     assert report.consumed == ()
     assert store.version == 1
     assert store.content_digest() == digest
+
+
+# one consumed package of each kind, each at seq 1 of its own origin and
+# issued at tick 1, so that 1.0 and true are twins of its seq and tick
+SCREENED = {
+    UpdateKind.RULE_ADD: rule("r1", Effect.DENY, {"role": ["x", "y"]}),
+    UpdateKind.RULE_REMOVE: "r1",
+    UpdateKind.BLOCKLIST_ADD: "bad-host",
+    UpdateKind.CONFIG_SET: ConfigSetting("mode", 1),
+}
+
+
+def _screened_store(kind):
+    """A store that has consumed two packages of ``kind.value``; the
+    second, returned with the store, is the package the screen is tried on."""
+    store = PolicyStore()
+    for seq in (0, 1):
+        package = upd(seq, kind, SCREENED[kind], origin=kind.value,
+                      contexts=("work", "home"), tick=1)
+        assert store.apply_update(package).status is ApplyStatus.APPLIED
+    return store, package
+
+
+def _assert_screened(store, wire):
+    """The screen's answer on ``wire`` is None or a package that the full
+    parse gives too, down to its JSON form."""
+    hit = store.archived_copy(wire)
+    if hit is not None:
+        assert UpdatePackage.from_wire(wire).identical(hit)
+        assert hit is store.archive[hit.origin][hit.seq]
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(sorted(SCREENED)), st.data())
+def test_the_screen_admits_only_an_exact_copy(kind, data):
+    """With any one field of a consumed package's wire replaced, at any
+    depth, by any JSON value, or the whole wire replaced, the screen never
+    raises and admits only a wire that parses to the archived package."""
+    store, package = _screened_store(kind)
+    wire = package.to_wire()
+    assert store.archived_copy(wire) is package
+    assert store.archived_copy(dict(wire)) is package
+    path = data.draw(st.sampled_from([()] + list(field_paths(wire))))
+    _assert_screened(store, replaced(wire, path, data.draw(JSON_VALUES)))
+
+
+@pytest.mark.parametrize("kind", sorted(SCREENED))
+@pytest.mark.parametrize("twin", [1.0, True])
+def test_the_screen_refuses_a_number_twin(kind, twin):
+    """``1.0`` and ``true`` equal ``1`` in Python but sign apart, so a
+    wire that carries one for the seq, the issue tick or the config value
+    is not taken as the archived package."""
+    store, package = _screened_store(kind)
+    wire = package.to_wire()
+    paths = [("seq",), ("issuedTick",)]
+    if kind is UpdateKind.CONFIG_SET:
+        paths.append(("payload", "value"))
+    for path in paths:
+        assert field_at(wire, path) == 1
+        assert store.archived_copy(replaced(wire, path, twin)) is None
 
 
 def test_gap_buffers_until_filled():
