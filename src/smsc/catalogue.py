@@ -122,9 +122,6 @@ class Catalogue:
             c: sorted(caps) for c, caps in (trust_policy or {}).items()
         }
         self.entries: dict[str, CatalogueEntry] = {}
-        # the sorted ids trusted anywhere, or None until the next read: a
-        # new entry, an expiry or a new trust map drops it
-        self._partners: Optional[list[str]] = None
         # no entry expires before this tick: upsert lowers it, and
         # expire_stale sets it to the exact first expiry
         self.earliest_expiry: float = math.inf
@@ -139,8 +136,6 @@ class Catalogue:
             trusted = old.trusted
         else:
             trusted = _derive_trust(profile, self.trust_policy)
-        if old is None or trusted is not old.trusted:
-            self._partners = None
         expiry = now + min(profile.ttl_ticks, MAX_TTL_TICKS) + 1
         entry = self.entries[cell_id] = CatalogueEntry(profile, now, trusted, expiry)
         if expiry < self.earliest_expiry:
@@ -161,8 +156,6 @@ class Catalogue:
                 first = expiry
         self.earliest_expiry = first
         stale.sort()
-        if stale:
-            self._partners = None
         for cid in stale:
             del self.entries[cid]
         return stale
@@ -191,18 +184,14 @@ class Catalogue:
         return out
 
     def trusted_partners(self) -> list[str]:
-        """Ids trusted in at least one context, sorted; the list is kept
-        until the entries change, so the caller must not change it."""
-        if self._partners is None:
-            self._partners = sorted(
-                cid for cid, e in self.entries.items() if e.trusted_anywhere()
-            )
-        return self._partners
+        """Ids trusted in at least one context, sorted."""
+        return sorted(
+            cid for cid, e in self.entries.items() if e.trusted_anywhere()
+        )
 
     def set_trust_policy(self, policy: TrustPolicy) -> None:
         """Replace the trust policy and re-derive trust for every entry."""
         self.trust_policy = {c: sorted(caps) for c, caps in policy.items()}
-        self._partners = None
         for cid, entry in self.entries.items():
             self.entries[cid] = entry._replace(
                 trusted=_derive_trust(entry.profile, self.trust_policy)

@@ -329,11 +329,11 @@ class Cell:
         contained: it is logged as ``invalid`` and never raises, so one
         hostile peer cannot abort the caller's loop.  A package the full
         gap buffer drops is logged as ``evicted``.  An exact copy of an
-        archived package is recognised on the wire and, once its sender
-        passes the trust check, logged as a duplicate without being parsed
-        or handed to the store.
+        archived package is recognised on the wire and stands in as the
+        archived package itself, so it is not parsed, and the store takes
+        it as a duplicate without a second signature check.
         """
-        package = copy = self.store.archived_copy(package_wire)
+        package = self.store.archived_copy(package_wire)
         if package is None:
             try:
                 package = UpdatePackage.from_wire(package_wire)
@@ -343,9 +343,6 @@ class Cell:
         if sender is None or not all(sender.trusted_in(c) for c in package.contexts):
             self._update_record(package, ApplyStatus.UNTRUSTED_SOURCE.value, from_cell)
             return ApplyStatus.UNTRUSTED_SOURCE
-        if copy is not None:
-            self._update_record(package, ApplyStatus.DUPLICATE.value, from_cell)
-            return ApplyStatus.DUPLICATE
         try:
             report = self.store.apply_update(package)
         except SmscError as exc:

@@ -4,13 +4,13 @@ Cells change their security configuration only through signed
 ``UpdatePackage`` objects, sequence-numbered per origin.  The store
 applies them exactly once and in order: stale sequence numbers are
 duplicates, gaps are buffered until the missing package arrives.  A
-package is verified once: an exact copy of an archived package, signature
-and JSON form included, is a duplicate without a second signature check,
-and anything else, a forged copy included, is checked first.
-``archived_copy`` recognises such a copy from its wire form, so that a
-receiver need not parse it either.  The
-gap buffer holds at most ``PENDING_CAP`` packages per origin; when it
-overflows, the package furthest ahead is dropped and reported.
+package is verified once: ``archived_copy`` recognises an exact copy of
+an archived package from its wire form, down to its signature and the
+JSON type of each number, and hands back the archived package, which is
+a duplicate without a second parse or signature check; anything else, a
+forged copy included, is parsed and checked first.  The gap buffer
+holds at most ``PENDING_CAP`` packages per origin; when it overflows,
+the package furthest ahead is dropped and reported.
 
 Before a rule change lands it is assessed against the cell's pinned
 regression cases.  A package that would flip a protected case is
@@ -125,15 +125,6 @@ class UpdatePackage:
         wire["sig"] = self.signature
         return wire
 
-    def identical(self, other: "UpdatePackage") -> bool:
-        """Whether ``other`` is this package down to its JSON form, so that
-        it carries the same valid signature.  Field equality is not enough
-        for a config value: ``1``, ``1.0`` and ``true`` are equal in Python
-        but encode, and so sign, apart."""
-        return self == other and (self.kind is not UpdateKind.CONFIG_SET or (
-            canonical_json(_payload_to_wire(self.payload))
-            == canonical_json(_payload_to_wire(other.payload))))
-
     @classmethod
     def from_wire(cls, data: Any) -> "UpdatePackage":
         kind = member(UpdateKind, data, "kind", "update")
@@ -245,6 +236,10 @@ class ApplyReport:
     evicted: Optional[UpdatePackage] = None
 
 
+# every duplicate's report: it is frozen and holds nothing of the package
+_DUPLICATE = ApplyReport(ApplyStatus.DUPLICATE)
+
+
 class _Bucket:
     """The rules of one (context, action) key and their subject matcher.
 
@@ -346,7 +341,7 @@ class PolicyStore:
         A copy is the archived package's own wire form, down to the JSON
         type of each number: ``seq`` and ``issuedTick`` are exact integers,
         and a config value encodes as the archived one does.  Such a wire
-        parses to a package ``identical`` to the archived one, so a caller
+        parses to the archived package, down to its JSON form, so a caller
         may take it as that duplicate without parsing it.  Any other input,
         whatever JSON value it is, gives None and never raises."""
         if not isinstance(wire, dict):
@@ -367,18 +362,18 @@ class PolicyStore:
         return package
 
     def apply_update(self, package: UpdatePackage) -> ApplyReport:
-        """Verify and apply one package.  An exact copy of the archived
-        package at its seq is a duplicate at once, since that one was
+        """Verify and apply one package.  The archived package itself, as
+        ``archived_copy`` returns it, is a duplicate at once, since it was
         verified when it was consumed; any other package must carry a
         valid signature, or ``BadSignature`` is raised."""
         archived = self.archive.get(package.origin, ())
         expected = len(archived)
-        if package.seq < expected and package.identical(archived[package.seq]):
-            return ApplyReport(ApplyStatus.DUPLICATE)
+        if package.seq < expected and package is archived[package.seq]:
+            return _DUPLICATE
         if package.signature != sign_payload(package.origin, package.body()):
             raise BadSignature(f"bad signature on {package.origin}/{package.seq}")
         if package.seq < expected:
-            return ApplyReport(ApplyStatus.DUPLICATE)
+            return _DUPLICATE
         if package.seq > expected:
             return ApplyReport(ApplyStatus.BUFFERED, evicted=self._buffer(package))
         consumed = [(package, self._consume(package))]

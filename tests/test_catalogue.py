@@ -169,33 +169,3 @@ def test_set_trust_policy_rederives_existing_entries():
     assert cat.trusted_partners() == []
     cat.set_trust_policy({"work": []})
     assert cat.trusted_partners() == ["a"]
-
-
-# upsert (peer, contexts, capabilities, ttl), a new trust policy, or an
-# expiry pass after some ticks
-PARTNER_STEPS = st.lists(st.one_of(
-    st.tuples(st.just("upsert"), st.sampled_from("abc"),
-              st.frozensets(st.sampled_from(CONTEXTS), min_size=1),
-              st.frozensets(st.sampled_from(CAPABILITIES)), st.integers(1, 4)),
-    st.tuples(st.just("trust"), TRUST_POLICIES),
-    st.tuples(st.just("expire"), st.integers(0, 4)),
-), max_size=30)
-
-
-@given(TRUST_POLICIES, PARTNER_STEPS)
-def test_trusted_partners_match_a_fresh_sort(policy, steps):
-    """Read after every step, the kept partner list is the one a fresh sort
-    of the entries trusted anywhere gives."""
-    cat = Catalogue("me", policy)
-    now = 0
-    for step in steps:
-        if step[0] == "upsert":
-            _, peer, contexts, caps, ttl = step
-            cat.upsert(profile(peer, contexts=contexts, caps=caps, tick=now, ttl=ttl), now)
-        elif step[0] == "trust":
-            cat.set_trust_policy(step[1])
-        else:
-            now += step[1]
-            cat.expire_stale(now)
-        assert cat.trusted_partners() == sorted(
-            cid for cid, e in cat.entries.items() if any(e.trusted.values()))

@@ -721,9 +721,9 @@ def test_exact_duplicate_is_not_verified_again(original, monkeypatch):
 
 
 def test_exact_copy_is_recognised_before_any_parse(monkeypatch):
-    """An exact copy of an archived package is logged as a duplicate, or
-    as untrusted-source when its sender is not trusted, without being
-    parsed or handed to the store."""
+    """An exact copy of an archived package is not parsed: the store is
+    handed the archived package itself and logs it a duplicate, or the
+    cell logs untrusted-source when its sender is not trusted."""
     events = []
     cell = make_cell(trust={"work": []},
                      observer=lambda kind, detail: events.append((kind, detail)))
@@ -732,15 +732,19 @@ def test_exact_copy_is_recognised_before_any_parse(monkeypatch):
     original = config_wire(1)
     assert cell.ingest_security_update(original, "p1") is ApplyStatus.APPLIED
     cell.take_outbox()
+    archived = cell.store.archive["org"][0]
     calls = []
     parse, apply = UpdatePackage.from_wire, PolicyStore.apply_update
     monkeypatch.setattr(UpdatePackage, "from_wire",
                         classmethod(lambda cls, data: calls.append("parse") or parse(data)))
-    monkeypatch.setattr(PolicyStore, "apply_update",
-                        lambda store, package: calls.append("apply") or apply(store, package))
+    monkeypatch.setattr(
+        PolicyStore, "apply_update",
+        lambda store, package: calls.append(("apply", package is archived))
+        or apply(store, package))
+    signed = counted_signatures(monkeypatch)
     assert cell.ingest_security_update(dict(original), "p2") is ApplyStatus.DUPLICATE
     assert cell.ingest_security_update(original, "stranger") is ApplyStatus.UNTRUSTED_SOURCE
-    assert calls == [] and cell.take_outbox() == []
+    assert calls == [("apply", True)] and signed == [] and cell.take_outbox() == []
     assert [d for k, d in events[-2:]] == [
         {"origin": "org", "seq": 0, "status": "duplicate", "from": "p2"},
         {"origin": "org", "seq": 0, "status": "untrusted-source", "from": "stranger"},
@@ -748,7 +752,29 @@ def test_exact_copy_is_recognised_before_any_parse(monkeypatch):
     # a copy whose config value is another JSON number type takes the full path
     twin = {**original, "payload": {"key": "mode", "value": 1.0}}
     assert cell.ingest_security_update(twin, "p1") is ApplyStatus.INVALID
-    assert calls == ["parse", "apply"]
+    assert calls[1:] == ["parse", ("apply", False)] and signed == ["org"]
+
+
+def test_valid_copy_in_another_wire_form_is_verified_and_logged_duplicate(monkeypatch):
+    """A copy of an archived package that the screen does not take, here
+    its contexts in another order, is parsed and verified like any other
+    package; its signature holds, so it is logged a duplicate."""
+    events = []
+    cell = make_cell(trust={"work": [], "home": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
+    cell.catalogue.upsert(peer_profile("p1", contexts=("work", "home")), 0)
+    original = signed_wire(contexts=("work", "home"))
+    assert original["contexts"] == ["home", "work"]
+    assert cell.ingest_security_update(original, "p1") is ApplyStatus.APPLIED
+    content = cell.store.content_digest()
+    signed = counted_signatures(monkeypatch)
+    reordered = {**original, "contexts": ["work", "home"]}
+    assert cell.store.archived_copy(reordered) is None
+    assert cell.ingest_security_update(reordered, "p1") is ApplyStatus.DUPLICATE
+    assert signed == ["org"]
+    assert events[-1] == ("update", {"origin": "org", "seq": 0, "status": "duplicate",
+                                     "from": "p1"})
+    assert cell.store.content_digest() == content and cell.store.version == 1
 
 
 def test_digest_reply_ingests_the_packages_around_a_bad_one():

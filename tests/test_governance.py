@@ -27,6 +27,7 @@ from smsc.policy import (
     PolicyRule,
     RegressionCase,
     Verdict,
+    canonical_json,
     evaluate_request,
     rule_matches,
 )
@@ -175,7 +176,9 @@ def _assert_screened(store, wire):
     parse gives too, down to its JSON form."""
     hit = store.archived_copy(wire)
     if hit is not None:
-        assert UpdatePackage.from_wire(wire).identical(hit)
+        parsed = UpdatePackage.from_wire(wire)
+        assert parsed == hit
+        assert canonical_json(parsed.to_wire()) == canonical_json(hit.to_wire())
         assert hit is store.archive[hit.origin][hit.seq]
 
 
