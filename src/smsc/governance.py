@@ -42,7 +42,7 @@ from .policy import (
     canonical_json,
     evaluate_request,
     group_attrs,
-    rule_matches,
+    matching_rule_ids,
     sign_payload,
 )
 from .wire import field, member, string_lists, strings
@@ -197,7 +197,7 @@ def assess_update_impact(
     flipped: list[RegressionCase] = []
     for case in regression:
         request = case.request
-        if not any(rule_matches(r, request) for r in changed):
+        if not any(matching_rule_ids(changed, request)):
             continue
         before = [r for r in rules.values() if request.context in r.contexts]
         after = [r for r in before if r.id != gone_id]

@@ -3,7 +3,10 @@
 A request carries a set of subject attributes; rules constrain attributes,
 action, resource, and the context the request arrives in.  Evaluation is
 closed-world (an attribute a rule asks about must be present on the
-request) and combines matched rules deny-overrides.
+request) and reads the rules in one pass: each matching rule's id goes on
+a Deny or a Permit list, the lists combine deny-overrides as in XACML 3.0,
+and the decision cites the winning list sorted.  A repeated rule id raises
+``DuplicateRuleId`` naming the first repeat.
 
 Delegation lets a principal that holds an attribute pass it on, budgeted
 by a hop depth.  ``expand_delegations`` computes the transitive closure a
@@ -102,14 +105,6 @@ class Condition:
             raise ParseError(f"condition values must be lists of strings: {mapping!r}")
         atoms = tuple(sorted((name, frozenset(vals)) for name, vals in mapping.items()))
         return cls(atoms)
-
-    def matches_grouped(self, grouped: Mapping[str, set[str]]) -> bool:
-        """Whether every atom allows one of the request's values, over
-        attributes already grouped by ``group_attrs``."""
-        for name, allowed in self.atoms:
-            if allowed.isdisjoint(grouped.get(name, ())):
-                return False
-        return True
 
     def to_wire(self) -> dict[str, list[str]]:
         return {name: sorted(values) for name, values in self.atoms}
@@ -417,48 +412,55 @@ class Decision:
         }
 
 
-def rule_matches(rule: PolicyRule, request: DecisionRequest) -> bool:
-    return _rule_matches(rule, request, group_attrs(request.subject_attrs))
-
-
-def _rule_matches(
-    rule: PolicyRule, request: DecisionRequest, grouped: Mapping[str, set[str]]
-) -> bool:
-    return (
-        request.context in rule.contexts
-        and rule.action_matches(request.action)
-        and rule.resource_matches(request.resource_id)
-        and rule.subject.matches_grouped(grouped)
-    )
-
-
-def combine_effects(effects: Iterable[Effect]) -> Verdict:
-    """Deny-overrides: any Deny wins, else any Permit, else NotApplicable."""
-    saw_permit = False
-    for effect in effects:
-        if effect is Effect.DENY:
-            return Verdict.DENY
-        saw_permit = True
-    return Verdict.PERMIT if saw_permit else Verdict.NOT_APPLICABLE
-
-
-def evaluate_request(rules: Sequence[PolicyRule], request: DecisionRequest) -> Decision:
-    seen: set[str] = set()
-    for rule in rules:
-        if rule.id in seen:
-            raise DuplicateRuleId(f"rule id {rule.id!r} appears twice")
-        seen.add(rule.id)
+def matching_rule_ids(rules: Iterable[PolicyRule],
+                      request: DecisionRequest) -> tuple[list[str], list[str]]:
+    """The ids of the rules matching ``request``, in input order, as (Deny
+    ids, Permit ids).  A rule matches in one of its contexts, on its action
+    or ``*``, on its resource or a ``*``-ended prefix of it, and when every
+    attribute its condition names has an allowed value on the request."""
+    context, action, resource = request.context, request.action, request.resource_id
     grouped = group_attrs(request.subject_attrs)
-    matched = [r for r in rules if _rule_matches(r, request, grouped)]
-    verdict = combine_effects(r.effect for r in matched)
-    if verdict is Verdict.NOT_APPLICABLE:
-        return Decision(verdict, "not-applicable")
-    cited = sorted(
-        r.id for r in matched
-        if (r.effect is Effect.DENY) == (verdict is Verdict.DENY)
-    )
-    reason = "deny" if verdict is Verdict.DENY else "permit"
-    return Decision(verdict, reason, tuple(cited))
+    deny: list[str] = []
+    permit: list[str] = []
+    for rule in rules:
+        pattern = rule.resource
+        if (context not in rule.contexts
+                or (rule.action != action and rule.action != WILDCARD)
+                or (resource != pattern and not (
+                    pattern[-1:] == WILDCARD and resource.startswith(pattern[:-1])))):
+            continue
+        for name, allowed in rule.subject.atoms:
+            if allowed.isdisjoint(grouped.get(name, ())):
+                break
+        else:
+            (deny if rule.effect is Effect.DENY else permit).append(rule.id)
+    return deny, permit
+
+
+def rule_matches(rule: PolicyRule, request: DecisionRequest) -> bool:
+    return any(matching_rule_ids((rule,), request))
+
+
+def evaluate_request(rules: Iterable[PolicyRule], request: DecisionRequest) -> Decision:
+    """Decide ``request`` over ``rules`` deny-overrides: a matching Deny
+    rule gives Deny, else a matching Permit rule Permit, else
+    NotApplicable, citing the winning rules' ids sorted.  A repeated id
+    raises ``DuplicateRuleId`` naming the first repeat in input order,
+    matching or not.  ``rules`` may be any iterable; it is read once."""
+    if not isinstance(rules, (list, tuple)):
+        rules = list(rules)
+    if len({rule.id for rule in rules}) != len(rules):
+        seen: set[str] = set()
+        for rule in rules:
+            if rule.id in seen:
+                raise DuplicateRuleId(f"rule id {rule.id!r} appears twice")
+            seen.add(rule.id)
+    deny, permit = matching_rule_ids(rules, request)
+    if deny:
+        return Decision(Verdict.DENY, "deny", tuple(sorted(deny)))
+    if permit:
+        return Decision(Verdict.PERMIT, "permit", tuple(sorted(permit)))
+    return Decision(Verdict.NOT_APPLICABLE, "not-applicable")
 
 
 @dataclass(frozen=True)
@@ -500,14 +502,10 @@ class PolicyDocument:
     regression: tuple[RegressionCase, ...] = ()
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        dup: set[str] = set()
-        for rule in self.rules:
-            if rule.id in seen:
-                dup.add(rule.id)
-            seen.add(rule.id)
-        if dup:
-            raise DuplicateRuleId(f"duplicate rule ids: {sorted(dup)}")
+        ids = [rule.id for rule in self.rules]
+        if len(set(ids)) != len(ids):
+            dup = sorted({rid for rid in ids if ids.count(rid) > 1})
+            raise DuplicateRuleId(f"duplicate rule ids: {dup}")
 
     def to_wire(self) -> dict[str, Any]:
         return {

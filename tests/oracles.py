@@ -73,6 +73,15 @@ def naive_cited_ids(rules, request) -> tuple:
     return tuple(sorted(ids))
 
 
+def naive_first_repeat(rules):
+    """Index of the first rule whose id an earlier rule already has, or None."""
+    ids = [rule.id for rule in rules]
+    for i in range(len(ids)):
+        if ids[i] in ids[:i]:
+            return i
+    return None
+
+
 def naive_assess_impact(rules, package, regression):
     """(flipped cases in regression order, first protected flip or None).
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from smsc import policy
 from smsc.catalogue import CellProfile
 from smsc.cell import Cell
 from smsc.errors import BadSignature, MalformedUpdate, UnknownAttributeDomain
@@ -525,6 +526,27 @@ def test_incremental_impact_matches_a_full_replay(seeded, change, regression):
     flipped, blocking = naive_assess_impact(rules, package, regression)
     assert assessment.flipped == flipped
     assert assessment.blocking == blocking
+
+
+def test_impact_check_groups_each_case_attributes_once(monkeypatch):
+    """A change that matches no pinned case replays none of them and
+    groups each case's subject attributes once, not once per changed rule."""
+    grouped = []
+    group_attrs = policy.group_attrs
+    monkeypatch.setattr(
+        policy, "group_attrs", lambda attrs: grouped.append(attrs) or group_attrs(attrs))
+    old = rule("r0", Effect.PERMIT, {"role": ["admin"]})
+    new = rule("r0", Effect.DENY, {"role": ["admin"]}, action="write")
+    cases = [
+        RegressionCase(
+            DecisionRequest(frozenset({AttributePair("role", role)}), "read", "repo-a", "work", 0),
+            Verdict.NOT_APPLICABLE,
+        )
+        for role in ("user", "guest", "ops")
+    ]
+    assessment = assess_update_impact({"r0": old}, _rule_package(0, new), cases)
+    assert assessment.flipped == () and assessment.blocking is None
+    assert len(grouped) == len(cases)
 
 
 # --- archive and digests --------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,7 +37,13 @@ from smsc.policy import (
     verify_token,
 )
 
-from .oracles import fixpoint_delegations, naive_evaluate
+from .oracles import (
+    fixpoint_delegations,
+    naive_cited_ids,
+    naive_evaluate,
+    naive_first_repeat,
+    naive_rule_matches,
+)
 
 ADMIN = AttributePair("role", "admin")
 USER = AttributePair("role", "user")
@@ -213,12 +220,46 @@ def _random_request(rng):
     )
 
 
+_NAIVE_REASONS = {"Deny": "deny", "Permit": "permit", "NotApplicable": "not-applicable"}
+
+
 def test_evaluator_agrees_with_naive_oracle_sample():
     rng = random.Random(71)
     for case in range(300):
         rules = [_random_rule(rng, f"r{i}") for i in range(rng.randint(0, 6))]
         req = _random_request(rng)
-        assert evaluate_request(rules, req).verdict.value == naive_evaluate(rules, req)
+        decision = evaluate_request(rules, req)
+        assert decision.verdict.value == naive_evaluate(rules, req)
+        assert decision.reason == _NAIVE_REASONS[naive_evaluate(rules, req)]
+        assert decision.matched_rule_ids == naive_cited_ids(rules, req)
+    # a repeated id raises, naming the first repeat in input order, whether
+    # or not the repeating rule matches the request
+    repeat_matched = set()
+    for case in range(300):
+        rules = [_random_rule(rng, f"r{i}") for i in range(rng.randint(1, 5))]
+        for _ in range(rng.randint(1, 2)):
+            twin = _random_rule(rng, rng.choice(rules).id)
+            rules.insert(rng.randint(0, len(rules)), twin)
+        req = _random_request(rng)
+        first = naive_first_repeat(rules)
+        repeat_matched.add(naive_rule_matches(rules[first], req))
+        with pytest.raises(DuplicateRuleId, match=re.escape(repr(rules[first].id))):
+            evaluate_request(rules, req)
+    assert repeat_matched == {True, False}
+
+
+def test_any_iterable_of_rules_is_evaluated_as_its_list():
+    rules = [
+        rule("allow", Effect.PERMIT, {}),
+        rule("block", Effect.DENY, {"role": ["user"]}),
+    ]
+    for attrs in ([ADMIN], [USER], []):
+        want = evaluate_request(rules, request(attrs))
+        assert evaluate_request((r for r in rules), request(attrs)) == want
+        assert evaluate_request(iter(rules), request(attrs)) == want
+    assert evaluate_request((r for r in rules[:1]), request()).verdict is Verdict.PERMIT
+    with pytest.raises(DuplicateRuleId):
+        evaluate_request((r for r in rules + rules[:1]), request())
 
 
 # --- delegation -----------------------------------------------------------
@@ -452,6 +493,9 @@ def test_a_scalar_of_another_type_is_a_parse_error(parse, field):
 def test_policy_document_duplicate_ids():
     with pytest.raises(DuplicateRuleId):
         PolicyDocument(rules=(rule("r1", Effect.PERMIT, {}), rule("r1", Effect.DENY, {})))
+    rules = tuple(rule(rid, Effect.PERMIT, {}) for rid in ("r2", "r1", "r3", "r1", "r2", "r2"))
+    with pytest.raises(DuplicateRuleId, match=re.escape("duplicate rule ids: ['r1', 'r2']")):
+        PolicyDocument(rules=rules)
 
 
 def test_request_round_trip():
