@@ -1,7 +1,7 @@
 """Golden event-log hashes: the "same behaviour" gate for simulator changes.
 
-Every corpus scenario under ``scenarios/`` and one generated mesh are run
-and the SHA-256 of the JSON-lines event log is compared with a pinned
+Every corpus scenario under ``scenarios/``, one generated mesh and one
+generated request exchange are run and the SHA-256 of the JSON-lines event log is compared with a pinned
 value.  A change that only makes the simulator faster must leave every
 hash as it is.  A change that alters the log on purpose updates the
 hashes here and names the record kinds that changed.
@@ -53,6 +53,8 @@ CORPUS_HASHES = {
 }
 
 MESH_HASH = "14f87b83efd59ec646280844d69d351998e777ab649a38e6d247377d929a7063"
+
+REQUESTS_HASH = "a676f8278df8a0a7828aad1fac9685627077d72514786fdcb5ec42cc439947ae"
 
 PERMIT_ANY = {
     "rules": [{
@@ -129,6 +131,85 @@ def generated_mesh(seed: int = 11, n_cells: int = 48) -> dict:
     }
 
 
+ADMIN_TOKEN = {
+    "subject": "a", "claims": {"role": ["admin"]},
+    "issuer": "idp", "expiryTick": 999,
+}
+
+
+def request_exchange() -> dict:
+    """Three echo cells in a triangle sending operation and management
+    requests to each other and taking them from outside: a permitted, a
+    rule-denied and an unknown-name request on each channel, bad and
+    expired tokens, a malformed payload and a blocklisted argument."""
+    ids = ["r0", "r1", "r2"]
+    policy = {
+        "rules": [
+            {"id": "allow-echo", "effect": "Permit", "subject": {"role": ["user"]},
+             "action": "echo", "resource": "echo", "contexts": ["mesh"]},
+            {"id": "allow-admin", "effect": "Permit", "subject": {"role": ["admin"]},
+             "action": "*", "resource": "*", "contexts": ["mesh"]},
+        ],
+        "trustedIssuers": ["idp"],
+    }
+    cells = [{
+        "cellId": cid,
+        "profile": {"contexts": ["mesh"]},
+        "resourceKind": "echo",
+        "policy": policy,
+        "intervals": {"advertise": 3, "antiEntropy": 4},
+    } for cid in ids]
+    links = [{"a": "r0", "b": "r1"}, {"a": "r1", "b": "r2", "latency": 2},
+             {"a": "r0", "b": "r2"}]
+    forged = dict(USER_TOKEN, sig="0" * 64)
+    expired = dict(USER_TOKEN, expiryTick=3)
+    extra_rule = {"id": "deny-guest", "effect": "Deny", "subject": {"role": ["guest"]},
+                  "action": "echo", "resource": "echo", "contexts": ["mesh"]}
+
+    def op(tick, to, action, tokens, sender=None, **args):
+        step = {"tick": tick, "op": "send-op", "to": to, "action": action,
+                "context": "mesh", "tokens": tokens, "args": args}
+        return {**step, "from": sender} if sender else step
+
+    def mgmt(tick, to, command, tokens, payload, sender=None):
+        step = {"tick": tick, "op": "send-mgmt", "to": to, "command": command,
+                "context": "mesh", "tokens": tokens, "payload": payload}
+        return {**step, "from": sender} if sender else step
+
+    script = [
+        op(2, "r1", "echo", [USER_TOKEN], "r0", msg="hi"),
+        op(2, "r2", "echo", [USER_TOKEN], msg="outside"),
+        op(3, "r2", "flag", [USER_TOKEN], "r1"),
+        op(3, "r0", "mgmt:add-rule", [ADMIN_TOKEN]),
+        mgmt(4, "r2", "flag-spam", [ADMIN_TOKEN], {"entry": "spammer"}, "r0"),
+        mgmt(4, "r1", "add-rule", [ADMIN_TOKEN], extra_rule),
+        mgmt(5, "r0", "deliver", [ADMIN_TOKEN], None, "r2"),
+        mgmt(5, "r0", "set-config", [USER_TOKEN], {"key": "k", "value": 1}),
+        mgmt(6, "r0", "remove-rule", [ADMIN_TOKEN], 7, "r1"),
+        mgmt(6, "r2", "set-config", [USER_TOKEN], {"key": "k", "value": 2}, "r1"),
+        op(6, "r0", "echo", [forged], "r2"),
+        op(7, "r1", "echo", [expired]),
+        op(7, "r0", "echo", [], "r1"),
+        op(10, "r1", "echo", [USER_TOKEN], "r0", **{"from": "spammer"}),
+        mgmt(11, "r1", "remove-rule", [ADMIN_TOKEN], "deny-guest", "r2"),
+    ]
+    return {
+        "name": "request-exchange",
+        "seed": 3,
+        "maxTicks": 16,
+        "cells": cells,
+        "topology": {"links": links},
+        "script": script,
+        "assertions": [
+            {"id": "spread", "check": "blocklist-contains", "atEnd": True,
+             "cell": "r1", "context": "mesh", "entry": "spammer"},
+            {"id": "blocked", "check": "decision-equals", "atEnd": True,
+             "cell": "r1", "action": "echo", "expected": "Deny"},
+            {"id": "converged", "check": "converged", "atEnd": True},
+        ],
+    }
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS_HASHES))
 def test_corpus_log_hash_is_pinned(name):
     sim = Simulator(load_scenario(os.path.join(SHIPPED, f"{name}.json")))
@@ -150,13 +231,36 @@ def test_generated_mesh_log_hash_is_pinned():
     assert log_sha256(sim) == MESH_HASH
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS_HASHES) + ["generated-mesh"])
+def test_request_exchange_log_hash_is_pinned():
+    """Both request channels, sent from a cell and from outside, each with
+    a permitted, a denied and an unknown-name request."""
+    sim = Simulator(parse_scenario(request_exchange()))
+    report = sim.run()
+    assert report["passed"], report["assertions"]
+    decisions = {(r["detail"]["caller"], r["detail"]["action"], r["detail"]["reason"])
+                 for r in sim.log.records if r["kind"] == "decision"}
+    assert {("r0", "echo", "permit"), ("external", "echo", "permit"),
+            ("r1", "flag", "unknown-action"),
+            ("external", "mgmt:add-rule", "unknown-action"),
+            ("r0", "mgmt:flag-spam", "permit"), ("external", "mgmt:add-rule", "permit"),
+            ("r2", "mgmt:deliver", "unknown-command"),
+            ("external", "mgmt:set-config", "not-applicable")} <= decisions
+    statuses = {(r["kind"], r["detail"]["status"]) for r in sim.log.records
+                if r["kind"] in ("op-resp", "mgmt-resp")}
+    assert statuses == {(kind, status) for kind in ("op-resp", "mgmt-resp")
+                        for status in ("ok", "denied")}
+    assert log_sha256(sim) == REQUESTS_HASH
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_HASHES) + ["generated-mesh", "request-exchange"])
 def test_every_published_fact_has_one_bus_record(name):
     """Each ``decision`` has one ``cell.op`` bus record and each applied
     ``update`` one ``policy.updated`` bus record, with the same cell and
     tick; per cell, busSeq runs 0, 1, 2, ... with no envelope missing."""
     if name == "generated-mesh":
         sim = Simulator(parse_scenario(generated_mesh()))
+    elif name == "request-exchange":
+        sim = Simulator(parse_scenario(request_exchange()))
     else:
         sim = Simulator(load_scenario(os.path.join(SHIPPED, f"{name}.json")))
     sim.run()
