@@ -3,7 +3,10 @@
 A cell bundles a managed resource with everything needed to run it
 unattended: an internal message bus, a peer catalogue fed by discovery,
 a versioned policy store, and an enforcement point that gates every
-operational and management request.
+operational and management request.  Both kinds of request take one
+path: ``send_request`` sends the body, ``handle_request`` gates it at the
+receiver, and one prologue denies a name outside the channel's own set
+before ``decide_operation`` decides the rest.
 
 Cells never share memory.  All interaction is via the message kinds in
 ``OutboundMessage``; the simulator (or any other transport) moves those
@@ -186,38 +189,18 @@ class Cell:
                 return value
         return None
 
-    def _record_decision(
-        self, caller: str, action: str, context: str, decision: Decision
-    ) -> None:
-        self._observer("decision", {
-            "caller": caller,
-            "action": action,
-            "context": context,
-            "verdict": decision.verdict.value,
-            "reason": decision.reason,
-            "matchedRuleIds": list(decision.matched_rule_ids),
-        })
-        self._publish("cell.op", "pep")
-
     def decide_operation(
         self, tokens: Optional[Iterable[Token]], action: str,
         args: Mapping[str, Any], context: str, now: int,
-        management: bool = False,
     ) -> Decision:
-        """Everything before the resource call: the enforcement decision.
+        """The enforcement decision on a request its channel can serve.
 
         ``tokens`` is None when the request's wire tokens did not parse.
         A management command is decided as action ``mgmt:<command>`` with
-        ``management=True`` and no ``args``, so the blocklist, which
-        screens the args, gates operations only.  Both channels run the
-        checks in one fixed order: unknown action or command, malformed
+        no ``args``, so the blocklist, which screens the args, gates
+        operations only.  The checks run in one fixed order: malformed
         token, token verification, blocklist, rules.
         """
-        name = action[len("mgmt:"):] if management else action
-        if name not in (MANAGEMENT_COMMANDS if management else self.resource.operations):
-            return Decision(
-                Verdict.DENY, "unknown-command" if management else "unknown-action"
-            )
         if tokens is None:
             return Decision(Verdict.INDETERMINATE, _MALFORMED_TOKEN)
         try:
@@ -230,18 +213,42 @@ class Cell:
         request = DecisionRequest(attrs, action, self.resource.kind, context, now)
         return evaluate_request(self.store.candidates(request), request)
 
+    def _decide_request(
+        self, kind: str, body: Mapping[str, Any], caller: str, now: int
+    ) -> tuple[Decision, str, Mapping[str, Any], str]:
+        """Read an ``op-req`` or ``mgmt-req`` body, decide it and record
+        the decision; returns the decision, name, args and context.  A name
+        outside the channel's own set is denied before any token is read."""
+        operation = kind == "op-req"
+        name = field(body, "action" if operation else "command", kind, str, "")
+        args: Mapping[str, Any] = field(body, "args", kind, dict, {}) if operation else {}
+        context = field(body, "context", kind, str, "")
+        action = name if operation else f"mgmt:{name}"
+        if name not in (self.resource.operations if operation else MANAGEMENT_COMMANDS):
+            decision = Decision(
+                Verdict.DENY, "unknown-action" if operation else "unknown-command")
+        else:
+            decision = self.decide_operation(
+                _wire_tokens(body, kind), action, args, context, now)
+        self._observer("decision", {
+            "caller": caller, "action": action, "context": context, **decision.to_wire()})
+        self._publish("cell.op", "pep")
+        return decision, name, args, context
+
+    def handle_request(
+        self, kind: str, body: Mapping[str, Any], caller: str, now: int
+    ) -> tuple[Decision, dict[str, Any]]:
+        """Gate one ``op-req`` or ``mgmt-req`` body; returns the decision
+        and the response body, without its request id."""
+        handle = self.handle_operation if kind == "op-req" else self.handle_management
+        return handle(body, caller, now)
+
     def handle_operation(
         self, body: Mapping[str, Any], caller: str, now: int
     ) -> tuple[Decision, dict[str, Any]]:
-        action = field(body, "action", "op-req", str, "")
-        args: Mapping[str, Any] = field(body, "args", "op-req", dict, {})
-        context = field(body, "context", "op-req", str, "")
-        decision = self.decide_operation(
-            _wire_tokens(body, "op-req"), action, args, context, now)
-        self._record_decision(caller, action, context, decision)
+        decision, action, args, context = self._decide_request("op-req", body, caller, now)
         if decision.verdict is Verdict.PERMIT:
-            result = self.resource.invoke(action, args, context)
-            return decision, _ok(result)
+            return decision, _ok(self.resource.invoke(action, args, context))
         return decision, _denied(decision.reason)
 
     # --- management -------------------------------------------------------
@@ -249,12 +256,7 @@ class Cell:
     def handle_management(
         self, body: Mapping[str, Any], caller: str, now: int
     ) -> tuple[Decision, dict[str, Any]]:
-        command = field(body, "command", "mgmt-req", str, "")
-        context = field(body, "context", "mgmt-req", str, "")
-        decision = self.decide_operation(
-            _wire_tokens(body, "mgmt-req"), f"mgmt:{command}", {}, context, now, management=True
-        )
-        self._record_decision(caller, f"mgmt:{command}", context, decision)
+        decision, command, _, context = self._decide_request("mgmt-req", body, caller, now)
         if decision.verdict is not Verdict.PERMIT:
             return decision, _denied(decision.reason)
         try:
@@ -421,6 +423,7 @@ class Cell:
         only for due cells."""
         self.record_bus()
         for cell_id in self.catalogue.expire_stale(now):
+            self.discovery.forget(cell_id)
             self._observer("peer-expired", {"peer": cell_id})
         if now % self.advertise_interval == 0:
             self.advertise_now(now)
@@ -451,40 +454,17 @@ class Cell:
 
     # --- script entry points ---------------------------------------------
 
-    def _new_request(self, response_kind: str, dst: str, name: str) -> int:
-        """A fresh request id, remembered until its response arrives."""
+    def send_request(self, kind: str, dst: str, body: Mapping[str, Any]) -> None:
+        """Send an ``op-req`` or ``mgmt-req`` body to ``dst`` under a fresh
+        request id, remembered with the body's action or command until
+        its response arrives."""
         request_id = self._next_request_id
         self._next_request_id += 1
-        self._requests[request_id] = (response_kind, dst, name)
+        name = body["action" if kind == "op-req" else "command"]
+        self._requests[request_id] = (kind.replace("req", "resp"), dst, name)
         if len(self._requests) > PENDING_REQUEST_CAP:
             del self._requests[next(iter(self._requests))]
-        return request_id
-
-    def request_operation(
-        self, dst: str, tokens: Iterable[Token], action: str,
-        args: Mapping[str, Any], context: str,
-    ) -> None:
-        body = {
-            "tokens": [t.to_wire() for t in tokens],
-            "action": action,
-            "args": dict(args),
-            "context": context,
-            "requestId": self._new_request("op-resp", dst, action),
-        }
-        self._send("op-req", dst, body)
-
-    def request_management(
-        self, dst: str, tokens: Iterable[Token], command: str,
-        payload: Any, context: str,
-    ) -> None:
-        body = {
-            "tokens": [t.to_wire() for t in tokens],
-            "command": command,
-            "payload": payload,
-            "context": context,
-            "requestId": self._new_request("mgmt-resp", dst, command),
-        }
-        self._send("mgmt-req", dst, body)
+        self._send(kind, dst, {**body, "requestId": request_id})
 
     def register_with(self, dst: str, now: int, want_reply: bool = True) -> None:
         request = self.discovery.make_registration(dst, now, want_reply)
@@ -521,7 +501,7 @@ class Cell:
             if reply is not None:
                 self._send("register-reply", src, reply.to_wire())
         elif kind == "register-reply":
-            self.discovery.handle_registration_reply(CellProfile.from_wire(body), now)
+            self.catalogue.upsert(CellProfile.from_wire(body), now)
         elif kind == "update":
             self.ingest_security_update(body, src)
         elif kind == "digest":
@@ -531,8 +511,7 @@ class Cell:
                 self.ingest_security_update(package_wire, src)
         elif kind in ("op-req", "mgmt-req"):
             request_id = field(body, "requestId", kind, int, None)
-            handle = self.handle_operation if kind == "op-req" else self.handle_management
-            _, response = handle(body, src, now)
+            _, response = self.handle_request(kind, body, src, now)
             self._send(kind.replace("req", "resp"), src, {**response, "requestId": request_id})
         else:  # op-resp, mgmt-resp
             self._handle_response(kind, src, body, now)

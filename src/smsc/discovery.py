@@ -1,7 +1,9 @@
 """Peer discovery: broadcast adverts and directed registration.
 
 Adverts carry a per-sender monotonic nonce so a receiver can discard
-replays and reordered copies.  Registration is the directed handshake
+replays and reordered copies while the sender is in its catalogue; the
+nonce is dropped when the entry expires, so that what a cell keeps per
+peer is bounded by its catalogue.  Registration is the directed handshake
 used when a cell wants a specific peer (often a registry cell) to know
 about it; the receiver may return its own profile in reply.
 """
@@ -99,6 +101,10 @@ class DiscoveryService:
         self.catalogue.upsert(advert.profile, now)
         return AdvertOutcome.ACCEPTED
 
+    def forget(self, peer: str) -> None:
+        """Drop the nonce of a peer whose catalogue entry expired."""
+        self._last_nonce.pop(peer, None)
+
     def make_registration(self, target: str, now: int, want_reply: bool = True) -> RegistrationRequest:
         if target == self.cell_id:
             raise SelfRegistration(f"{target!r} cannot register with itself")
@@ -112,6 +118,3 @@ class DiscoveryService:
         if request.want_reply:
             return self.current_profile(now)
         return None
-
-    def handle_registration_reply(self, profile: CellProfile, now: int) -> None:
-        self.catalogue.upsert(profile, now)

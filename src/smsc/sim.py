@@ -109,8 +109,9 @@ class PartitionWindow:
 
 @dataclass(frozen=True)
 class ScriptAction:
-    """One scripted action, built at load: a send carries ``Token``
-    objects, an ``emit-update`` its ``UpdateKind`` and parsed payload."""
+    """One scripted action, built at load: a ``send-op`` or ``send-mgmt``
+    carries its request ``kind`` (``op-req`` or ``mgmt-req``) and its wire
+    ``body``, an ``emit-update`` its ``UpdateKind`` and parsed payload."""
 
     tick: int
     op: str
@@ -282,14 +283,15 @@ def _parse_script(actions: list, known: set[str]) -> tuple[ScriptAction, ...]:
                 _check_cell_ref(ref, known, where)
             params["until"] = field(data, "until", where, int, None)
         elif op in ("send-op", "send-mgmt"):
-            params["tokens"] = tuple(
-                token_from_spec(stanza, f"{where} tokens[{j}]")
-                for j, stanza in enumerate(field(data, "tokens", where, list, []))
-            )
+            tokens = [token_from_spec(stanza, f"{where} tokens[{j}]").to_wire()
+                      for j, stanza in enumerate(field(data, "tokens", where, list, []))]
             if op == "send-op":
-                params["args"] = field(data, "args", where, dict, {})
+                params["kind"], request = "op-req", {
+                    "action": data["action"], "args": field(data, "args", where, dict, {})}
             else:
-                params["payload"] = data.get("payload")
+                params["kind"], request = "mgmt-req", {
+                    "command": data["command"], "payload": data.get("payload")}
+            params["body"] = {"tokens": tokens, **request, "context": data["context"]}
         elif op == "emit-update":
             contexts = strings(data, "contexts", where)
             if not contexts:
@@ -555,24 +557,11 @@ class Simulator:
             self.cells[p["cell"]].advertise_now(tick)
         elif action.op == "register":
             self.cells[p["cell"]].register_with(p["with"], tick, p["wantReply"])
-        elif action.op == "send-op":
+        elif action.op in ("send-op", "send-mgmt"):
             if "from" in p:
-                self.cells[p["from"]].request_operation(
-                    p["to"], p["tokens"], p["action"], p["args"], p["context"]
-                )
+                self.cells[p["from"]].send_request(p["kind"], p["to"], p["body"])
             else:
-                body = {"tokens": [t.to_wire() for t in p["tokens"]], "action": p["action"],
-                        "args": p["args"], "context": p["context"]}
-                self.cells[p["to"]].handle_operation(body, EXTERNAL_CALLER, tick)
-        elif action.op == "send-mgmt":
-            if "from" in p:
-                self.cells[p["from"]].request_management(
-                    p["to"], p["tokens"], p["command"], p["payload"], p["context"]
-                )
-            else:
-                body = {"tokens": [t.to_wire() for t in p["tokens"]], "command": p["command"],
-                        "payload": p["payload"], "context": p["context"]}
-                self.cells[p["to"]].handle_management(body, EXTERNAL_CALLER, tick)
+                self.cells[p["to"]].handle_request(p["kind"], p["body"], EXTERNAL_CALLER, tick)
         elif action.op == "emit-update":
             self.cells[p["cell"]].emit_update(p["kind"], p["payload"], p["contexts"], tick)
         elif action.op == "partition":

@@ -143,6 +143,37 @@ def test_unknown_name_is_checked_before_the_tokens(channel, reason):
     assert response["status"] == "denied"
 
 
+@pytest.mark.parametrize("kind,name,reason", [
+    ("op-req", "mgmt:add-rule", "unknown-action"),
+    ("op-req", "add-rule", "unknown-action"),
+    ("mgmt-req", "deliver", "unknown-command"),
+])
+@pytest.mark.parametrize("path", ["direct", "wire"])
+def test_a_channel_refuses_the_other_channels_names(kind, name, reason, path):
+    """A management command sent as an operation, or an operation sent as
+    a command, is denied by its name, even to a caller whose rules permit
+    every action: nothing is invoked, stored or reconfigured."""
+    cell = make_cell(trust={"work": []})
+    if kind == "op-req":
+        new_rule = rule("extra", Effect.PERMIT, {}, "echo").to_wire()
+        body = op_body(admin_token(), action=name, args=new_rule)
+    else:
+        body = mgmt_body(name, {"work": ["x"]})
+    if path == "direct":
+        handle = cell.handle_operation if kind == "op-req" else cell.handle_management
+        decision, response = handle(body, "ext", 1)
+        assert decision.verdict is Verdict.DENY
+    else:
+        cell.handle_envelope(kind, "p1", {**body, "requestId": 9}, 1)
+        (reply,) = cell.take_outbox()
+        assert (reply.kind, reply.dst) == (kind.replace("req", "resp"), "p1")
+        response = reply.body
+    assert (response["status"], response["reason"]) == ("denied", reason)
+    assert cell.resource.invocations == 0
+    assert cell.store.version == 0 and set(cell.store.rules) == {r.id for r in BASE_RULES}
+    assert cell.catalogue.trust_policy == {"work": []}
+
+
 def test_deny_overrides_inside_cell():
     cell = make_cell()
     guest_and_user = issue_token(
@@ -422,7 +453,7 @@ def test_malformed_payload_of_a_permitted_command_is_contained(command, payload,
         assert decision.verdict is Verdict.PERMIT
     else:
         a = make_cell("a")
-        a.request_management("b", [admin_token()], command, payload, "work")
+        a.send_request("mgmt-req", "b", mgmt_body(command, payload))
         (msg,) = a.take_outbox()
         b.handle_envelope(msg.kind, "a", msg.body, 1)
         (reply,) = b.take_outbox()
@@ -883,6 +914,22 @@ def test_peer_expiry_audited():
     assert cell.catalogue.get("p1") is None
 
 
+def test_an_expired_peer_leaves_no_advert_nonce_behind():
+    """A peer's advert nonce is kept while the peer is in the catalogue,
+    so a replay is refused, and dropped when its entry expires: adverts
+    under many fresh ids leave nothing once their TTL lapses."""
+    cell = make_cell(trust={"work": []})
+    for i in range(1000):
+        profile = replace(peer_profile(f"p{i}"), ttl_ticks=5)
+        cell.handle_envelope("advert", "n", {"profile": profile.to_wire(), "nonce": 3}, 1)
+    replay = {"profile": peer_profile("p0").to_wire(), "nonce": 3}
+    cell.handle_envelope("advert", "n", replay, 2)
+    assert cell.catalogue.get("p0").last_seen_tick == 1
+    cell.on_tick(7)
+    assert cell.catalogue.entries == {}
+    assert cell.discovery._last_nonce == {}
+
+
 # profile field -> a value of another type than the wire carries
 BAD_PROFILE_FIELDS = {
     "cell-id-int": ("cellId", 7),
@@ -953,8 +1000,8 @@ def fuzz_target(events):
     cell.resource.operations = ("echo", "lookup")
     cell.catalogue.upsert(peer_profile("p1"), 0)
     assert cell.ingest_security_update(signed_wire(), "p1") is ApplyStatus.APPLIED
-    cell.request_operation("p1", [token()], "lookup", {"context": "work"}, "work")
-    cell.request_management("p1", [admin_token()], "flag-spam", {"entry": "x"}, "work")
+    cell.send_request("op-req", "p1", op_body(token(), "lookup", {"context": "work"}))
+    cell.send_request("mgmt-req", "p1", mgmt_body("flag-spam", {"entry": "x"}))
     cell.take_outbox()
     events.clear()
     return cell
@@ -1045,7 +1092,7 @@ def test_a_peer_field_of_another_type_is_contained(case):
 def test_lookup_response_feeds_catalogue():
     cell = make_cell()
     cell.resource.operations = ("echo", "lookup")  # let it issue lookups
-    cell.request_operation("registry", [token()], "lookup", {"context": "work"}, "work")
+    cell.send_request("op-req", "registry", op_body(token(), "lookup", {"context": "work"}))
     (request,) = cell.take_outbox()
     learned = peer_profile("newpeer")
     own = peer_profile("cell")  # a registry may echo ourselves back
@@ -1064,7 +1111,7 @@ def test_lookup_response_feeds_catalogue():
 def test_non_lookup_response_only_audited():
     events = []
     cell = make_cell(observer=lambda kind, detail: events.append((kind, detail)))
-    cell.request_operation("peer", [token()], "echo", {"msg": "x"}, "work")
+    cell.send_request("op-req", "peer", op_body(token(), args={"msg": "x"}))
     (request,) = cell.take_outbox()
     body = {"status": "ok", "result": {"echo": {}},
             "requestId": request.body["requestId"]}
@@ -1078,8 +1125,8 @@ def test_response_pairs_by_request_id_after_a_lost_request():
     events = []
     cell = make_cell(observer=lambda kind, detail: events.append((kind, detail)))
     cell.resource.operations = ("echo", "lookup")
-    cell.request_operation("peer", [token()], "lookup", {"context": "work"}, "work")
-    cell.request_operation("peer", [token()], "echo", {"msg": "x"}, "work")
+    cell.send_request("op-req", "peer", op_body(token(), "lookup", {"context": "work"}))
+    cell.send_request("op-req", "peer", op_body(token(), args={"msg": "x"}))
     lost, answered = cell.take_outbox()
     assert (lost.body["requestId"], answered.body["requestId"]) == (0, 1)
     # only the second op-req arrives; its reply must not pair with the first
@@ -1101,7 +1148,7 @@ def test_unpaired_response_is_recorded_not_acted_on(src, kind, request_id):
     events = []
     cell = make_cell(observer=lambda kind, detail: events.append((kind, detail)))
     cell.resource.operations = ("echo", "lookup")
-    cell.request_operation("peer", [token()], "lookup", {"context": "work"}, "work")
+    cell.send_request("op-req", "peer", op_body(token(), "lookup", {"context": "work"}))
     cell.take_outbox()
     body = {"status": "ok", "result": {"profiles": [peer_profile("fake").to_wire()]},
             "requestId": request_id}
@@ -1120,7 +1167,7 @@ def test_pending_requests_are_capped_oldest_first():
     events = []
     cell = make_cell(observer=lambda kind, detail: events.append((kind, detail)))
     for _ in range(PENDING_REQUEST_CAP + 1):
-        cell.request_operation("peer", [token()], "echo", {"msg": "x"}, "work")
+        cell.send_request("op-req", "peer", op_body(token(), args={"msg": "x"}))
     cell.take_outbox()
     for request_id in (0, 1, PENDING_REQUEST_CAP):
         cell.handle_envelope("op-resp", "peer",
@@ -1132,7 +1179,7 @@ def test_op_request_and_response_round_trip_between_cells():
     events = []
     a = make_cell("a", observer=lambda kind, detail: events.append((kind, detail)))
     b = make_cell("b")
-    a.request_operation("b", [token()], "echo", {"msg": "ping"}, "work")
+    a.send_request("op-req", "b", op_body(token(), args={"msg": "ping"}))
     (msg,) = a.take_outbox()
     b.handle_envelope(msg.kind, "a", msg.body, 1)
     (reply,) = b.take_outbox()
@@ -1148,7 +1195,7 @@ def test_mgmt_request_and_response_round_trip_between_cells():
     events = []
     a = make_cell("a", observer=lambda kind, detail: events.append((kind, detail)))
     b = make_cell("b")
-    a.request_management("b", [admin_token()], "flag-spam", {"entry": "x"}, "work")
+    a.send_request("mgmt-req", "b", mgmt_body("flag-spam", {"entry": "x"}))
     (msg,) = a.take_outbox()
     b.handle_envelope(msg.kind, "a", msg.body, 1)
     (reply,) = [m for m in b.take_outbox() if m.kind == "mgmt-resp"]

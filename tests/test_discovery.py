@@ -59,7 +59,7 @@ def test_registration_handshake():
     reply = b.handle_registration(request, 2)
     assert b.catalogue.get("a").profile.capabilities == frozenset({"ring"})
     assert reply is not None and reply.cell_id == "b"
-    a.handle_registration_reply(reply, 3)
+    a.catalogue.upsert(reply, 3)
     assert a.catalogue.get("b").profile.capabilities == frozenset({"text"})
 
 
