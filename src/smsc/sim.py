@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, TextIO
+from typing import AbstractSet, Any, Callable, Mapping, NamedTuple, Optional, TextIO
 
 from .cell import EXTERNAL_CALLER, Cell
 from .errors import InvalidProbability, ParseError, SmscError, UnknownCellRef
@@ -68,6 +68,8 @@ SIM = "-"  # the "cell" column for simulator-level log records
 
 @dataclass(frozen=True)
 class CellSpec:
+    """A cell as loaded: its fields are the arguments of ``Cell``."""
+
     cell_id: str
     contexts: tuple[str, ...]
     capabilities: Optional[tuple[str, ...]]
@@ -89,17 +91,15 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class PartitionWindow:
-    """Cuts traffic between the two groups for deliveries due in
-    ``[from_tick, to_tick)``; ``to_tick`` None means still open."""
+    """Cuts traffic between the two groups from the tick of the
+    ``partition`` op that opened it, up to ``to_tick`` (exclusive) or, when
+    that is None, until a ``heal``."""
 
     group_a: frozenset[str]
     group_b: frozenset[str]
-    from_tick: int
     to_tick: Optional[int] = None
 
     def cuts(self, src: str, dst: str, tick: int) -> bool:
-        if tick < self.from_tick:
-            return False
         if self.to_tick is not None and tick >= self.to_tick:
             return False
         return (src in self.group_a and dst in self.group_b) or (
@@ -109,9 +109,11 @@ class PartitionWindow:
 
 @dataclass(frozen=True)
 class ScriptAction:
-    """One scripted action, built at load: a ``send-op`` or ``send-mgmt``
-    carries its request ``kind`` (``op-req`` or ``mgmt-req``) and its wire
-    ``body``, an ``emit-update`` its ``UpdateKind`` and parsed payload."""
+    """One scripted action, built at load: its params hold exactly the
+    fields ``_SCRIPT_OPS`` declares for its op, plus what the run executes.
+    A ``send-op`` or ``send-mgmt`` carries its request ``kind`` (``op-req``
+    or ``mgmt-req``) and its wire ``body``, an ``emit-update`` its
+    ``UpdateKind`` and parsed payload, a ``partition`` its groups as sets."""
 
     tick: int
     op: str
@@ -133,7 +135,6 @@ class ScenarioSpec:
     max_ticks: int
     cells: tuple[CellSpec, ...]
     links: tuple[LinkSpec, ...]
-    partitions: tuple[PartitionWindow, ...]
     script: tuple[ScriptAction, ...]
     assertions: tuple[AssertionSpec, ...]
 
@@ -142,28 +143,48 @@ class ScenarioSpec:
 
 PolicyResolver = Callable[[str], PolicyDocument]
 
-# op or check -> its required fields and their types
+# Each field of an op or check, declared once: its type, or a (type,
+# default) pair when it may be absent.  CELL is a known cell id, CELLS a
+# non-empty list of them.  A field declared nowhere is refused.
+CELL, CELLS = object(), object()
+
+_ACTION = {"tick": int, "op": str}
 _SCRIPT_OPS = {
-    "advertise": {"cell": str},
-    "register": {"cell": str, "with": str},
-    "send-op": {"to": str, "action": str, "context": str},
-    "send-mgmt": {"to": str, "command": str, "context": str},
-    "emit-update": {"cell": str, "kind": str, "payload": object, "contexts": list},
-    "partition": {"a": list, "b": list},
+    "advertise": {"cell": CELL},
+    "register": {"cell": CELL, "with": CELL, "wantReply": (bool, True)},
+    "send-op": {"to": CELL, "from": (CELL, None), "action": str, "context": str,
+                "tokens": (list, []), "args": (dict, {})},
+    "send-mgmt": {"to": CELL, "from": (CELL, None), "command": str, "context": str,
+                  "tokens": (list, []), "payload": (object, None)},
+    "emit-update": {"cell": CELL, "kind": str, "payload": object, "contexts": list},
+    "partition": {"a": CELLS, "b": CELLS, "until": (int, None)},
     "heal": {},
 }
 
+_ASSERTION = {"check": str, "id": (str, None), "atTick": (int, None), "atEnd": (bool, False)}
 _CHECKS = {
-    "decision-equals": {"cell": str, "action": str, "expected": object},
-    "store-version": {"cell": str, "expected": object},
-    "catalogue-contains": {"cell": str, "peer": str},
-    "converged": {},
-    "blocklist-contains": {"cell": str, "context": str, "entry": str},
+    "decision-equals": {"cell": CELL, "action": str, "context": (str, None), "expected": str},
+    "store-version": {"cell": CELL, "expected": int},
+    "catalogue-contains": {"cell": CELL, "peer": CELL, "expected": (bool, True)},
+    "converged": {"cells": (CELLS, None)},
+    "blocklist-contains": {"cell": CELL, "context": str, "entry": str, "expected": (bool, True)},
 }
+
+# the fields a cell, its profile and intervals, and a link may hold
+_CELL_FIELDS = frozenset({"cellId", "profile", "resourceKind", "policy", "policyFile",
+                          "trustPolicy", "intervals"})
+_PROFILE_FIELDS = frozenset({"contexts", "capabilities", "ttlTicks"})
+_INTERVAL_FIELDS = frozenset({"advertise", "antiEntropy"})
+_LINK_FIELDS = frozenset({"a", "b", "latency", "drop"})
 
 # shared by every cell that names no policy (a document is immutable),
 # so that set-up builds none per cell
 _NO_POLICY = PolicyDocument()
+
+
+def _no_other_fields(data: Mapping[str, Any], allowed: AbstractSet[str], where: str) -> None:
+    if not data.keys() <= allowed:
+        raise ParseError(f"{where}: unknown field(s) {sorted(data.keys() - allowed)}")
 
 
 def _check_cell_ref(ref: Any, known: set[str], where: str) -> str:
@@ -172,15 +193,40 @@ def _check_cell_ref(ref: Any, known: set[str], where: str) -> str:
     return ref
 
 
+def _read_declared(
+    data: Mapping[str, Any], declared: Mapping[str, Any], known: set[str], where: str
+) -> dict[str, Any]:
+    """Exactly the declared fields of ``data``, each read and checked."""
+    _no_other_fields(data, declared.keys(), where)
+    params = {}
+    for key, spec in declared.items():
+        kind, *default = spec if type(spec) is tuple else (spec,)
+        if kind is CELLS:
+            value = strings(data, key, where, *default)
+            if value == []:
+                raise ParseError(f"{where}: {key!r} must name at least one cell")
+            for ref in value or ():
+                _check_cell_ref(ref, known, where)
+        elif kind is CELL:
+            value = field(data, key, where, str, *default)
+            if value is not None:
+                _check_cell_ref(value, known, where)
+        else:
+            value = field(data, key, where, kind, *default)
+        params[key] = value
+    return params
+
+
 def token_from_spec(data: Any, where: str) -> Token:
     """A scenario token stanza as a token.  Its claims map names to lists
     of values, and a stanza without a signature is signed by its issuer."""
     if not isinstance(data, dict):
         raise ParseError(f"{where}: token stanza must be an object")
+    _no_other_fields(data, {"subject", "issuer", "claims", "expiryTick", "sig"}, where)
     claims = string_lists(data, "claims", where, {})
     subject, issuer = field(data, "subject", where, str), field(data, "issuer", where, str)
     expiry = field(data, "expiryTick", where, int)
-    sig = field(data, "sig", where, str) if "sig" in data else None
+    sig = field(data, "sig", where, str, None)
     try:
         if sig is None:
             return issue_token(subject, attrs_from_wire(claims), issuer, expiry)
@@ -192,8 +238,10 @@ def token_from_spec(data: Any, where: str) -> Token:
 def _parse_cell(data: Mapping[str, Any], resolver: Optional[PolicyResolver]) -> CellSpec:
     cell_id = field(data, "cellId", "cell", str)
     where = f"cell {cell_id!r}"
+    _no_other_fields(data, _CELL_FIELDS, where)
     profile = field(data, "profile", where, dict)
     at = f"{where} profile"
+    _no_other_fields(profile, _PROFILE_FIELDS, at)
     contexts = tuple(strings(profile, "contexts", at))
     if not contexts:
         raise ParseError(f"{at}: 'contexts' is empty")
@@ -202,10 +250,12 @@ def _parse_cell(data: Mapping[str, Any], resolver: Optional[PolicyResolver]) -> 
     if resource_kind not in RESOURCE_KINDS:
         raise ParseError(f"{where}: unknown resource kind {resource_kind!r}")
     try:
-        if "policyFile" in data and "policy" not in data:
+        if "policyFile" in data:
+            if "policy" in data:
+                raise ParseError("give 'policy' or 'policyFile', not both")
             if resolver is None:
                 raise ParseError("policyFile given but no way to resolve it")
-            policy = resolver(data["policyFile"])
+            policy = resolver(field(data, "policyFile", where, str))
         elif "policy" in data:
             policy = PolicyDocument.from_wire(data["policy"])
         else:
@@ -218,6 +268,7 @@ def _parse_cell(data: Mapping[str, Any], resolver: Optional[PolicyResolver]) -> 
         trust_policy = {c: [] for c in contexts}
     intervals = field(data, "intervals", where, dict, {})
     at_intervals = f"{where} intervals"
+    _no_other_fields(intervals, _INTERVAL_FIELDS, at_intervals)
     return CellSpec(
         cell_id=cell_id,
         contexts=contexts,
@@ -237,24 +288,11 @@ def _parse_link(data: Mapping[str, Any], known: set[str]) -> LinkSpec:
     if a == b:
         raise ParseError(f"link: {a!r} linked to itself")
     where = f"link {a}-{b}"
+    _no_other_fields(data, _LINK_FIELDS, where)
     drop = data.get("drop", 0.0)
     if type(drop) not in (int, float) or not 0.0 <= drop <= 1.0:
         raise InvalidProbability(f"{where}: 'drop' must be a number in [0, 1], got {drop!r}")
     return LinkSpec(a, b, field(data, "latency", where, int, 1, 1), float(drop))
-
-
-def _parse_partition(data: Mapping[str, Any], known: set[str]) -> PartitionWindow:
-    group_a, group_b = (
-        frozenset(_check_cell_ref(c, known, "partition")
-                  for c in field(data, key, "partition", list))
-        for key in ("a", "b")
-    )
-    if group_a & group_b:
-        raise ParseError("partition: groups overlap")
-    return PartitionWindow(
-        group_a, group_b,
-        field(data, "from", "partition", int), field(data, "to", "partition", int, None),
-    )
 
 
 def _parse_script(actions: list, known: set[str]) -> tuple[ScriptAction, ...]:
@@ -262,36 +300,32 @@ def _parse_script(actions: list, known: set[str]) -> tuple[ScriptAction, ...]:
     last_tick = 0
     for index, data in enumerate(actions):
         where = f"script[{index}]"
-        tick = field(data, "tick", where, int)
-        if tick < last_tick:
-            raise ParseError(f"{where}: ticks must be non-decreasing")
-        last_tick = tick
         op = field(data, "op", where, str)
         if op not in _SCRIPT_OPS:
             raise ParseError(f"{where}: unknown op {op!r}")
-        for key, kind in _SCRIPT_OPS[op].items():
-            field(data, key, f"{where} ({op})", kind)
-        for key in ("cell", "to", "from", "with"):
-            if key in data:
-                _check_cell_ref(data[key], known, where)
+        params = _read_declared(data, {**_ACTION, **_SCRIPT_OPS[op]}, known, f"{where} ({op})")
+        tick = params.pop("tick")
+        del params["op"]
+        if tick < last_tick:
+            raise ParseError(f"{where}: ticks must be non-decreasing")
+        last_tick = tick
+        if op == "register" and params["with"] == params["cell"]:
+            raise ParseError(f"{where}: {params['cell']!r} cannot register with itself")
         # each field built into what the run executes
-        params = {k: v for k, v in data.items() if k not in ("tick", "op")}
-        if op == "register":
-            params["wantReply"] = field(data, "wantReply", where, bool, True)
-        elif op == "partition":
-            for ref in data["a"] + data["b"]:
-                _check_cell_ref(ref, known, where)
-            params["until"] = field(data, "until", where, int, None)
+        if op == "partition":
+            params["a"], params["b"] = frozenset(params["a"]), frozenset(params["b"])
+            if params["a"] & params["b"]:
+                raise ParseError(f"{where}: partition groups overlap")
         elif op in ("send-op", "send-mgmt"):
             tokens = [token_from_spec(stanza, f"{where} tokens[{j}]").to_wire()
-                      for j, stanza in enumerate(field(data, "tokens", where, list, []))]
+                      for j, stanza in enumerate(params["tokens"])]
             if op == "send-op":
                 params["kind"], request = "op-req", {
-                    "action": data["action"], "args": field(data, "args", where, dict, {})}
+                    "action": params["action"], "args": params["args"]}
             else:
                 params["kind"], request = "mgmt-req", {
-                    "command": data["command"], "payload": data.get("payload")}
-            params["body"] = {"tokens": tokens, **request, "context": data["context"]}
+                    "command": params["command"], "payload": params["payload"]}
+            params["body"] = {"tokens": tokens, **request, "context": params["context"]}
         elif op == "emit-update":
             contexts = strings(data, "contexts", where)
             if not contexts:
@@ -299,7 +333,7 @@ def _parse_script(actions: list, known: set[str]) -> tuple[ScriptAction, ...]:
             params["contexts"] = frozenset(contexts)
             params["kind"] = member(UpdateKind, data, "kind", where)
             try:
-                params["payload"] = payload_from_wire(params["kind"], data["payload"])
+                params["payload"] = payload_from_wire(params["kind"], params["payload"])
             except SmscError as exc:
                 raise ParseError(f"{where}: bad update: {exc}") from None
         out.append(ScriptAction(tick, op, params))
@@ -313,23 +347,15 @@ def _parse_assertions(specs: list, known: set[str]) -> tuple[AssertionSpec, ...]
         check = field(data, "check", where, str)
         if check not in _CHECKS:
             raise ParseError(f"{where}: unknown check {check!r}")
-        for key, kind in _CHECKS[check].items():
-            field(data, key, f"{where} ({check})", kind)
-        if check == "decision-equals":
-            field(data, "context", where, str, None)
-            if data["expected"] not in ("Permit", "Deny", "NotApplicable", "Indeterminate"):
-                raise ParseError(f"{where}: bad expected verdict {data['expected']!r}")
-        for key in ("cell", "peer"):
-            if key in data:
-                _check_cell_ref(data[key], known, where)
-        if check == "converged":
-            for ref in field(data, "cells", where, list, []):
-                _check_cell_ref(ref, known, where)
-        if "atTick" not in data and not data.get("atEnd"):
+        params = _read_declared(data, {**_ASSERTION, **_CHECKS[check]}, known,
+                                f"{where} ({check})")
+        head = {key: params.pop(key) for key in _ASSERTION}
+        if check == "decision-equals" and params["expected"] not in (
+                "Permit", "Deny", "NotApplicable", "Indeterminate"):
+            raise ParseError(f"{where}: bad expected verdict {params['expected']!r}")
+        if head["atTick"] is None and not head["atEnd"]:
             raise ParseError(f"{where}: needs atTick or atEnd")
-        params = {k: v for k, v in data.items() if k not in ("id", "check", "atTick", "atEnd")}
-        at_tick = field(data, "atTick", where, int, None)
-        out.append(AssertionSpec(data.get("id", f"a{index}"), at_tick, check, params))
+        out.append(AssertionSpec(head["id"] or f"a{index}", head["atTick"], check, params))
     return tuple(out)
 
 
@@ -339,10 +365,13 @@ def parse_scenario(
     cells = tuple(_parse_cell(c, resolver) for c in objects(data, "cells", "scenario"))
     if not cells:
         raise ParseError("scenario: no cells")
+    _no_other_fields(data, {"name", "seed", "maxTicks", "cells", "topology", "script",
+                            "assertions"}, "scenario")
     known = {c.cell_id for c in cells}
     if len(known) != len(cells):
         raise ParseError("scenario: duplicate cell ids")
     topology = field(data, "topology", "scenario", dict, {})
+    _no_other_fields(topology, {"links"}, "topology")
     links = tuple(_parse_link(l, known) for l in objects(topology, "links", "topology", []))
     seen_links = set()
     for link in links:
@@ -350,16 +379,12 @@ def parse_scenario(
         if key in seen_links:
             raise ParseError(f"scenario: duplicate link {link.a}-{link.b}")
         seen_links.add(key)
-    partitions = tuple(
-        _parse_partition(p, known) for p in objects(topology, "partitions", "topology", [])
-    )
     return ScenarioSpec(
-        name=data.get("name", "unnamed"),
+        name=field(data, "name", "scenario", str, "unnamed"),
         seed=field(data, "seed", "scenario", int, 1),
         max_ticks=field(data, "maxTicks", "scenario", int, 10, 0),
         cells=cells,
         links=links,
-        partitions=partitions,
         script=_parse_script(objects(data, "script", "scenario", []), known),
         assertions=_parse_assertions(objects(data, "assertions", "scenario", []), known),
     )
@@ -440,18 +465,7 @@ class Simulator:
         # (cell, action, None), for ``decision-equals``
         self._latest: dict[tuple[str, str, Optional[str]], dict[str, Any]] = {}
         for cs in spec.cells:
-            self.cells[cs.cell_id] = Cell(
-                cell_id=cs.cell_id,
-                contexts=cs.contexts,
-                resource_kind=cs.resource_kind,
-                policy=cs.policy,
-                trust_policy=cs.trust_policy,
-                advertise_interval=cs.advertise_interval,
-                anti_entropy_interval=cs.anti_entropy_interval,
-                ttl_ticks=cs.ttl_ticks,
-                capabilities=cs.capabilities,
-                observer=self._make_observer(cs.cell_id),
-            )
+            self.cells[cs.cell_id] = Cell(**vars(cs), observer=self._make_observer(cs.cell_id))
         self._cell_order = sorted(self.cells)
         # the wake schedule: tick -> ids of the cells due then, and each
         # cell's scheduled tick; every cell is due at 0
@@ -470,7 +484,7 @@ class Simulator:
         for peers in self._adjacency.values():
             peers.sort()
         self._streams: dict[frozenset[str], SplitMix64] = {}
-        self.partitions: list[PartitionWindow] = list(spec.partitions)
+        self.partitions: list[PartitionWindow] = []
         self._in_flight: dict[int, list[SimEnvelope]] = {}
         self._next_net_seq = 0
         self._script_by_tick: dict[int, list[ScriptAction]] = {}
@@ -502,35 +516,13 @@ class Simulator:
     def _partitioned(self, src: str, dst: str, tick: int) -> bool:
         return any(w.cuts(src, dst, tick) for w in self.partitions)
 
-    # --- fault injection --------------------------------------------------
-
-    def inject_partition(
-        self, a: Iterable[str], b: Iterable[str], to_tick: Optional[int] = None
-    ) -> None:
-        window = PartitionWindow(frozenset(a), frozenset(b), self.tick, to_tick)
-        self.partitions.append(window)
-        self.log.record(self.tick, SIM, "fault", {
-            "fault": "partition",
-            "a": sorted(window.group_a),
-            "b": sorted(window.group_b),
-            "to": to_tick,
-        })
-
-    def inject_heal(self) -> None:
-        self.partitions = [
-            replace(w, to_tick=self.tick)
-            if w.to_tick is None or w.to_tick > self.tick else w
-            for w in self.partitions
-        ]
-        self.log.record(self.tick, SIM, "fault", {"fault": "heal"})
-
     # --- per-tick machinery -----------------------------------------------
 
     def _run_script(self, tick: int) -> None:
         for action in self._script_by_tick.get(tick, []):
             self._apply_action(action, tick)
             for key in ("cell", "from", "to"):
-                if key in action.params:
+                if action.params.get(key) is not None:
                     self._recheck(action.params[key], tick)
 
     def _schedule(self, cell_id: str, tick: int) -> None:
@@ -558,16 +550,20 @@ class Simulator:
         elif action.op == "register":
             self.cells[p["cell"]].register_with(p["with"], tick, p["wantReply"])
         elif action.op in ("send-op", "send-mgmt"):
-            if "from" in p:
+            if p["from"] is not None:
                 self.cells[p["from"]].send_request(p["kind"], p["to"], p["body"])
             else:
                 self.cells[p["to"]].handle_request(p["kind"], p["body"], EXTERNAL_CALLER, tick)
         elif action.op == "emit-update":
             self.cells[p["cell"]].emit_update(p["kind"], p["payload"], p["contexts"], tick)
         elif action.op == "partition":
-            self.inject_partition(p["a"], p["b"], p["until"])
-        elif action.op == "heal":
-            self.inject_heal()
+            self.partitions.append(PartitionWindow(p["a"], p["b"], p["until"]))
+            self.log.record(tick, SIM, "fault", {
+                "fault": "partition", "a": sorted(p["a"]), "b": sorted(p["b"]), "to": p["until"],
+            })
+        else:  # heal: no window cuts a delivery from now on
+            self.partitions = []
+            self.log.record(tick, SIM, "fault", {"fault": "heal"})
 
     def _deliver_due(self, tick: int) -> None:
         record, routes, streams = self.log.record_envelope, self._routes, self._streams
@@ -627,7 +623,7 @@ class Simulator:
     def _evaluate_assertion(self, spec: AssertionSpec) -> dict[str, Any]:
         p = spec.params
         if spec.check == "decision-equals":
-            found = self._latest.get((p["cell"], p["action"], p.get("context")))
+            found = self._latest.get((p["cell"], p["action"], p["context"]))
             got = found["verdict"] if found else "no-decision"
             ok = got == p["expected"]
             detail = f"{p['cell']}/{p['action']}: {got}, expected {p['expected']}"
@@ -637,12 +633,11 @@ class Simulator:
             detail = f"{p['cell']} store version {got}, expected {p['expected']}"
         elif spec.check == "catalogue-contains":
             present = self.cells[p["cell"]].catalogue.get(p["peer"]) is not None
-            expected = bool(p.get("expected", True))
-            ok = present == expected
+            ok = present == p["expected"]
             detail = (f"{p['cell']} catalogue has {p['peer']}: {present}, "
-                      f"expected {expected}")
+                      f"expected {p['expected']}")
         elif spec.check == "converged":
-            ids = p.get("cells") or sorted(self.cells)
+            ids = p["cells"] or sorted(self.cells)
             digests = {cid: self.cells[cid].store.digest() for cid in ids}
             baseline = digests[ids[0]]
             ok = all(d == baseline for d in digests.values())
@@ -650,10 +645,9 @@ class Simulator:
                       else f"divergent digests: {digests}")
         else:  # blocklist-contains
             present = (p["context"], p["entry"]) in self.cells[p["cell"]].store.blocklist
-            expected = bool(p.get("expected", True))
-            ok = present == expected
+            ok = present == p["expected"]
             detail = (f"{p['cell']} blocklist has {p['context']}/{p['entry']}: "
-                      f"{present}, expected {expected}")
+                      f"{present}, expected {p['expected']}")
         entry = {"id": spec.id, "ok": ok, "detail": detail}
         self.log.record(self.tick, SIM, "assert", entry)
         self.results.append(entry)

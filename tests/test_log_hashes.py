@@ -6,8 +6,14 @@ value.  A change that only makes the simulator faster must leave every
 hash as it is.  A change that alters the log on purpose updates the
 hashes here and names the record kinds that changed.
 
-Last re-pinned when the cell's audit list was deleted and the event log
-became the cell's one recording channel.  Changed record kinds:
+``MESH_HASH`` was last re-pinned when a scenario lost its topology
+partition windows: the generated mesh's window from tick 5 to 12 became
+a ``partition`` op with ``until``, which adds one ``fault`` record at
+tick 5; every other line is byte-identical, in the same order.
+
+Before that, the hashes were re-pinned when the cell's audit list was
+deleted and the event log became the cell's one recording channel.
+Changed record kinds:
 
 * ``bus``: written when the cell's ``on_tick`` drains the bus, not at
   publish time; each record keeps its tick, cell, detail and per-cell
@@ -52,7 +58,7 @@ CORPUS_HASHES = {
         "5714fe7c0cd52de572c28d9498475d36361ce4bdd69ea928ea47f135c08b798c",
 }
 
-MESH_HASH = "14f87b83efd59ec646280844d69d351998e777ab649a38e6d247377d929a7063"
+MESH_HASH = "e23587b894ff4ebe1a5ba05f8475eaa07878aae7fdb08bacea3c2b288bd43990"
 
 REQUESTS_HASH = "a676f8278df8a0a7828aad1fac9685627077d72514786fdcb5ec42cc439947ae"
 
@@ -76,8 +82,9 @@ def log_sha256(sim: Simulator) -> str:
 
 
 def generated_mesh(seed: int = 11, n_cells: int = 48) -> dict:
-    """A ring plus chords with lossy, mixed-latency links, one partition
-    window, a scripted partition and heal, updates and remote operations."""
+    """A ring plus chords with lossy, mixed-latency links, a partition
+    that closes by itself, a partition and heal, updates and remote
+    operations."""
     rng = random.Random(seed)
     ids = [f"g{i:02d}" for i in range(n_cells)]
     edges = {tuple(sorted((ids[i], ids[(i + 1) % n_cells]))) for i in range(n_cells)}
@@ -108,6 +115,8 @@ def generated_mesh(seed: int = 11, n_cells: int = 48) -> dict:
             "action": "echo", "context": "mesh",
             "tokens": [USER_TOKEN], "args": {"msg": f"hi-{tick}"},
         })
+    script.append({"tick": 5, "op": "partition", "a": ids[: n_cells // 2],
+                   "b": ids[n_cells // 2:], "until": 12})
     script.append({"tick": 16, "op": "partition", "a": ids[:8], "b": ids[8:16]})
     script.append({"tick": 22, "op": "heal"})
     script.sort(key=lambda action: action["tick"])
@@ -116,12 +125,7 @@ def generated_mesh(seed: int = 11, n_cells: int = 48) -> dict:
         "seed": seed,
         "maxTicks": 40,
         "cells": cells,
-        "topology": {
-            "links": links,
-            "partitions": [
-                {"a": ids[: n_cells // 2], "b": ids[n_cells // 2:], "from": 5, "to": 12}
-            ],
-        },
+        "topology": {"links": links},
         "script": script,
         "assertions": [
             {"id": "converged", "check": "converged", "atEnd": True},

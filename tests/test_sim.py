@@ -120,16 +120,22 @@ BAD_SCRIPT_FIELDS = {
     "config-key-list": (emit_update("ConfigSet", {"key": ["k"], "value": 1}), "'key'"),
     "want-reply-string": ({"tick": 1, "op": "register", "cell": "c0", "with": "c1",
                            "wantReply": "no"}, "'wantReply'"),
+    "partition-overlap": ({"tick": 1, "op": "partition", "a": ["c0", "c1"], "b": ["c1"]},
+                          "overlap"),
+    "register-self": ({"tick": 1, "op": "register", "cell": "c0", "with": "c0"}, "itself"),
+    "until-misspelled": ({"tick": 1, "op": "partition", "a": ["c0"], "b": ["c1"],
+                          "unitl": 3}, "'unitl'"),
+    "payload-on-send-op": ({**send_op(1, "c1"), "payload": {"k": 1}}, "'payload'"),
+    "token-sig-misspelled": ({**send_op(1, "c1"), "tokens": [
+        {**USER_TOKEN, "sgi": "0" * 64}]}, "'sgi'"),
 }
 
 # name -> (mangle, where, field): fields outside the script
 BAD_NUMERIC_FIELDS = {
-    "partition-from-string": (lambda w: w["topology"].update(partitions=[
-        {"a": ["c0"], "b": ["c1"], "from": "x"}
-    ]), "partition", "'from'"),
-    "partition-to-string": (lambda w: w["topology"].update(partitions=[
-        {"a": ["c0"], "b": ["c1"], "from": 0, "to": "x"}
-    ]), "partition", "'to'"),
+    # an old file's partition window: it must not run unpartitioned
+    "topology-partitions": (lambda w: w["topology"].update(partitions=[
+        {"a": ["c0"], "b": ["c1"], "from": 0, "to": 5}
+    ]), "topology", "'partitions'"),
     "latency-string": (lambda w: w["topology"]["links"][0].update(latency="1"),
                        "link c0-c1", "'latency'"),
     "max-ticks-string": (lambda w: w.update(maxTicks="x"), "scenario", "'maxTicks'"),
@@ -158,13 +164,48 @@ BAD_NUMERIC_FIELDS = {
         {"request": {"action": "echo", "resourceId": "echo", "context": ["work"]},
          "expected": "Permit"}
     ]}), "cell 'c0'", "'context'"),
+    "expected-string-false": (lambda w: w.update(assertions=[
+        {"check": "catalogue-contains", "cell": "c0", "peer": "c1", "expected": "false",
+         "atEnd": True}
+    ]), "assertions[0]", "'expected'"),
+    "expected-string-zero": (lambda w: w.update(assertions=[
+        {"check": "store-version", "cell": "c0", "expected": "0", "atEnd": True}
+    ]), "assertions[0]", "'expected'"),
+    "expected-bool-version": (lambda w: w.update(assertions=[
+        {"check": "store-version", "cell": "c0", "expected": True, "atEnd": True}
+    ]), "assertions[0]", "'expected'"),
+    "expected-misspelled": (lambda w: w.update(assertions=[
+        {"check": "catalogue-contains", "cell": "c0", "peer": "c1", "expcted": False,
+         "atEnd": True}
+    ]), "assertions[0]", "'expcted'"),
+    "at-end-string": (lambda w: w.update(assertions=[
+        {"check": "converged", "atEnd": "yes"}
+    ]), "assertions[0]", "'atEnd'"),
+    "id-int": (lambda w: w.update(assertions=[
+        {"id": 7, "check": "converged", "atEnd": True}
+    ]), "assertions[0]", "'id'"),
+    "converged-no-cells": (lambda w: w.update(assertions=[
+        {"check": "converged", "cells": [], "atEnd": True}
+    ]), "assertions[0]", "'cells'"),
+    "policy-file-misspelled": (lambda w: w["cells"][0].update(policyfile="p.json"),
+                               "cell 'c0'", "'policyfile'"),
+    "policy-and-policy-file": (lambda w: w["cells"][0].update(policyFile="p.json"),
+                               "cell 'c0'", "'policyFile'"),
+    "drop-misspelled": (lambda w: w["topology"]["links"][0].update(dorp=0.9),
+                        "link c0-c1", "'dorp'"),
+    "name-int": (lambda w: w.update(name=5), "scenario", "'name'"),
+    "max-ticks-misspelled": (lambda w: w.update(maxTick=3), "scenario", "'maxTick'"),
+    "ttl-misspelled": (lambda w: w["cells"][0]["profile"].update(ttl=3),
+                       "cell 'c0' profile", "'ttl'"),
+    "interval-misspelled": (lambda w: w["cells"][0].update(intervals={"antientropy": 2}),
+                            "cell 'c0' intervals", "'antientropy'"),
 }
 
 # the entries each table held before, which keep their test_parse_rejections ids
 _SCRIPT_MANGLES = [lambda w, action=action: w.update(script=[action])
                    for action, _ in BAD_SCRIPT_FIELDS.values()]
 _OTHER_MANGLES = [mangle for mangle, _, _ in BAD_NUMERIC_FIELDS.values()]
-_EARLIER_SCRIPT, _EARLIER_OTHER = 6, 7
+_EARLIER_SCRIPT, _EARLIER_OTHER = 6, 6
 
 
 @pytest.mark.parametrize(
@@ -214,11 +255,11 @@ _EARLIER_SCRIPT, _EARLIER_OTHER = 6, 7
             "check": "store-version", "cell": "ghost", "expected": 0,
             "atEnd": True,
         }]), UnknownCellRef),
-        (lambda w: w["topology"].update(partitions=[
-            {"a": ["c0"], "b": ["c0"], "from": 0}
+        (lambda w: w.update(script=[
+            {"tick": 0, "op": "partition", "a": ["c0"], "b": ["c0"]}
         ]), ParseError),
         (lambda w: w["topology"].update(partitions=[
-            {"a": 5, "b": ["c1"], "from": 0}
+            {"a": ["c0"], "b": ["c1"], "from": 0}
         ]), ParseError),
         *((mangle, ParseError) for mangle in (
             _SCRIPT_MANGLES[:_EARLIER_SCRIPT] + _OTHER_MANGLES[:_EARLIER_OTHER]
@@ -355,6 +396,7 @@ SMALL = scenario_wire(
         emit_update("BlocklistAdd", "bad", tick=3, cell="c1"),
         {"tick": 4, "op": "partition", "a": ["c0"], "b": ["c1"], "until": 5},
         {"tick": 5, "op": "heal"},
+        {"tick": 6, "op": "partition", "a": ["c0"], "b": ["c1"], "until": 7},
     ],
     assertions=[
         {"id": "d", "check": "decision-equals", "cell": "c0", "action": "echo",
@@ -367,7 +409,6 @@ SMALL = scenario_wire(
          "entry": "bad", "atEnd": True},
     ],
 )
-SMALL["topology"]["partitions"] = [{"a": ["c0"], "b": ["c1"], "from": 6, "to": 7}]
 
 
 def test_small_scenario_passes():
@@ -452,8 +493,7 @@ def test_partition_blocks_then_heal_restores():
 
 
 def test_partition_window_until_is_exclusive():
-    window = PartitionWindow(frozenset({"a"}), frozenset({"b"}), 2, 5)
-    assert not window.cuts("a", "b", 1)
+    window = PartitionWindow(frozenset({"a"}), frozenset({"b"}), 5)
     assert window.cuts("a", "b", 2)
     assert window.cuts("b", "a", 4)
     assert not window.cuts("a", "b", 5)
@@ -500,15 +540,18 @@ def test_exactly_one_draw_per_due_envelope():
 def test_a_partition_that_cuts_no_link_leaves_the_log_as_it_is():
     """With no partition window the partition check is skipped, and the
     loss draws must not notice: a window between two cells that share no
-    link gives the same log as no window at all."""
+    link gives the same log as no window at all, but for its ``fault``
+    record."""
     lossy = [{"a": "c0", "b": "c1", "drop": 0.4}, {"a": "c1", "b": "c2", "drop": 0.4}]
     plain = scenario_wire(3, links=lossy, maxTicks=25,
                           script=[send_op(tick, "c2", src="c1") for tick in range(1, 9)])
     cut = copy.deepcopy(plain)
-    cut["topology"]["partitions"] = [{"a": ["c0"], "b": ["c2"], "from": 0}]
+    cut["script"].insert(0, {"tick": 0, "op": "partition", "a": ["c0"], "b": ["c2"]})
     sim, _ = run_sim(plain)
     assert any(r["detail"]["reason"] == "loss" for r in records_of(sim, "drop"))
-    assert run_sim(cut)[0].log.lines == sim.log.lines
+    cut_sim, _ = run_sim(cut)
+    assert [r["kind"] for r in records_of(cut_sim, "fault")] == ["fault"]
+    assert [line for line in cut_sim.log.lines if '"kind":"fault"' not in line] == sim.log.lines
 
 
 CELL_POOL = [f"c{i}" for i in range(8)]
@@ -561,7 +604,7 @@ def test_deliveries_in_dst_then_net_seq_order(links, latencies, drop):
 @st.composite
 def small_scenarios(draw):
     """Random small federations: lossy links of mixed latency, partitions
-    from the topology and the script, short TTLs, mixed intervals, and
+    with and without an end tick, short TTLs, mixed intervals, and
     register, send-op, emit-update and advertise actions."""
     ids = [f"c{i}" for i in range(draw(st.integers(2, 5)))]
     max_ticks = draw(st.integers(4, 24))
@@ -579,14 +622,13 @@ def small_scenarios(draw):
             if draw(st.booleans()):
                 links.append({"a": a, "b": b, "latency": draw(st.integers(1, 3)),
                               "drop": draw(st.sampled_from([0.0, 0.3, 0.7]))})
-    topology = {"links": links}
-    if draw(st.booleans()):
-        cut = draw(st.integers(1, len(ids) - 1))
-        topology["partitions"] = [{"a": ids[:cut], "b": ids[cut:],
-                                   "from": draw(st.integers(0, max_ticks)),
-                                   "to": draw(st.integers(0, max_ticks + 2))}]
     two = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
     actions = []
+    if draw(st.booleans()):
+        cut = draw(st.integers(1, len(ids) - 1))
+        actions.append({"tick": draw(st.integers(0, max_ticks)), "op": "partition",
+                        "a": ids[:cut], "b": ids[cut:],
+                        "until": draw(st.integers(0, max_ticks + 2))})
     for n, op in enumerate(draw(st.lists(st.sampled_from(
             ["register", "send-op", "send-op-from", "emit-update", "advertise",
              "partition", "heal"]), max_size=8))):
@@ -607,7 +649,7 @@ def small_scenarios(draw):
             action = {"op": op}
         actions.append({**action, "tick": tick})
     actions.sort(key=lambda action: action["tick"])
-    return scenario_wire(cells=cells, topology=topology, script=actions,
+    return scenario_wire(cells=cells, topology={"links": links}, script=actions,
                          maxTicks=max_ticks, seed=draw(st.integers(0, 99)))
 
 
@@ -796,10 +838,18 @@ def test_run_error_is_reported_not_raised():
 
 
 def test_run_error_keeps_the_failed_tick_bus_records():
-    self_register = {"tick": 1, "op": "register", "cell": "c0", "with": "c0"}
-    sim, report = run_sim(scenario_wire(script=[send_op(1, "c0"), self_register]))
+    sim = Simulator(parse_scenario(scenario_wire(links=[], script=[send_op(1, "c0")])))
+    on_tick = sim.cells["c0"].on_tick
+
+    def explode(now):
+        if now == 1:
+            raise SmscError("boom")
+        on_tick(now)
+
+    sim.cells["c0"].on_tick = explode
+    report = sim.run()
     assert report["assertions"][0]["id"] == "run-error"
-    assert "SelfRegistration" in report["assertions"][0]["detail"]
+    assert "boom" in report["assertions"][0]["detail"]
     kinds = [(r["tick"], r["cell"], r["kind"]) for r in sim.log.records]
     assert kinds == [(1, "c0", "decision"), (1, "c0", "bus"),
                      (1, "-", "assert"), (1, "-", "end")]
