@@ -136,6 +136,7 @@ BAD_NUMERIC_FIELDS = {
     "topology-partitions": (lambda w: w["topology"].update(partitions=[
         {"a": ["c0"], "b": ["c1"], "from": 0, "to": 5}
     ]), "topology", "'partitions'"),
+    "name-int": (lambda w: w.update(name=5), "scenario", "'name'"),
     "latency-string": (lambda w: w["topology"]["links"][0].update(latency="1"),
                        "link c0-c1", "'latency'"),
     "max-ticks-string": (lambda w: w.update(maxTicks="x"), "scenario", "'maxTicks'"),
@@ -193,7 +194,6 @@ BAD_NUMERIC_FIELDS = {
                                "cell 'c0'", "'policyFile'"),
     "drop-misspelled": (lambda w: w["topology"]["links"][0].update(dorp=0.9),
                         "link c0-c1", "'dorp'"),
-    "name-int": (lambda w: w.update(name=5), "scenario", "'name'"),
     "max-ticks-misspelled": (lambda w: w.update(maxTick=3), "scenario", "'maxTick'"),
     "ttl-misspelled": (lambda w: w["cells"][0]["profile"].update(ttl=3),
                        "cell 'c0' profile", "'ttl'"),
@@ -201,11 +201,11 @@ BAD_NUMERIC_FIELDS = {
                             "cell 'c0' intervals", "'antientropy'"),
 }
 
-# the entries each table held before, which keep their test_parse_rejections ids
+# as many entries of each table as it held before keep their test_parse_rejections ids
 _SCRIPT_MANGLES = [lambda w, action=action: w.update(script=[action])
                    for action, _ in BAD_SCRIPT_FIELDS.values()]
 _OTHER_MANGLES = [mangle for mangle, _, _ in BAD_NUMERIC_FIELDS.values()]
-_EARLIER_SCRIPT, _EARLIER_OTHER = 6, 6
+_EARLIER_SCRIPT, _EARLIER_OTHER = 6, 7
 
 
 @pytest.mark.parametrize(
@@ -550,7 +550,7 @@ def test_a_partition_that_cuts_no_link_leaves_the_log_as_it_is():
     sim, _ = run_sim(plain)
     assert any(r["detail"]["reason"] == "loss" for r in records_of(sim, "drop"))
     cut_sim, _ = run_sim(cut)
-    assert [r["kind"] for r in records_of(cut_sim, "fault")] == ["fault"]
+    assert len(records_of(cut_sim, "fault")) == 1
     assert [line for line in cut_sim.log.lines if '"kind":"fault"' not in line] == sim.log.lines
 
 
