@@ -6,7 +6,9 @@ a versioned policy store, and an enforcement point that gates every
 operational and management request.  Both kinds of request take one
 path: ``send_request`` sends the body, ``handle_request`` gates it at the
 receiver, and one prologue denies a name outside the channel's own set
-before ``decide_operation`` decides the rest.
+before ``decide_operation`` decides the rest.  The enforcement point
+verifies a token once per context and keeps its claims, expanded through
+delegation, until it expires, at most ``VERIFIED_CAP`` of them.
 
 Cells never share memory.  All interaction is via the message kinds in
 ``OutboundMessage``; the simulator (or any other transport) moves those
@@ -37,13 +39,13 @@ from .governance import (
     UpdateKind,
     UpdatePackage,
     make_update,
+    payload_from_wire,
 )
 from .policy import (
     AttributePair,
     Decision,
     DecisionRequest,
     PolicyDocument,
-    PolicyRule,
     Token,
     Verdict,
     evaluate_request,
@@ -66,6 +68,9 @@ PENDING_REQUEST_CAP = 256
 
 # bus envelopes queued for the audit drain; reaching it drains at once
 AUDIT_QUEUE_CAP = 1024
+
+# (token, context) -> expanded claims kept in _verified; the oldest goes first
+VERIFIED_CAP = 1024
 
 ENVELOPE_KINDS = frozenset({
     "advert", "register", "register-reply", "update", "digest", "digest-reply",
@@ -144,6 +149,7 @@ class Cell:
         self._next_request_id = 0
         # requestId -> (response kind, peer asked, action or command)
         self._requests: dict[int, tuple[str, str, str]] = {}
+        self._verified: dict[tuple[Token, str], frozenset[AttributePair]] = {}
 
     # --- plumbing ---------------------------------------------------------
 
@@ -164,17 +170,18 @@ class Cell:
     def _verified_attrs(
         self, tokens: Iterable[Token], context: str, now: int
     ) -> frozenset[AttributePair]:
-        """Claims from all tokens, expanded through in-context delegation."""
-        by_subject: dict[str, set[AttributePair]] = {}
+        """Claims from all tokens, each expanded through in-context delegation."""
+        attrs: frozenset[AttributePair] = frozenset()
         for token in tokens:
-            claims = verify_token(token, self.trusted_issuers, now)
-            by_subject.setdefault(token.subject, set()).update(claims)
-        attrs: set[AttributePair] = set()
-        for subject, base in by_subject.items():
-            attrs |= expand_delegations(
-                subject, frozenset(base), self.delegations, self.roots, context
-            )
-        return frozenset(attrs)
+            expanded = self._verified.get((token, context))
+            if expanded is None or now >= token.expiry_tick:
+                expanded = self._verified[token, context] = expand_delegations(
+                    token.subject, verify_token(token, self.trusted_issuers, now),
+                    self.delegations, self.roots, context)
+                if len(self._verified) > VERIFIED_CAP:
+                    del self._verified[next(iter(self._verified))]
+            attrs |= expanded
+        return attrs
 
     def _blocklisted_value(self, args: Mapping[str, Any], context: str) -> Optional[str]:
         """The first arg value on the context's blocklist, in the string
@@ -268,24 +275,17 @@ class Cell:
     def _execute_management(
         self, command: str, payload: Any, context: str, now: int
     ) -> dict[str, Any]:
-        if command == "add-rule":
+        if command in ("add-rule", "remove-rule"):
+            kind = UpdateKind.RULE_ADD if command == "add-rule" else UpdateKind.RULE_REMOVE
             try:
-                rule = PolicyRule.from_wire(payload)
+                value = payload_from_wire(kind, payload)
             except SmscError as exc:
-                raise MalformedCommand(f"add-rule: {exc}") from None
-            report = self.emit_update(UpdateKind.RULE_ADD, rule, {context}, now, push=False)
+                raise MalformedCommand(f"{command}: {exc}") from None
+            report = self.emit_update(kind, value, {context}, now, push=False)
             if report.status is ApplyStatus.REJECTED:
                 return _denied("impact-rejected")
-            return _ok({"ruleId": rule.id, "version": self.store.version})
-        if command == "remove-rule":
-            if not isinstance(payload, str):
-                raise MalformedCommand("remove-rule payload must be a rule id")
-            report = self.emit_update(
-                UpdateKind.RULE_REMOVE, payload, {context}, now, push=False
-            )
-            if report.status is ApplyStatus.REJECTED:
-                return _denied("impact-rejected")
-            return _ok({"ruleId": payload, "version": self.store.version})
+            rule_id = payload if kind is UpdateKind.RULE_REMOVE else value.id
+            return _ok({"ruleId": rule_id, "version": self.store.version})
         if command == "flag-spam":
             entry = payload.get("entry") if isinstance(payload, Mapping) else payload
             if not isinstance(entry, str) or not entry:

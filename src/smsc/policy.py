@@ -24,7 +24,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadSignature,
@@ -59,14 +59,15 @@ class Verdict(str, Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True, order=True)
-class AttributePair:
-    name: str
-    value: str
+class AttributePair(NamedTuple("_Pair", [("name", str), ("value", str)])):
+    """A validated ``(name, value)`` tuple: it equals, hashes and orders as
+    the plain tuple ``(name, value)``."""
 
-    def __post_init__(self) -> None:
-        _check_token(self.name, "attribute name")
-        _check_token(self.value, "attribute value")
+    __slots__ = ()
+
+    def __new__(cls, name: str, value: str) -> "AttributePair":
+        return tuple.__new__(cls, (_check_token(name, "attribute name"),
+                                   _check_token(value, "attribute value")))
 
     def to_wire(self) -> dict[str, str]:
         return {"name": self.name, "value": self.value}

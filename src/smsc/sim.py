@@ -513,9 +513,6 @@ class Simulator:
     def _neighbors(self, cell_id: str) -> list[str]:
         return self._adjacency.get(cell_id, [])
 
-    def _partitioned(self, src: str, dst: str, tick: int) -> bool:
-        return any(w.cuts(src, dst, tick) for w in self.partitions)
-
     # --- per-tick machinery -----------------------------------------------
 
     def _run_script(self, tick: int) -> None:
@@ -566,15 +563,17 @@ class Simulator:
             self.log.record(tick, SIM, "fault", {"fault": "heal"})
 
     def _deliver_due(self, tick: int) -> None:
+        # a window closed by its until never cuts again
+        partitions = self.partitions = [
+            w for w in self.partitions if w.to_tick is None or tick < w.to_tick]
         record, routes, streams = self.log.record_envelope, self._routes, self._streams
-        partitioned = self._partitioned if self.partitions else None
         survivors: list[SimEnvelope] = []
         for envelope in self._in_flight.pop(tick, ()):
             src, dst = envelope.src, envelope.dst
             key, _, drop = routes[src, dst]
             stream = streams.get(key) or self._stream(key)
             draw = stream.next_float()
-            if partitioned and partitioned(src, dst, tick):
+            if partitions and any(w.cuts(src, dst, tick) for w in partitions):
                 reason = "partition"
             elif draw < drop:
                 reason = "loss"

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smsc.catalogue import MAX_TTL_TICKS, CellProfile
-from smsc.cell import AUDIT_QUEUE_CAP, ENVELOPE_KINDS, PENDING_REQUEST_CAP, Cell
+from smsc import cell as cell_module
+from smsc.cell import (
+    AUDIT_QUEUE_CAP, ENVELOPE_KINDS, MANAGEMENT_COMMANDS, PENDING_REQUEST_CAP, VERIFIED_CAP, Cell,
+)
 from smsc.errors import UnknownCell
 from smsc.governance import (
     ApplyStatus, ConfigSetting, PolicyStore, UpdateKind, UpdatePackage, make_update,
@@ -298,6 +301,95 @@ def test_delegated_attribute_grants_access_in_context():
         op_body(carol_style_token, context="home"), "ext", 1
     )
     assert decision.verdict is Verdict.NOT_APPLICABLE
+
+
+# --- verified-token cache ------------------------------------------------
+
+_DELEGATING = dict(
+    roots=(RootGrant("alice", AttributePair("role", "admin"), 2),),
+    delegations=(DelegationAssertion(
+        "alice", "bob", AttributePair("role", "admin"), 1, frozenset({"work"})),),
+)
+
+_VALID = token("bob", "user", expiry=8)
+CACHE_TOKENS = (
+    _VALID,
+    issue_token("bob", [AttributePair("dept", "eng")], "idp", 100),
+    token("alice", "admin", expiry=4),
+    token("carol", "guest", expiry=100),
+    token("dave", "user", issuer="rogue"),
+    replace(token("erin", "user"), signature="0" * 64),
+    replace(_VALID, claims=frozenset({AttributePair("role", "admin")})),
+)
+
+
+@settings(max_examples=100)
+@given(steps=st.lists(st.tuples(
+    st.lists(st.sampled_from(CACHE_TOKENS), max_size=2),
+    st.sampled_from(("work", "home")),
+    st.integers(0, 10),
+), min_size=8, max_size=30))
+def test_a_long_lived_cell_decides_as_a_fresh_cell_per_request(steps):
+    """Kept expansions change no decision: valid, expired, untrusted,
+    forged and claim-swapped tokens, two tokens of one subject, in either
+    context, with the clock moving forward and back."""
+    policy = document(**_DELEGATING)
+    long_lived = make_cell(policy=policy)
+    for tokens, context, now in steps:
+        body = {"tokens": [t.to_wire() for t in tokens], "action": "echo",
+                "args": {}, "context": context}
+        kept, _ = long_lived.handle_operation(body, "ext", now)
+        fresh, _ = make_cell(policy=policy).handle_operation(body, "ext", now)
+        assert kept == fresh
+
+
+def test_a_verified_token_is_checked_again_only_once_it_expires(monkeypatch):
+    calls = []
+    verify = cell_module.verify_token
+    monkeypatch.setattr(cell_module, "verify_token",
+                        lambda *args: calls.append(args[0]) or verify(*args))
+    cell = make_cell()
+    body = op_body(token(expiry=5))
+    for now in (1, 2, 4):
+        decision, _ = cell.handle_operation(body, "ext", now)
+        assert decision.verdict is Verdict.PERMIT
+    assert len(calls) == 1
+    cell.handle_operation(op_body(token(expiry=5), context="home"), "ext", 4)
+    assert len(calls) == 2
+    decision, _ = cell.handle_operation(body, "ext", 5)
+    assert decision.reason == "indeterminate: expired"
+    assert len(calls) == 3
+
+
+def test_verified_tokens_are_capped_oldest_first():
+    cell = make_cell()
+    tokens = [token(expiry=100 + i) for i in range(VERIFIED_CAP + 5)]
+    for tok in tokens:
+        cell.decide_operation([tok], "echo", {}, "work", 1)
+    assert len(cell._verified) == VERIFIED_CAP
+    assert list(cell._verified) == [(tok, "work") for tok in tokens[5:]]
+
+
+MANAGEMENT_PAYLOADS = {
+    "add-rule": rule("extra", Effect.PERMIT, {"dept": ["ops"]}, "echo").to_wire(),
+    "remove-rule": "deny-guest",
+    "flag-spam": {"entry": "spam-host"},
+    "set-config": {"key": "k", "value": 1},
+    "set-trust": {"work": ["echo"]},
+}
+
+
+def test_no_management_command_changes_what_a_kept_token_rests_on():
+    """The kept expansions stay exact because every command leaves the
+    trusted issuers, delegations and roots as the cell was built with."""
+    assert set(MANAGEMENT_PAYLOADS) == MANAGEMENT_COMMANDS
+    cell = make_cell(policy=document(**_DELEGATING))
+    basis = (cell.trusted_issuers, cell.delegations, cell.roots)
+    for command, payload in MANAGEMENT_PAYLOADS.items():
+        _, response = cell.handle_management(mgmt_body(command, payload), "ext", 1)
+        assert response["status"] == "ok"
+        assert all(now is then for now, then in zip(
+            (cell.trusted_issuers, cell.delegations, cell.roots), basis))
 
 
 def test_decision_is_published_on_the_bus_and_observed():

@@ -75,6 +75,27 @@ def test_attribute_pair_charset():
         AttributePair("Dept", "eng")
     with pytest.raises(PolicyError):
         AttributePair("dept", "")
+    with pytest.raises(PolicyError):
+        AttributePair(name="dept", value="Eng")
+    with pytest.raises(PolicyError):
+        AttributePair.from_wire({"name": "dept eng", "value": "x"})
+
+
+_PAIRS = st.lists(st.tuples(st.sampled_from(("dept", "role", "role:x", "*")),
+                            st.sampled_from(("admin", "eng", "user", "*"))))
+
+
+@given(pairs=_PAIRS)
+def test_an_attribute_pair_is_its_plain_tuple(pairs):
+    """A pair equals, hashes and sorts as the tuple ``(name, value)``, and
+    its wire form round-trips."""
+    attrs = [AttributePair(name, value) for name, value in pairs]
+    assert attrs == pairs
+    assert [hash(a) for a in attrs] == [hash(p) for p in pairs]
+    assert sorted(attrs) == sorted(pairs)
+    assert [AttributePair.from_wire(a.to_wire()) for a in attrs] == attrs
+    assert all(type(AttributePair.from_wire(a.to_wire())) is AttributePair for a in attrs)
+    assert attrs_from_wire(attrs_to_wire(frozenset(attrs))) == frozenset(pairs)
 
 
 def test_condition_rejects_duplicates_and_empty_sets():

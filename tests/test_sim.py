@@ -513,6 +513,19 @@ def test_scripted_partition_until():
     delivers = [r for r in records_of(sim, "deliver")
                 if r["detail"]["kind"] == "op-req"]
     assert [r["tick"] for r in delivers] == [3]
+    # a closed window is dropped: later deliveries are not tested against it
+    assert sim.partitions == []
+
+
+def test_a_window_closed_when_it_opens_cuts_nothing_and_is_dropped():
+    wire = scenario_wire(script=[
+        {"tick": 3, "op": "partition", "a": ["c0"], "b": ["c1"], "until": 2},
+        send_op(3, "c1", src="c0"),
+    ])
+    sim, _ = run_sim(wire)
+    assert len(records_of(sim, "fault")) == 1
+    assert all(r["detail"]["reason"] != "partition" for r in records_of(sim, "drop"))
+    assert sim.partitions == []
 
 
 def test_exactly_one_draw_per_due_envelope():
