@@ -68,7 +68,7 @@ cells = [email, call]
 
 print("== tick 0: the cells find each other ==")
 for cell in cells:
-    cell.advertise_now(0)
+    cell.advertise_now()
 for cell in cells:
     # broadcast adverts: hand a copy to the other cell
     for message in cell.take_outbox():

@@ -1,10 +1,11 @@
 """Per-cell catalogue of known peers.
 
 Every cell keeps its own view of the federation: which peers it has
-heard from, when, and whether it trusts them per context.  Trust is
-derived locally from a trust policy mapping each context to the
-capabilities a peer must advertise; a peer in a context the policy does
-not mention is untrusted there.
+heard from, when, the nonce of each one's last accepted advert, and
+whether it trusts them per context; an entry is the one record of a
+peer.  Trust is derived locally from a trust policy mapping each context
+to the capabilities a peer must advertise; a peer in a context the
+policy does not mention is untrusted there.
 
 Trust is derived when an entry is made and again for every entry when
 the trust policy changes.  A fresh profile whose contexts and
@@ -48,7 +49,6 @@ class CellProfile:
     contexts: frozenset[str]
     capabilities: frozenset[str]
     resource_kind: str
-    advertised_at_tick: int
     ttl_ticks: int
 
     def __post_init__(self) -> None:
@@ -64,7 +64,6 @@ class CellProfile:
             "contexts": sorted(self.contexts),
             "capabilities": sorted(self.capabilities),
             "resourceKind": self.resource_kind,
-            "advertisedAtTick": self.advertised_at_tick,
             "ttlTicks": self.ttl_ticks,
         }
 
@@ -72,20 +71,20 @@ class CellProfile:
     def from_wire(cls, data: Any) -> "CellProfile":
         """A peer's profile.  Each field must be present with the exact type
         ``to_wire`` writes, as ``wire.field`` reads it, or ``ParseError`` is
-        raised; the test is one expression, since every advert is read here."""
+        raised; the test is one expression, since every advert is read here.
+        A field ``to_wire`` does not write is ignored."""
         if type(data) is not dict:
             raise ParseError(f"profile: must be an object, got {data!r}")
         get = data.get
         cell_id, endpoint, kind = get("cellId"), get("endpoint"), get("resourceKind")
-        tick, ttl = get("advertisedAtTick"), get("ttlTicks")
-        contexts, capabilities = get("contexts"), get("capabilities")
+        ttl, contexts, capabilities = get("ttlTicks"), get("contexts"), get("capabilities")
         if not (type(cell_id) is type(endpoint) is type(kind) is str
-                and type(tick) is type(ttl) is int
+                and type(ttl) is int
                 and type(contexts) is type(capabilities) is list
                 and is_str_list(contexts + capabilities)):
             raise ParseError(f"profile {cell_id!r}: a field is absent or of another type")
         return cls(cell_id, endpoint, frozenset(contexts), frozenset(capabilities),
-                   kind, tick, ttl)
+                   kind, ttl)
 
 
 class CatalogueEntry(NamedTuple):
@@ -94,6 +93,8 @@ class CatalogueEntry(NamedTuple):
     trusted: Mapping[str, bool]
     # the first tick at which the entry is stale
     expires_at: int
+    # the nonce of the last advert accepted from the peer; -1 before any
+    nonce: int
 
     def trusted_in(self, context: str) -> bool:
         return bool(self.trusted.get(context, False))
@@ -126,7 +127,10 @@ class Catalogue:
         # expire_stale sets it to the exact first expiry
         self.earliest_expiry: float = math.inf
 
-    def upsert(self, profile: CellProfile, now: int) -> CatalogueEntry:
+    def upsert(self, profile: CellProfile, now: int,
+               nonce: Optional[int] = None) -> CatalogueEntry:
+        """Store ``profile`` as seen at ``now``.  An accepted advert passes
+        its nonce; any other upsert keeps the nonce the entry holds."""
         cell_id = profile.cell_id
         if cell_id == self.owner_id:
             raise SelfRegistration(f"{self.owner_id!r} cannot register itself")
@@ -136,8 +140,10 @@ class Catalogue:
             trusted = old.trusted
         else:
             trusted = _derive_trust(profile, self.trust_policy)
+        if nonce is None:
+            nonce = -1 if old is None else old.nonce
         expiry = now + min(profile.ttl_ticks, MAX_TTL_TICKS) + 1
-        entry = self.entries[cell_id] = CatalogueEntry(profile, now, trusted, expiry)
+        entry = self.entries[cell_id] = CatalogueEntry(profile, now, trusted, expiry, nonce)
         if expiry < self.earliest_expiry:
             self.earliest_expiry = expiry
         return entry

@@ -423,10 +423,9 @@ class Cell:
         only for due cells."""
         self.record_bus()
         for cell_id in self.catalogue.expire_stale(now):
-            self.discovery.forget(cell_id)
             self._observer("peer-expired", {"peer": cell_id})
         if now % self.advertise_interval == 0:
-            self.advertise_now(now)
+            self.advertise_now()
         if now % self.anti_entropy_interval == 0:
             self._send_digest()
 
@@ -440,8 +439,8 @@ class Cell:
                             now + -now % self.anti_entropy_interval,
                             self.catalogue.earliest_expiry))
 
-    def advertise_now(self, now: int) -> None:
-        advert = self.discovery.make_advertisement(now)
+    def advertise_now(self) -> None:
+        advert = self.discovery.make_advertisement()
         self._send("advert", "*", advert.to_wire())
 
     def _send_digest(self) -> None:
@@ -466,8 +465,8 @@ class Cell:
             del self._requests[next(iter(self._requests))]
         self._send(kind, dst, {**body, "requestId": request_id})
 
-    def register_with(self, dst: str, now: int, want_reply: bool = True) -> None:
-        request = self.discovery.make_registration(dst, now, want_reply)
+    def register_with(self, dst: str, want_reply: bool = True) -> None:
+        request = self.discovery.make_registration(dst, want_reply)
         self._send("register", dst, request.to_wire())
 
     # --- transport entry point -------------------------------------------

@@ -1,11 +1,13 @@
 """Peer discovery: broadcast adverts and directed registration.
 
-Adverts carry a per-sender monotonic nonce so a receiver can discard
-replays and reordered copies while the sender is in its catalogue; the
-nonce is dropped when the entry expires, so that what a cell keeps per
-peer is bounded by its catalogue.  Registration is the directed handshake
-used when a cell wants a specific peer (often a registry cell) to know
-about it; the receiver may return its own profile in reply.
+A cell builds its own profile once and sends that same profile in every
+advert, registration and register-reply.  Adverts carry a per-sender
+monotonic nonce so a receiver can discard replays and reordered copies
+while the sender is in its catalogue; the nonce is kept in the sender's
+catalogue entry and goes when that entry expires, so what a cell keeps
+per peer is its catalogue.  Registration is the directed handshake used
+when a cell wants a specific peer (often a registry cell) to know about
+it; the receiver may return its own profile in reply.
 """
 
 from __future__ import annotations
@@ -64,57 +66,33 @@ class DiscoveryService:
         ttl_ticks: int,
     ):
         self.catalogue = catalogue
-        self.contexts = contexts
-        self.capabilities = capabilities
-        self.resource_kind = resource_kind
-        self.ttl_ticks = ttl_ticks
+        owner = catalogue.owner_id
+        self.profile = CellProfile(owner, owner, contexts, capabilities, resource_kind, ttl_ticks)
         self._next_nonce = 0
-        self._last_nonce: dict[str, int] = {}
 
-    @property
-    def cell_id(self) -> str:
-        return self.catalogue.owner_id
-
-    def current_profile(self, now: int) -> CellProfile:
-        return CellProfile(
-            cell_id=self.cell_id,
-            endpoint=self.cell_id,
-            contexts=self.contexts,
-            capabilities=self.capabilities,
-            resource_kind=self.resource_kind,
-            advertised_at_tick=now,
-            ttl_ticks=self.ttl_ticks,
-        )
-
-    def make_advertisement(self, now: int) -> Advertisement:
-        advert = Advertisement(self.current_profile(now), self._next_nonce)
+    def make_advertisement(self) -> Advertisement:
+        advert = Advertisement(self.profile, self._next_nonce)
         self._next_nonce += 1
         return advert
 
     def handle_advertisement(self, advert: Advertisement, now: int) -> AdvertOutcome:
         peer = advert.profile.cell_id
-        if peer == self.cell_id:
+        if peer == self.profile.cell_id:
             return AdvertOutcome.SELF_IGNORED
-        if advert.nonce <= self._last_nonce.get(peer, -1):
+        entry = self.catalogue.get(peer)
+        if advert.nonce <= (-1 if entry is None else entry.nonce):
             return AdvertOutcome.STALE_NONCE
-        self._last_nonce[peer] = advert.nonce
-        self.catalogue.upsert(advert.profile, now)
+        self.catalogue.upsert(advert.profile, now, advert.nonce)
         return AdvertOutcome.ACCEPTED
 
-    def forget(self, peer: str) -> None:
-        """Drop the nonce of a peer whose catalogue entry expired."""
-        self._last_nonce.pop(peer, None)
-
-    def make_registration(self, target: str, now: int, want_reply: bool = True) -> RegistrationRequest:
-        if target == self.cell_id:
+    def make_registration(self, target: str, want_reply: bool = True) -> RegistrationRequest:
+        if target == self.profile.cell_id:
             raise SelfRegistration(f"{target!r} cannot register with itself")
-        return RegistrationRequest(self.current_profile(now), want_reply)
+        return RegistrationRequest(self.profile, want_reply)
 
     def handle_registration(
         self, request: RegistrationRequest, now: int
     ) -> Optional[CellProfile]:
         """Record the registrant; returns our profile when a reply is wanted."""
         self.catalogue.upsert(request.profile, now)
-        if request.want_reply:
-            return self.current_profile(now)
-        return None
+        return self.profile if request.want_reply else None

@@ -396,7 +396,10 @@ def load_scenario(path: str) -> ScenarioSpec:
     base = os.path.dirname(os.path.abspath(path))
 
     def resolver(name: str) -> PolicyDocument:
-        return load_policy_document(os.path.join(base, name))
+        try:
+            return load_policy_document(os.path.join(base, name))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ParseError(f"policyFile {name!r}: {exc}") from None
 
     return parse_scenario(data, resolver)
 
@@ -543,9 +546,9 @@ class Simulator:
     def _apply_action(self, action: ScriptAction, tick: int) -> None:
         p = action.params
         if action.op == "advertise":
-            self.cells[p["cell"]].advertise_now(tick)
+            self.cells[p["cell"]].advertise_now()
         elif action.op == "register":
-            self.cells[p["cell"]].register_with(p["with"], tick, p["wantReply"])
+            self.cells[p["cell"]].register_with(p["with"], p["wantReply"])
         elif action.op in ("send-op", "send-mgmt"):
             if p["from"] is not None:
                 self.cells[p["from"]].send_request(p["kind"], p["to"], p["body"])

@@ -7,6 +7,7 @@ iteration.  Slow is fine; these only run in tests.
 
 from itertools import product
 
+from smsc.catalogue import MAX_TTL_TICKS
 from smsc.policy import AttributePair, DecisionRequest, Effect
 from smsc.sim import Simulator
 
@@ -226,3 +227,45 @@ def naive_trust(profile, policy):
                     ok = False
         trusted[context] = ok
     return trusted
+
+
+# --- advert nonces ----------------------------------------------------------
+
+
+class NaiveDiscovery:
+    """A cell's peers kept in two tables: the profile and last-seen tick of
+    each peer, and beside it the nonce of the last advert accepted from
+    it.  An expiry drops a peer from both."""
+
+    def __init__(self, owner, trust_policy):
+        self.owner = owner
+        self.trust_policy = trust_policy
+        self.seen = {}
+        self.last_nonce = {}
+
+    def advert(self, profile, nonce, now):
+        peer = profile.cell_id
+        if peer == self.owner:
+            return "self-ignored"
+        if nonce <= self.last_nonce.get(peer, -1):
+            return "stale-nonce"
+        self.last_nonce[peer] = nonce
+        self.seen[peer] = (profile, now)
+        return "accepted"
+
+    def upsert(self, profile, now):
+        self.seen[profile.cell_id] = (profile, now)
+
+    def expire(self, now):
+        for peer, (profile, seen) in list(self.seen.items()):
+            if seen + min(profile.ttl_ticks, MAX_TTL_TICKS) < now:
+                del self.seen[peer]
+                self.last_nonce.pop(peer, None)
+
+    def contents(self):
+        """Per peer: (profile, last-seen tick, trust map, last nonce or -1)."""
+        return {
+            peer: (profile, seen, naive_trust(profile, self.trust_policy),
+                   self.last_nonce.get(peer, -1))
+            for peer, (profile, seen) in self.seen.items()
+        }

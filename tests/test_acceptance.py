@@ -636,7 +636,7 @@ def test_c12_ttl_eviction_is_strict_with_readmission(capsys):
     profile = CellProfile(
         cell_id="peer", endpoint="peer", contexts=frozenset({"work"}),
         capabilities=frozenset({"echo"}), resource_kind="echo",
-        advertised_at_tick=10, ttl_ticks=5,
+        ttl_ticks=5,
     )
     cell.handle_envelope("advert", "peer",
                          Advertisement(profile, 0).to_wire(), 10)
@@ -649,8 +649,7 @@ def test_c12_ttl_eviction_is_strict_with_readmission(capsys):
     expiry_audited = expired == [(16, {"peer": "peer"})]
     clock[0] = 20
     cell.handle_envelope("advert", "peer",
-                         Advertisement(replace(profile, advertised_at_tick=20),
-                                       1).to_wire(), 20)
+                         Advertisement(profile, 1).to_wire(), 20)
     readmitted = cell.catalogue.get("peer") is not None
     tick(25)
     kept_again = cell.catalogue.get("peer") is not None

@@ -9,15 +9,13 @@ from smsc.errors import PolicyError, SelfRegistration, TrustedQueryWithoutContex
 from .oracles import naive_trust
 
 
-def profile(cid, contexts=("work",), caps=("ring",), kind="call-filter",
-            tick=0, ttl=10):
+def profile(cid, contexts=("work",), caps=("ring",), kind="call-filter", ttl=10):
     return CellProfile(
         cell_id=cid,
         endpoint=cid,
         contexts=frozenset(contexts),
         capabilities=frozenset(caps),
         resource_kind=kind,
-        advertised_at_tick=tick,
         ttl_ticks=ttl,
     )
 
@@ -51,7 +49,7 @@ def test_trust_derivation():
 
 def test_ttl_is_strict():
     cat = Catalogue("me")
-    cat.upsert(profile("a", tick=10, ttl=5), now=10)
+    cat.upsert(profile("a", ttl=5), now=10)
     assert cat.expire_stale(15) == []          # 10 + 5 == 15, still alive
     assert cat.get("a") is not None
     assert cat.expire_stale(16) == ["a"]       # 10 + 5 < 16
@@ -76,7 +74,7 @@ def test_expire_stale_matches_a_full_scan(steps):
     for peer, ttl, gap in steps:
         now += gap
         if peer is not None:
-            cat.upsert(profile(peer, tick=now, ttl=ttl), now)
+            cat.upsert(profile(peer, ttl=ttl), now)
         else:
             lapsed = sorted(cid for cid, e in cat.entries.items()
                             if e.last_seen_tick + e.profile.ttl_ticks < now)
@@ -93,7 +91,7 @@ def test_advertised_ttl_is_capped_at_the_receiver():
     ``MAX_TTL_TICKS + 1`` ticks after it was last seen, while the stored
     profile keeps the TTL the peer advertised."""
     cat = Catalogue("me")
-    cat.upsert(profile("a", tick=5, ttl=10**9), now=5)
+    cat.upsert(profile("a", ttl=10**9), now=5)
     assert cat.earliest_expiry == 5 + MAX_TTL_TICKS + 1
     assert cat.expire_stale(5 + MAX_TTL_TICKS) == []
     assert cat.get("a").profile.ttl_ticks == 10**9
@@ -123,7 +121,7 @@ def test_trust_matches_a_derivation_from_scratch(policy, steps):
     cat = Catalogue("me", policy)
     now = 0
     for peer, contexts, caps, new_policy, gap in steps:
-        cat.upsert(profile(peer, contexts=contexts, caps=caps, tick=now, ttl=3), now)
+        cat.upsert(profile(peer, contexts=contexts, caps=caps, ttl=3), now)
         if new_policy is not None:
             policy = new_policy
             cat.set_trust_policy(policy)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smsc.catalogue import MAX_TTL_TICKS, CellProfile
+from smsc.discovery import Advertisement
 from smsc import cell as cell_module
 from smsc.cell import (
     AUDIT_QUEUE_CAP, ENVELOPE_KINDS, MANAGEMENT_COMMANDS, PENDING_REQUEST_CAP, VERIFIED_CAP, Cell,
@@ -30,6 +31,7 @@ from smsc.policy import (
 from smsc.resources import EchoResource
 
 from .jsonfuzz import JSON_VALUES, field_at, field_paths, replaced
+from .oracles import NaiveDiscovery
 
 
 def rule(rid, effect, cond, action, resource="echo", contexts=("work", "home")):
@@ -90,7 +92,6 @@ def peer_profile(cid, contexts=("work",), caps=("echo",)):
         contexts=frozenset(contexts),
         capabilities=frozenset(caps),
         resource_kind="echo",
-        advertised_at_tick=0,
         ttl_ticks=50,
     )
 
@@ -1007,9 +1008,10 @@ def test_peer_expiry_audited():
 
 
 def test_an_expired_peer_leaves_no_advert_nonce_behind():
-    """A peer's advert nonce is kept while the peer is in the catalogue,
-    so a replay is refused, and dropped when its entry expires: adverts
-    under many fresh ids leave nothing once their TTL lapses."""
+    """A peer's advert nonce is kept in its catalogue entry, so a replay
+    is refused while the peer is known, and goes with the entry: adverts
+    under many fresh ids leave nothing once their TTL lapses, and the old
+    nonce is then accepted again."""
     cell = make_cell(trust={"work": []})
     for i in range(1000):
         profile = replace(peer_profile(f"p{i}"), ttl_ticks=5)
@@ -1019,7 +1021,66 @@ def test_an_expired_peer_leaves_no_advert_nonce_behind():
     assert cell.catalogue.get("p0").last_seen_tick == 1
     cell.on_tick(7)
     assert cell.catalogue.entries == {}
-    assert cell.discovery._last_nonce == {}
+    cell.handle_envelope("advert", "n", replay, 8)
+    entry = cell.catalogue.get("p0")
+    assert (entry.last_seen_tick, entry.nonce) == (8, 3)
+
+
+_PEER_PROFILES = st.builds(
+    lambda cid, contexts, caps, ttl: replace(peer_profile(cid, contexts, caps), ttl_ticks=ttl),
+    st.sampled_from(["p0", "p1", "p2"]),
+    st.sampled_from([("work",), ("home",), ("work", "home")]),
+    st.sampled_from([("echo",), ("ring",)]),
+    st.integers(1, 4),
+)
+_DISCOVERY_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("advert"), st.one_of(_PEER_PROFILES, st.just(peer_profile("cell"))),
+              st.integers(-2, 5)),
+    st.tuples(st.sampled_from(["register", "register-reply", "lookup"]), _PEER_PROFILES),
+    st.tuples(st.just("tick"), st.integers(0, 4)),
+), max_size=40)
+
+
+@given(_DISCOVERY_STEPS)
+def test_advert_nonces_match_a_separate_nonce_table(steps):
+    """Keeping each advert nonce in its catalogue entry behaves like a
+    separate last-nonce table dropped on expiry: over adverts with any
+    nonce, replays included, register, register-reply and lookup upserts,
+    and ticks that expire peers, every advert outcome and the catalogue
+    (profile, last-seen tick, trust and nonce per peer) match."""
+    trust = {"work": ["echo"], "home": []}
+    events = []
+    cell = make_cell(trust=trust, observer=lambda kind, detail: events.append(kind))
+    naive = NaiveDiscovery("cell", trust)
+    now = 0
+    for step in steps:
+        if step[0] == "advert":
+            _, profile, nonce = step
+            wire = Advertisement(profile, nonce).to_wire()
+            outcome = cell.discovery.handle_advertisement(Advertisement.from_wire(wire), now)
+            assert outcome.value == naive.advert(profile, nonce, now)
+        elif step[0] == "tick":
+            now += step[1]
+            cell.on_tick(now)
+            naive.expire(now)
+        else:
+            kind, profile = step
+            peer, wire = profile.cell_id, profile.to_wire()
+            if kind == "register":
+                cell.handle_envelope(kind, peer, {"profile": wire, "wantReply": False}, now)
+            elif kind == "register-reply":
+                cell.handle_envelope(kind, peer, wire, now)
+            else:
+                request_id = cell._next_request_id
+                cell.send_request("op-req", "registry", {"action": "lookup"})
+                cell.handle_envelope("op-resp", "registry", {
+                    "requestId": request_id, "status": "ok", "result": {"profiles": [wire]},
+                }, now)
+            naive.upsert(profile, now)
+        cell.take_outbox()
+        assert {cid: (e.profile, e.last_seen_tick, dict(e.trusted), e.nonce)
+                for cid, e in cell.catalogue.entries.items()} == naive.contents()
+    assert "reject" not in events
 
 
 # profile field -> a value of another type than the wire carries
@@ -1030,8 +1091,6 @@ BAD_PROFILE_FIELDS = {
     "contexts-string": ("contexts", "work"),
     "contexts-int-item": ("contexts", ["work", 1]),
     "capabilities-string": ("capabilities", "echo"),
-    "tick-bool": ("advertisedAtTick", True),
-    "tick-float": ("advertisedAtTick", 0.0),
     "ttl-float": ("ttlTicks", 1.5),
     "ttl-bool": ("ttlTicks", True),
 }
@@ -1300,7 +1359,7 @@ def test_mgmt_request_and_response_round_trip_between_cells():
 def test_registration_round_trip_between_cells():
     a = make_cell("a", trust={"work": []})
     b = make_cell("b", trust={"work": []})
-    a.register_with("b", 1)
+    a.register_with("b")
     (msg,) = a.take_outbox()
     b.handle_envelope(msg.kind, "a", msg.body, 1)
     assert b.catalogue.get("a") is not None

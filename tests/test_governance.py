@@ -242,7 +242,7 @@ def test_pending_buffer_capped():
                 trust_policy={"work": []},
                 observer=lambda kind, detail: events.append((kind, detail)))
     cell.catalogue.upsert(CellProfile("org", "org", frozenset({"work"}),
-                                      frozenset({"echo"}), "echo", 0, 50), 0)
+                                      frozenset({"echo"}), "echo", 50), 0)
 
     def ingest(seq):
         return cell.ingest_security_update(upd(seq, payload=f"h{seq}").to_wire(), "org")
@@ -585,7 +585,7 @@ def test_digest_reply_matches_the_oracle(streams, marks):
                                regression=guarded.regression),
                 trust_policy={"work": []})
     cell.catalogue.upsert(CellProfile("p1", "p1", frozenset({"work"}),
-                                      frozenset({"echo"}), "echo", 0, 50), 0)
+                                      frozenset({"echo"}), "echo", 50), 0)
     breaker = rule("break", Effect.DENY, {}, action="read")
     fed = []
     for origin, rejects in sorted(streams.items()):

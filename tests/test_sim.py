@@ -361,6 +361,28 @@ def test_policy_file_requires_resolver():
         parse_scenario(wire)
 
 
+# policyFile contents -> None for a file that is absent
+BAD_POLICY_FILES = {"missing": None, "not-json": "{not json"}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_POLICY_FILES))
+def test_unreadable_policy_file_is_a_parse_error(name, tmp_path, capsys):
+    """A ``policyFile`` that is absent or not JSON is a ``ParseError``
+    naming the cell and the file, and ``smsc run`` exits 2."""
+    wire = scenario_wire()
+    del wire["cells"][0]["policy"]
+    wire["cells"][0]["policyFile"] = "p.json"
+    if BAD_POLICY_FILES[name] is not None:
+        (tmp_path / "p.json").write_text(BAD_POLICY_FILES[name])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(wire))
+    with pytest.raises(ParseError, match=re.escape("cell 'c0'")) as info:
+        load_scenario(str(path))
+    assert "policyFile 'p.json'" in str(info.value)
+    assert cli_main(["run", "--scenario", str(path)]) == 2
+    assert "cell 'c0'" in capsys.readouterr().err
+
+
 def test_token_from_spec_signs_or_keeps_signature():
     signed = token_from_spec(USER_TOKEN, "here")
     assert signed.signature and signed.subject == "u" and signed.expiry_tick == 999
