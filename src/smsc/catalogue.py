@@ -1,17 +1,12 @@
 """Per-cell catalogue of known peers.
 
 Every cell keeps its own view of the federation: which peers it has
-heard from, when, the nonce of each one's last accepted advert, and
-whether it trusts them per context; an entry is the one record of a
-peer.  Trust is derived locally from a trust policy mapping each context
-to the capabilities a peer must advertise; a peer in a context the
-policy does not mention is untrusted there.
-
-Trust is derived when an entry is made and again for every entry when
-the trust policy changes.  A fresh profile whose contexts and
-capabilities equal those of the entry it replaces keeps that entry's
-trust map, which the policy in force already derived; so a peer that
-re-advertises an unchanged profile costs no derivation.
+heard from, when, and the nonce of each one's last accepted advert; an
+entry is the one record of a peer.  Trust is not stored but read, each
+time it is asked, from the peer's profile and the trust policy in force,
+which maps each context to the capabilities a peer must advertise there;
+a peer in a context the policy does not mention is untrusted there.  A
+new trust policy thus takes effect on the next read.
 
 Entries age out: one whose last-seen tick plus its TTL is strictly
 below the current tick is expired.  The TTL is the one the peer
@@ -30,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
-from .errors import ParseError, PolicyError, SelfRegistration, TrustedQueryWithoutContext
+from .errors import ParseError, PolicyError, SelfRegistration
 from .wire import is_str_list
 
 TrustPolicy = Mapping[str, Iterable[str]]
@@ -90,28 +85,10 @@ class CellProfile:
 class CatalogueEntry(NamedTuple):
     profile: CellProfile
     last_seen_tick: int
-    trusted: Mapping[str, bool]
     # the first tick at which the entry is stale
     expires_at: int
     # the nonce of the last advert accepted from the peer; -1 before any
     nonce: int
-
-    def trusted_in(self, context: str) -> bool:
-        return bool(self.trusted.get(context, False))
-
-    def trusted_anywhere(self) -> bool:
-        return any(self.trusted.values())
-
-
-def _derive_trust(profile: CellProfile, policy: TrustPolicy) -> dict[str, bool]:
-    trusted = {}
-    for context in profile.contexts:
-        if context in policy:
-            required = set(policy[context])
-            trusted[context] = required <= set(profile.capabilities)
-        else:
-            trusted[context] = False
-    return trusted
 
 
 class Catalogue:
@@ -119,9 +96,7 @@ class Catalogue:
 
     def __init__(self, owner_id: str, trust_policy: Optional[TrustPolicy] = None):
         self.owner_id = owner_id
-        self.trust_policy: dict[str, list[str]] = {
-            c: sorted(caps) for c, caps in (trust_policy or {}).items()
-        }
+        self.set_trust_policy(trust_policy or {})
         self.entries: dict[str, CatalogueEntry] = {}
         # no entry expires before this tick: upsert lowers it, and
         # expire_stale sets it to the exact first expiry
@@ -134,16 +109,11 @@ class Catalogue:
         cell_id = profile.cell_id
         if cell_id == self.owner_id:
             raise SelfRegistration(f"{self.owner_id!r} cannot register itself")
-        old = self.entries.get(cell_id)
-        if (old is not None and old.profile.contexts == profile.contexts
-                and old.profile.capabilities == profile.capabilities):
-            trusted = old.trusted
-        else:
-            trusted = _derive_trust(profile, self.trust_policy)
         if nonce is None:
+            old = self.entries.get(cell_id)
             nonce = -1 if old is None else old.nonce
         expiry = now + min(profile.ttl_ticks, MAX_TTL_TICKS) + 1
-        entry = self.entries[cell_id] = CatalogueEntry(profile, now, trusted, expiry, nonce)
+        entry = self.entries[cell_id] = CatalogueEntry(profile, now, expiry, nonce)
         if expiry < self.earliest_expiry:
             self.earliest_expiry = expiry
         return entry
@@ -169,22 +139,27 @@ class Catalogue:
     def get(self, cell_id: str) -> Optional[CatalogueEntry]:
         return self.entries.get(cell_id)
 
+    def trusts(self, profile: CellProfile, context: str) -> bool:
+        """Whether the policy in force trusts ``profile`` in ``context``."""
+        required = self.trust_policy.get(context)
+        return (required is not None and context in profile.contexts
+                and profile.capabilities.issuperset(required))
+
+    def trusted_anywhere(self, profile: CellProfile) -> bool:
+        """Whether the policy in force trusts ``profile`` in any context."""
+        return any(self.trusts(profile, c) for c in profile.contexts)
+
     def query(
-        self,
-        context: Optional[str] = None,
-        capability: Optional[str] = None,
-        trusted_only: bool = False,
+        self, context: str, capability: Optional[str] = None, trusted_only: bool = False,
     ) -> list[CatalogueEntry]:
-        if trusted_only and context is None:
-            raise TrustedQueryWithoutContext("trusted lookup needs a context")
         out = []
         for cid in sorted(self.entries):
             entry = self.entries[cid]
-            if context is not None and context not in entry.profile.contexts:
+            if context not in entry.profile.contexts:
                 continue
             if capability is not None and capability not in entry.profile.capabilities:
                 continue
-            if trusted_only and not entry.trusted_in(context):
+            if trusted_only and not self.trusts(entry.profile, context):
                 continue
             out.append(entry)
         return out
@@ -192,13 +167,9 @@ class Catalogue:
     def trusted_partners(self) -> list[str]:
         """Ids trusted in at least one context, sorted."""
         return sorted(
-            cid for cid, e in self.entries.items() if e.trusted_anywhere()
+            cid for cid, e in self.entries.items() if self.trusted_anywhere(e.profile)
         )
 
     def set_trust_policy(self, policy: TrustPolicy) -> None:
-        """Replace the trust policy and re-derive trust for every entry."""
-        self.trust_policy = {c: sorted(caps) for c, caps in policy.items()}
-        for cid, entry in self.entries.items():
-            self.entries[cid] = entry._replace(
-                trusted=_derive_trust(entry.profile, self.trust_policy)
-            )
+        """Replace the trust policy; every later read of trust uses it."""
+        self.trust_policy: dict[str, list[str]] = {c: sorted(caps) for c, caps in policy.items()}

@@ -123,7 +123,6 @@ class Cell:
         observer: Optional[Observer] = None,
     ):
         self.cell_id = cell_id
-        self.contexts = frozenset(contexts)
         self.advertise_interval = advertise_interval
         self.anti_entropy_interval = anti_entropy_interval
         self._observer: Observer = observer or (lambda kind, detail: None)
@@ -141,7 +140,7 @@ class Cell:
             else frozenset(self.resource.operations) | {resource_kind}
         )
         self.discovery = DiscoveryService(
-            self.catalogue, self.contexts, caps, resource_kind, ttl_ticks
+            self.catalogue, frozenset(contexts), caps, resource_kind, ttl_ticks
         )
 
         self.outbox: list[OutboundMessage] = []
@@ -342,7 +341,8 @@ class Cell:
             except SmscError as exc:
                 return self._invalid_update(from_cell, exc)
         sender = self.catalogue.get(from_cell)
-        if sender is None or not all(sender.trusted_in(c) for c in package.contexts):
+        trusts = self.catalogue.trusts
+        if sender is None or not all(trusts(sender.profile, c) for c in package.contexts):
             self._update_record(package, ApplyStatus.UNTRUSTED_SOURCE.value, from_cell)
             return ApplyStatus.UNTRUSTED_SOURCE
         try:
@@ -517,7 +517,7 @@ class Cell:
 
     def _handle_digest(self, src: str, body: Mapping[str, Any]) -> None:
         sender = self.catalogue.get(src)
-        if sender is None or not sender.trusted_anywhere():
+        if sender is None or not self.catalogue.trusted_anywhere(sender.profile):
             self._observer("digest-ignored", {"from": src})
             return
         archive, marks = self.store.archive, integers(body, "applied", "digest", {})

@@ -49,10 +49,6 @@ class SelfRegistration(SmscError):
     pass
 
 
-class TrustedQueryWithoutContext(SmscError):
-    pass
-
-
 # --- cell ----------------------------------------------------------------
 
 class MalformedCommand(SmscError):

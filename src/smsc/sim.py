@@ -316,6 +316,8 @@ def _parse_script(actions: list, known: set[str]) -> tuple[ScriptAction, ...]:
             params["a"], params["b"] = frozenset(params["a"]), frozenset(params["b"])
             if params["a"] & params["b"]:
                 raise ParseError(f"{where}: partition groups overlap")
+            if params["until"] is not None and params["until"] <= tick:
+                raise ParseError(f"{where}: 'until' must be after the op's tick")
         elif op in ("send-op", "send-mgmt"):
             tokens = [token_from_spec(stanza, f"{where} tokens[{j}]").to_wire()
                       for j, stanza in enumerate(params["tokens"])]

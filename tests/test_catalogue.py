@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smsc.catalogue import MAX_TTL_TICKS, Catalogue, CellProfile
-from smsc.errors import PolicyError, SelfRegistration, TrustedQueryWithoutContext
+from smsc.errors import PolicyError, SelfRegistration
 
 from .oracles import naive_trust
 
@@ -38,13 +38,16 @@ def test_owner_cannot_register_itself():
 
 def test_trust_derivation():
     cat = Catalogue("me", {"work": ["ring", "text"], "home": []})
-    entry = cat.upsert(profile("a", contexts=("work", "home", "lab"),
-                               caps=("ring", "text", "extra")), 0)
-    assert entry.trusted == {"work": True, "home": True, "lab": False}
+    a = profile("a", contexts=("work", "home", "lab"), caps=("ring", "text", "extra"))
+    assert {c: cat.trusts(a, c) for c in ("work", "home", "lab", "away")} == {
+        "work": True, "home": True, "lab": False, "away": False}
+    assert cat.trusted_anywhere(a)
     # missing a required capability
-    entry = cat.upsert(profile("b", caps=("ring",)), 0)
-    assert not entry.trusted_in("work")
-    assert not entry.trusted_anywhere()
+    b = profile("b", caps=("ring",))
+    assert not cat.trusts(b, "work")
+    assert not cat.trusted_anywhere(b)
+    # a context the policy names but the profile does not advertise
+    assert not cat.trusts(b, "home")
 
 
 def test_ttl_is_strict():
@@ -115,9 +118,10 @@ TRUST_STEPS = st.lists(st.tuples(
 @given(TRUST_POLICIES, TRUST_STEPS)
 def test_trust_matches_a_derivation_from_scratch(policy, steps):
     """Each step upserts a profile, may replace the trust policy, then
-    expires what lapsed.  Whichever entry ``upsert`` reuses a trust map
-    from, every entry's trust equals the trust the policy in force gives
-    its own profile."""
+    expires what lapsed.  After every step, trust in each peer in every
+    context, those its profile lacks included, is what the policy in force
+    gives its profile, and the trusted partners and every trusted query
+    are the entries a filter on that trust picks."""
     cat = Catalogue("me", policy)
     now = 0
     for peer, contexts, caps, new_policy, gap in steps:
@@ -127,8 +131,14 @@ def test_trust_matches_a_derivation_from_scratch(policy, steps):
             cat.set_trust_policy(policy)
         now += gap
         cat.expire_stale(now)
-        for entry in cat.entries.values():
-            assert entry.trusted == naive_trust(entry.profile, policy)
+        trust = {cid: naive_trust(e.profile, policy) for cid, e in sorted(cat.entries.items())}
+        for cid, entry in cat.entries.items():
+            for context in CONTEXTS:
+                assert cat.trusts(entry.profile, context) == trust[cid].get(context, False)
+        assert cat.trusted_partners() == [cid for cid in trust if any(trust[cid].values())]
+        for context in CONTEXTS:
+            assert [e.profile.cell_id for e in cat.query(context, trusted_only=True)] == [
+                cid for cid in trust if trust[cid].get(context, False)]
 
 
 def test_fresh_advert_readmits_after_eviction():
@@ -145,18 +155,16 @@ def test_query_filters_and_order():
     cat.upsert(profile("zeta", caps=("ring",)), 0)
     cat.upsert(profile("alpha", caps=("ring", "text")), 0)
     cat.upsert(profile("mid", contexts=("home",), caps=("ring",)), 0)
-    ids = [e.profile.cell_id for e in cat.query()]
-    assert ids == ["alpha", "mid", "zeta"]
     ids = [e.profile.cell_id for e in cat.query(context="work")]
     assert ids == ["alpha", "zeta"]
-    ids = [e.profile.cell_id for e in cat.query(capability="text")]
+    ids = [e.profile.cell_id for e in cat.query(context="work", capability="text")]
     assert ids == ["alpha"]
+    ids = [e.profile.cell_id for e in cat.query(context="home")]
+    assert ids == ["mid"]
     ids = [e.profile.cell_id for e in cat.query(context="work", trusted_only=True)]
     assert ids == ["alpha", "zeta"]
     ids = [e.profile.cell_id for e in cat.query(context="home", trusted_only=True)]
     assert ids == []
-    with pytest.raises(TrustedQueryWithoutContext):
-        cat.query(trusted_only=True)
 
 
 def test_set_trust_policy_rederives_existing_entries():

@@ -637,6 +637,32 @@ def signed_wire(origin="org", seq=0, contexts=("work",), payload="bad-host"):
     ).to_wire()
 
 
+def test_set_trust_takes_effect_on_the_next_read():
+    """A new trust policy governs the next update and digest from a known
+    peer, with no fresh advert from it."""
+    events = []
+    cell = make_cell(trust={"work": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
+    cell.handle_envelope("advert", "p1", Advertisement(peer_profile("p1"), 0).to_wire(), 0)
+    cell.emit_update(UpdateKind.BLOCKLIST_ADD, "h0", {"work"}, 0)
+    cell.take_outbox()
+
+    cell.handle_management(mgmt_body("set-trust", {"work": ["ring"]}), "ext", 1)
+    del events[:]
+    assert cell.ingest_security_update(signed_wire(), "p1") is ApplyStatus.UNTRUSTED_SOURCE
+    cell.handle_envelope("digest", "p1", {"applied": {}}, 1)
+    assert events == [
+        ("update", {"origin": "org", "seq": 0, "status": "untrusted-source", "from": "p1"}),
+        ("digest-ignored", {"from": "p1"}),
+    ]
+    assert cell.take_outbox() == []
+
+    cell.handle_management(mgmt_body("set-trust", {"work": []}), "ext", 2)
+    assert cell.ingest_security_update(signed_wire(), "p1") is ApplyStatus.APPLIED
+    cell.handle_envelope("digest", "p1", {"applied": {}}, 2)
+    assert [(m.kind, m.dst) for m in cell.take_outbox()] == [("digest-reply", "p1")]
+
+
 def test_ingest_requires_trust_in_every_package_context():
     cell = make_cell(trust={"work": [], "home": []})
     cell.catalogue.upsert(peer_profile("p1", contexts=("work",)), 0)
@@ -1078,7 +1104,9 @@ def test_advert_nonces_match_a_separate_nonce_table(steps):
                 }, now)
             naive.upsert(profile, now)
         cell.take_outbox()
-        assert {cid: (e.profile, e.last_seen_tick, dict(e.trusted), e.nonce)
+        trusts = cell.catalogue.trusts
+        assert {cid: (e.profile, e.last_seen_tick,
+                      {c: trusts(e.profile, c) for c in e.profile.contexts}, e.nonce)
                 for cid, e in cell.catalogue.entries.items()} == naive.contents()
     assert "reject" not in events
 
@@ -1367,4 +1395,4 @@ def test_registration_round_trip_between_cells():
     assert reply.kind == "register-reply"
     a.handle_envelope(reply.kind, "b", reply.body, 2)
     assert a.catalogue.get("b") is not None
-    assert a.catalogue.get("b").trusted_in("work")
+    assert a.catalogue.trusts(a.catalogue.get("b").profile, "work")

@@ -128,6 +128,11 @@ BAD_SCRIPT_FIELDS = {
     "payload-on-send-op": ({**send_op(1, "c1"), "payload": {"k": 1}}, "'payload'"),
     "token-sig-misspelled": ({**send_op(1, "c1"), "tokens": [
         {**USER_TOKEN, "sgi": "0" * 64}]}, "'sgi'"),
+    # a window that closes when it opens would cut nothing
+    "until-at-tick": ({"tick": 3, "op": "partition", "a": ["c0"], "b": ["c1"],
+                       "until": 3}, "'until'"),
+    "until-before-tick": ({"tick": 3, "op": "partition", "a": ["c0"], "b": ["c1"],
+                           "until": 2}, "'until'"),
 }
 
 # name -> (mangle, where, field): fields outside the script
@@ -201,11 +206,17 @@ BAD_NUMERIC_FIELDS = {
                             "cell 'c0' intervals", "'antientropy'"),
 }
 
-# as many entries of each table as it held before keep their test_parse_rejections ids
 _SCRIPT_MANGLES = [lambda w, action=action: w.update(script=[action])
                    for action, _ in BAD_SCRIPT_FIELDS.values()]
 _OTHER_MANGLES = [mangle for mangle, _, _ in BAD_NUMERIC_FIELDS.values()]
-_EARLIER_SCRIPT, _EARLIER_OTHER = 6, 7
+# the size of each table at each earlier cut: the entries up to a cut keep
+# their test_parse_rejections ids, and those added since come after them
+_CUTS = [(6, 7), (18, 29), (None, None)]
+_MANGLES_IN_ID_ORDER = [
+    mangle
+    for (s0, o0), (s1, o1) in zip([(0, 0)] + _CUTS, _CUTS)
+    for mangle in _SCRIPT_MANGLES[s0:s1] + _OTHER_MANGLES[o0:o1]
+]
 
 
 @pytest.mark.parametrize(
@@ -261,9 +272,7 @@ _EARLIER_SCRIPT, _EARLIER_OTHER = 6, 7
         (lambda w: w["topology"].update(partitions=[
             {"a": ["c0"], "b": ["c1"], "from": 0}
         ]), ParseError),
-        *((mangle, ParseError) for mangle in (
-            _SCRIPT_MANGLES[:_EARLIER_SCRIPT] + _OTHER_MANGLES[:_EARLIER_OTHER]
-            + _SCRIPT_MANGLES[_EARLIER_SCRIPT:] + _OTHER_MANGLES[_EARLIER_OTHER:])),
+        *((mangle, ParseError) for mangle in _MANGLES_IN_ID_ORDER),
     ],
 )
 def test_parse_rejections(mangle, exc):
@@ -539,17 +548,6 @@ def test_scripted_partition_until():
     assert sim.partitions == []
 
 
-def test_a_window_closed_when_it_opens_cuts_nothing_and_is_dropped():
-    wire = scenario_wire(script=[
-        {"tick": 3, "op": "partition", "a": ["c0"], "b": ["c1"], "until": 2},
-        send_op(3, "c1", src="c0"),
-    ])
-    sim, _ = run_sim(wire)
-    assert len(records_of(sim, "fault")) == 1
-    assert all(r["detail"]["reason"] != "partition" for r in records_of(sim, "drop"))
-    assert sim.partitions == []
-
-
 def test_exactly_one_draw_per_due_envelope():
     wire = scenario_wire(
         links=[{"a": "c0", "b": "c1", "drop": 0.5}],
@@ -661,9 +659,9 @@ def small_scenarios(draw):
     actions = []
     if draw(st.booleans()):
         cut = draw(st.integers(1, len(ids) - 1))
-        actions.append({"tick": draw(st.integers(0, max_ticks)), "op": "partition",
-                        "a": ids[:cut], "b": ids[cut:],
-                        "until": draw(st.integers(0, max_ticks + 2))})
+        tick = draw(st.integers(0, max_ticks))
+        actions.append({"tick": tick, "op": "partition", "a": ids[:cut], "b": ids[cut:],
+                        "until": draw(st.integers(tick + 1, max_ticks + 2))})
     for n, op in enumerate(draw(st.lists(st.sampled_from(
             ["register", "send-op", "send-op-from", "emit-update", "advertise",
              "partition", "heal"]), max_size=8))):
