@@ -10,7 +10,7 @@ under a deterministic discrete-event clock with scriptable faults.
 from .bus import MessageBus
 from .catalogue import Catalogue, CatalogueEntry, CellProfile
 from .cell import Cell, OutboundMessage
-from .discovery import Advertisement, AdvertOutcome, DiscoveryService, RegistrationRequest
+from .discovery import AdvertOutcome, DiscoveryService
 from .errors import SmscError
 from .governance import (
     ApplyReport,
@@ -65,7 +65,6 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Advertisement",
     "AdvertOutcome",
     "ApplyReport",
     "ApplyStatus",
@@ -94,7 +93,6 @@ __all__ = [
     "PolicyDocument",
     "PolicyRule",
     "PolicyStore",
-    "RegistrationRequest",
     "RegistryResource",
     "RegressionCase",
     "RootGrant",

@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from .bus import MessageBus
 from .catalogue import Catalogue, CellProfile, TrustPolicy
-from .discovery import Advertisement, DiscoveryService, RegistrationRequest
+from .discovery import DiscoveryService
 from .errors import MalformedCommand, SmscError, TokenVerificationError, UnknownCell
 from .governance import (
     ApplyReport,
@@ -440,8 +440,7 @@ class Cell:
                             self.catalogue.earliest_expiry))
 
     def advertise_now(self) -> None:
-        advert = self.discovery.make_advertisement()
-        self._send("advert", "*", advert.to_wire())
+        self._send("advert", "*", self.discovery.make_advertisement())
 
     def _send_digest(self) -> None:
         partners = self.catalogue.trusted_partners()
@@ -466,8 +465,7 @@ class Cell:
         self._send(kind, dst, {**body, "requestId": request_id})
 
     def register_with(self, dst: str, want_reply: bool = True) -> None:
-        request = self.discovery.make_registration(dst, want_reply)
-        self._send("register", dst, request.to_wire())
+        self._send("register", dst, self.discovery.make_registration(dst, want_reply))
 
     # --- transport entry point -------------------------------------------
 
@@ -492,13 +490,11 @@ class Cell:
 
     def _route(self, kind: str, src: str, body: Mapping[str, Any], now: int) -> None:
         if kind == "advert":
-            self.discovery.handle_advertisement(Advertisement.from_wire(body), now)
+            self.discovery.handle_advertisement(body, now)
         elif kind == "register":
-            reply = self.discovery.handle_registration(
-                RegistrationRequest.from_wire(body), now
-            )
+            reply = self.discovery.handle_registration(body, now)
             if reply is not None:
-                self._send("register-reply", src, reply.to_wire())
+                self._send("register-reply", src, reply)
         elif kind == "register-reply":
             self.catalogue.upsert(CellProfile.from_wire(body), now)
         elif kind == "update":

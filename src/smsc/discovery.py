@@ -1,7 +1,10 @@
 """Peer discovery: broadcast adverts and directed registration.
 
-A cell builds its own profile once and sends that same profile in every
-advert, registration and register-reply.  Adverts carry a per-sender
+This module owns the advert and registration wire: a cell hands it each
+``advert`` body (``{"profile", "nonce"}``) and ``register`` body
+(``{"profile", "wantReply"}``) as it arrived, and sends the bodies it
+returns.  A cell builds its own profile once and sends that same profile
+in every advert, registration and register-reply.  Adverts carry a per-sender
 monotonic nonce so a receiver can discard replays and reordered copies
 while the sender is in its catalogue; the nonce is kept in the sender's
 catalogue entry and goes when that entry expires, so what a cell keeps
@@ -12,40 +15,12 @@ it; the receiver may return its own profile in reply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 from .catalogue import Catalogue, CellProfile
 from .errors import SelfRegistration
 from .wire import field
-
-
-class Advertisement(NamedTuple):
-    profile: CellProfile
-    nonce: int
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"profile": self.profile.to_wire(), "nonce": self.nonce}
-
-    @classmethod
-    def from_wire(cls, data: Any) -> "Advertisement":
-        nonce = field(data, "nonce", "advert", int)
-        return cls(CellProfile.from_wire(data.get("profile")), nonce)
-
-
-@dataclass(frozen=True)
-class RegistrationRequest:
-    profile: CellProfile
-    want_reply: bool
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"profile": self.profile.to_wire(), "wantReply": self.want_reply}
-
-    @classmethod
-    def from_wire(cls, data: Any) -> "RegistrationRequest":
-        want_reply = field(data, "wantReply", "register", bool)
-        return cls(CellProfile.from_wire(data.get("profile")), want_reply)
 
 
 class AdvertOutcome(str, Enum):
@@ -70,29 +45,31 @@ class DiscoveryService:
         self.profile = CellProfile(owner, owner, contexts, capabilities, resource_kind, ttl_ticks)
         self._next_nonce = 0
 
-    def make_advertisement(self) -> Advertisement:
-        advert = Advertisement(self.profile, self._next_nonce)
+    def make_advertisement(self) -> dict[str, Any]:
+        body = {"profile": self.profile.to_wire(), "nonce": self._next_nonce}
         self._next_nonce += 1
-        return advert
+        return body
 
-    def handle_advertisement(self, advert: Advertisement, now: int) -> AdvertOutcome:
-        peer = advert.profile.cell_id
+    def handle_advertisement(self, body: Any, now: int) -> AdvertOutcome:
+        nonce = field(body, "nonce", "advert", int)
+        profile = CellProfile.from_wire(body.get("profile"))
+        peer = profile.cell_id
         if peer == self.profile.cell_id:
             return AdvertOutcome.SELF_IGNORED
         entry = self.catalogue.get(peer)
-        if advert.nonce <= (-1 if entry is None else entry.nonce):
+        if nonce <= (-1 if entry is None else entry.nonce):
             return AdvertOutcome.STALE_NONCE
-        self.catalogue.upsert(advert.profile, now, advert.nonce)
+        self.catalogue.upsert(profile, now, nonce)
         return AdvertOutcome.ACCEPTED
 
-    def make_registration(self, target: str, want_reply: bool = True) -> RegistrationRequest:
+    def make_registration(self, target: str, want_reply: bool = True) -> dict[str, Any]:
         if target == self.profile.cell_id:
             raise SelfRegistration(f"{target!r} cannot register with itself")
-        return RegistrationRequest(self.profile, want_reply)
+        return {"profile": self.profile.to_wire(), "wantReply": want_reply}
 
-    def handle_registration(
-        self, request: RegistrationRequest, now: int
-    ) -> Optional[CellProfile]:
-        """Record the registrant; returns our profile when a reply is wanted."""
-        self.catalogue.upsert(request.profile, now)
-        return self.profile if request.want_reply else None
+    def handle_registration(self, body: Any, now: int) -> Optional[dict[str, Any]]:
+        """Record the registrant; returns our profile's wire, the reply
+        body, when a reply is wanted."""
+        want_reply = field(body, "wantReply", "register", bool)
+        self.catalogue.upsert(CellProfile.from_wire(body.get("profile")), now)
+        return self.profile.to_wire() if want_reply else None

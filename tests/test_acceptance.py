@@ -14,7 +14,6 @@ import pytest
 
 from smsc.catalogue import CellProfile
 from smsc.cell import Cell
-from smsc.discovery import Advertisement
 from smsc.governance import (
     ApplyStatus,
     ConfigSetting,
@@ -639,7 +638,7 @@ def test_c12_ttl_eviction_is_strict_with_readmission(capsys):
         ttl_ticks=5,
     )
     cell.handle_envelope("advert", "peer",
-                         Advertisement(profile, 0).to_wire(), 10)
+                         {"profile": profile.to_wire(), "nonce": 0}, 10)
     for now in range(11, 16):
         tick(now)
     kept_at_boundary = cell.catalogue.get("peer") is not None  # 10 + 5 == 15
@@ -649,7 +648,7 @@ def test_c12_ttl_eviction_is_strict_with_readmission(capsys):
     expiry_audited = expired == [(16, {"peer": "peer"})]
     clock[0] = 20
     cell.handle_envelope("advert", "peer",
-                         Advertisement(profile, 1).to_wire(), 20)
+                         {"profile": profile.to_wire(), "nonce": 1}, 20)
     readmitted = cell.catalogue.get("peer") is not None
     tick(25)
     kept_again = cell.catalogue.get("peer") is not None

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smsc.catalogue import MAX_TTL_TICKS, CellProfile
-from smsc.discovery import Advertisement
 from smsc import cell as cell_module
 from smsc.cell import (
     AUDIT_QUEUE_CAP, ENVELOPE_KINDS, MANAGEMENT_COMMANDS, PENDING_REQUEST_CAP, VERIFIED_CAP, Cell,
@@ -643,7 +642,7 @@ def test_set_trust_takes_effect_on_the_next_read():
     events = []
     cell = make_cell(trust={"work": []},
                      observer=lambda kind, detail: events.append((kind, detail)))
-    cell.handle_envelope("advert", "p1", Advertisement(peer_profile("p1"), 0).to_wire(), 0)
+    cell.handle_envelope("advert", "p1", {"profile": peer_profile("p1").to_wire(), "nonce": 0}, 0)
     cell.emit_update(UpdateKind.BLOCKLIST_ADD, "h0", {"work"}, 0)
     cell.take_outbox()
 
@@ -1082,8 +1081,8 @@ def test_advert_nonces_match_a_separate_nonce_table(steps):
     for step in steps:
         if step[0] == "advert":
             _, profile, nonce = step
-            wire = Advertisement(profile, nonce).to_wire()
-            outcome = cell.discovery.handle_advertisement(Advertisement.from_wire(wire), now)
+            body = {"profile": profile.to_wire(), "nonce": nonce}
+            outcome = cell.discovery.handle_advertisement(body, now)
             assert outcome.value == naive.advert(profile, nonce, now)
         elif step[0] == "tick":
             now += step[1]

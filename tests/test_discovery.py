@@ -4,12 +4,7 @@ import pytest
 
 from smsc.catalogue import Catalogue, CellProfile
 from smsc.cell import Cell
-from smsc.discovery import (
-    Advertisement,
-    AdvertOutcome,
-    DiscoveryService,
-    RegistrationRequest,
-)
+from smsc.discovery import AdvertOutcome, DiscoveryService
 from smsc.errors import SelfRegistration
 from smsc.sim import EventLog, Simulator
 
@@ -28,7 +23,7 @@ def service(cid, contexts=("work",), caps=("ring",), trust=None):
 
 def test_adverts_carry_increasing_nonces():
     svc = service("a")
-    assert [svc.make_advertisement().nonce for _ in range(3)] == [0, 1, 2]
+    assert [svc.make_advertisement()["nonce"] for _ in range(3)] == [0, 1, 2]
 
 
 def test_accept_then_reject_stale_and_duplicate():
@@ -63,8 +58,8 @@ def test_registration_handshake():
     request = a.make_registration("b")
     reply = b.handle_registration(request, 2)
     assert b.catalogue.get("a").profile.capabilities == frozenset({"ring"})
-    assert reply is not None and reply.cell_id == "b"
-    a.catalogue.upsert(reply, 3)
+    assert reply == b.profile.to_wire()
+    a.catalogue.upsert(CellProfile.from_wire(reply), 3)
     assert a.catalogue.get("b").profile.capabilities == frozenset({"text"})
 
 
@@ -82,11 +77,20 @@ def test_cannot_register_with_self():
 
 
 def test_wire_round_trips():
-    svc = service("a")
+    """Each body carries the own profile's wire, and reading it back at a
+    peer stores that same profile."""
+    svc, peer = service("a"), service("b")
     advert = svc.make_advertisement()
-    assert Advertisement.from_wire(advert.to_wire()) == advert
-    request = svc.make_registration("b", want_reply=True)
-    assert RegistrationRequest.from_wire(request.to_wire()) == request
+    assert advert == {"profile": svc.profile.to_wire(), "nonce": 0}
+    assert peer.handle_advertisement(advert, 1) is AdvertOutcome.ACCEPTED
+    entry = peer.catalogue.get("a")
+    assert (entry.profile, entry.nonce) == (svc.profile, 0)
+    for want_reply in (True, False):
+        request = svc.make_registration("b", want_reply)
+        assert request == {"profile": svc.profile.to_wire(), "wantReply": want_reply}
+        reply = peer.handle_registration(request, 2)
+        assert reply == (peer.profile.to_wire() if want_reply else None)
+        assert peer.catalogue.get("a").profile == svc.profile
 
 
 def test_advert_trust_flows_from_catalogue_policy():
@@ -98,11 +102,24 @@ def test_advert_trust_flows_from_catalogue_policy():
     assert receiver.catalogue.trusted_partners() == ["strong"]
 
 
-def test_own_profile_is_built_once():
+def test_own_profile_is_built_once(monkeypatch):
+    """The service builds its own profile once; every advert, registration
+    and reply body carries that one profile's wire."""
+    built = []
+    check = CellProfile.__post_init__
+
+    def counting(profile):
+        built.append(profile.cell_id)
+        check(profile)
+
+    monkeypatch.setattr(CellProfile, "__post_init__", counting)
     svc = service("a")
-    request = svc.make_registration("b")
-    reply = svc.handle_registration(RegistrationRequest(service("b").profile, True), 0)
-    assert svc.make_advertisement().profile is request.profile is reply is svc.profile
+    own = svc.profile
+    bodies = [svc.make_advertisement()["profile"], svc.make_registration("b")["profile"],
+              svc.handle_registration(service("b").make_registration("a"), 0)]
+    assert bodies == [own.to_wire()] * 3
+    assert svc.profile is own
+    assert built.count("a") == 1
 
 
 def test_no_profile_on_the_wire_carries_an_advert_tick(monkeypatch):
@@ -132,5 +149,9 @@ def test_no_profile_on_the_wire_carries_an_advert_tick(monkeypatch):
     for wire in (w for found in wires.values() for w in found):
         old = {**wire, "advertisedAtTick": 7}
         assert CellProfile.from_wire(old) == CellProfile.from_wire(wire)
-        assert (Advertisement.from_wire({"profile": old, "nonce": 2})
-                == Advertisement.from_wire({"profile": wire, "nonce": 2}))
+        entries = []
+        for profile in (old, wire):
+            receiver = service("receiver")
+            receiver.handle_advertisement({"profile": profile, "nonce": 2}, 3)
+            entries.append(receiver.catalogue.get(wire["cellId"]))
+        assert entries[0] is not None and entries[0] == entries[1]
