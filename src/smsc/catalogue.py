@@ -40,7 +40,6 @@ class CellProfile:
     """What a cell advertises about itself."""
 
     cell_id: str
-    endpoint: str
     contexts: frozenset[str]
     capabilities: frozenset[str]
     resource_kind: str
@@ -55,7 +54,6 @@ class CellProfile:
     def to_wire(self) -> dict[str, Any]:
         return {
             "cellId": self.cell_id,
-            "endpoint": self.endpoint,
             "contexts": sorted(self.contexts),
             "capabilities": sorted(self.capabilities),
             "resourceKind": self.resource_kind,
@@ -71,15 +69,14 @@ class CellProfile:
         if type(data) is not dict:
             raise ParseError(f"profile: must be an object, got {data!r}")
         get = data.get
-        cell_id, endpoint, kind = get("cellId"), get("endpoint"), get("resourceKind")
-        ttl, contexts, capabilities = get("ttlTicks"), get("contexts"), get("capabilities")
-        if not (type(cell_id) is type(endpoint) is type(kind) is str
+        cell_id, kind, ttl = get("cellId"), get("resourceKind"), get("ttlTicks")
+        contexts, capabilities = get("contexts"), get("capabilities")
+        if not (type(cell_id) is type(kind) is str
                 and type(ttl) is int
                 and type(contexts) is type(capabilities) is list
                 and is_str_list(contexts + capabilities)):
             raise ParseError(f"profile {cell_id!r}: a field is absent or of another type")
-        return cls(cell_id, endpoint, frozenset(contexts), frozenset(capabilities),
-                   kind, ttl)
+        return cls(cell_id, frozenset(contexts), frozenset(capabilities), kind, ttl)
 
 
 class CatalogueEntry(NamedTuple):

@@ -41,8 +41,8 @@ class DiscoveryService:
         ttl_ticks: int,
     ):
         self.catalogue = catalogue
-        owner = catalogue.owner_id
-        self.profile = CellProfile(owner, owner, contexts, capabilities, resource_kind, ttl_ticks)
+        self.profile = CellProfile(catalogue.owner_id, contexts, capabilities,
+                                   resource_kind, ttl_ticks)
         self._next_nonce = 0
 
     def make_advertisement(self) -> dict[str, Any]:

@@ -633,7 +633,7 @@ def test_c12_ttl_eviction_is_strict_with_readmission(capsys):
         cell.on_tick(now)
 
     profile = CellProfile(
-        cell_id="peer", endpoint="peer", contexts=frozenset({"work"}),
+        cell_id="peer", contexts=frozenset({"work"}),
         capabilities=frozenset({"echo"}), resource_kind="echo",
         ttl_ticks=5,
     )

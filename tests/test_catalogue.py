@@ -12,7 +12,6 @@ from .oracles import naive_trust
 def profile(cid, contexts=("work",), caps=("ring",), kind="call-filter", ttl=10):
     return CellProfile(
         cell_id=cid,
-        endpoint=cid,
         contexts=frozenset(contexts),
         capabilities=frozenset(caps),
         resource_kind=kind,

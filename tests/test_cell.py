@@ -87,7 +87,6 @@ def make_cell(cell_id="cell", policy=None, trust=None, observer=None, **kwargs):
 def peer_profile(cid, contexts=("work",), caps=("echo",)):
     return CellProfile(
         cell_id=cid,
-        endpoint=cid,
         contexts=frozenset(contexts),
         capabilities=frozenset(caps),
         resource_kind="echo",
@@ -1113,7 +1112,6 @@ def test_advert_nonces_match_a_separate_nonce_table(steps):
 # profile field -> a value of another type than the wire carries
 BAD_PROFILE_FIELDS = {
     "cell-id-int": ("cellId", 7),
-    "endpoint-null": ("endpoint", None),
     "resource-kind-list": ("resourceKind", ["echo"]),
     "contexts-string": ("contexts", "work"),
     "contexts-int-item": ("contexts", ["work", 1]),

@@ -124,8 +124,9 @@ def test_own_profile_is_built_once(monkeypatch):
 
 def test_no_profile_on_the_wire_carries_an_advert_tick(monkeypatch):
     """Adverts, registrations, register-replies and registry lookup results
-    carry no ``advertisedAtTick``; a profile that still carries one, from a
-    peer on the old wire format, parses to the same profile."""
+    carry no ``advertisedAtTick`` and no ``endpoint``; a profile that still
+    carries them, from a peer on the old wire format, parses to the same
+    profile and gives the same catalogue entry."""
     seen = []
     handle = Cell.handle_envelope
 
@@ -146,8 +147,9 @@ def test_no_profile_on_the_wire_carries_an_advert_tick(monkeypatch):
     assert all(wires.values()), {kind: len(w) for kind, w in wires.items()}
     for kind, body in seen:
         assert "advertisedAtTick" not in json.dumps(body), kind
+        assert "endpoint" not in json.dumps(body), kind
     for wire in (w for found in wires.values() for w in found):
-        old = {**wire, "advertisedAtTick": 7}
+        old = {**wire, "advertisedAtTick": 7, "endpoint": wire["cellId"]}
         assert CellProfile.from_wire(old) == CellProfile.from_wire(wire)
         entries = []
         for profile in (old, wire):

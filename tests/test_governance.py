@@ -241,7 +241,7 @@ def test_pending_buffer_capped():
     cell = Cell("keeper", ("work",), "echo", PolicyDocument(),
                 trust_policy={"work": []},
                 observer=lambda kind, detail: events.append((kind, detail)))
-    cell.catalogue.upsert(CellProfile("org", "org", frozenset({"work"}),
+    cell.catalogue.upsert(CellProfile("org", frozenset({"work"}),
                                       frozenset({"echo"}), "echo", 50), 0)
 
     def ingest(seq):
@@ -584,7 +584,7 @@ def test_digest_reply_matches_the_oracle(streams, marks):
                 PolicyDocument(rules=tuple(guarded.rules.values()),
                                regression=guarded.regression),
                 trust_policy={"work": []})
-    cell.catalogue.upsert(CellProfile("p1", "p1", frozenset({"work"}),
+    cell.catalogue.upsert(CellProfile("p1", frozenset({"work"}),
                                       frozenset({"echo"}), "echo", 50), 0)
     breaker = rule("break", Effect.DENY, {}, action="read")
     fed = []
