@@ -93,15 +93,14 @@ class LinkSpec:
 class PartitionWindow:
     """Cuts traffic between the two groups from the tick of the
     ``partition`` op that opened it, up to ``to_tick`` (exclusive) or, when
-    that is None, until a ``heal``."""
+    that is None, until a ``heal``.  The simulator drops a window at its
+    ``to_tick``, so ``cuts`` tests only the groups."""
 
     group_a: frozenset[str]
     group_b: frozenset[str]
     to_tick: Optional[int] = None
 
-    def cuts(self, src: str, dst: str, tick: int) -> bool:
-        if self.to_tick is not None and tick >= self.to_tick:
-            return False
+    def cuts(self, src: str, dst: str) -> bool:
         return (src in self.group_a and dst in self.group_b) or (
             src in self.group_b and dst in self.group_a
         )
@@ -515,9 +514,6 @@ class Simulator:
             self._streams[key] = stream_for_link(self.spec.seed, a, b)
         return self._streams[key]
 
-    def _neighbors(self, cell_id: str) -> list[str]:
-        return self._adjacency.get(cell_id, [])
-
     # --- per-tick machinery -----------------------------------------------
 
     def _run_script(self, tick: int) -> None:
@@ -578,7 +574,7 @@ class Simulator:
             key, _, drop = routes[src, dst]
             stream = streams.get(key) or self._stream(key)
             draw = stream.next_float()
-            if partitions and any(w.cuts(src, dst, tick) for w in partitions):
+            if partitions and any(w.cuts(src, dst) for w in partitions):
                 reason = "partition"
             elif draw < drop:
                 reason = "loss"
@@ -603,7 +599,7 @@ class Simulator:
                 continue
             for kind, dst, body in cell.take_outbox():
                 if dst == "*":
-                    for neighbor in self._neighbors(cell_id):
+                    for neighbor in self._adjacency.get(cell_id, []):
                         self._enqueue(kind, cell_id, neighbor, body, tick)
                 else:
                     self._enqueue(kind, cell_id, dst, body, tick)
@@ -665,7 +661,7 @@ class Simulator:
 
     # --- main loop --------------------------------------------------------
 
-    def _step_body(self, tick: int) -> None:
+    def _step(self, tick: int) -> None:
         self._run_script(tick)
         if tick > 0:
             self._deliver_due(tick)
@@ -673,15 +669,12 @@ class Simulator:
         self._dispatch_outboxes(tick)
         self._run_assertions(tick)
 
-    def step(self) -> None:
-        self.tick += 1
-        self._step_body(self.tick)
-
     def run(self) -> dict[str, Any]:
         try:
-            self._step_body(0)
+            self._step(0)
             while self.tick < self.spec.max_ticks:
-                self.step()
+                self.tick += 1
+                self._step(self.tick)
             self._run_assertions(None)
         except SmscError as exc:
             # the failed tick's on_tick calls may not have run
