@@ -1,14 +1,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smsc.catalogue import Catalogue, CellProfile
 from smsc.cell import Cell
 from smsc.discovery import AdvertOutcome, DiscoveryService
-from smsc.errors import SelfRegistration
+from smsc.errors import ParseError, SelfRegistration, SmscError
 from smsc.sim import EventLog, Simulator
 
 from .corpus import build_scenario
+from .jsonfuzz import JSON_VALUES, field_at, field_paths, replaced
 
 
 def service(cid, contexts=("work",), caps=("ring",), trust=None):
@@ -157,3 +159,44 @@ def test_no_profile_on_the_wire_carries_an_advert_tick(monkeypatch):
             receiver.handle_advertisement({"profile": profile, "nonce": 2}, 3)
             entries.append(receiver.catalogue.get(wire["cellId"]))
         assert entries[0] is not None and entries[0] == entries[1]
+
+
+# a valid advert and register body from peer "p" to receiver "r"
+_PEER = service("p", contexts=("work", "home"))
+VALID_BODIES = {"advert": _PEER.make_advertisement(), "register": _PEER.make_registration("r")}
+
+
+@st.composite
+def raw_bodies(draw):
+    """A valid body with one field, nested ones included, or the whole
+    body replaced by any small JSON value."""
+    kind = draw(st.sampled_from(sorted(VALID_BODIES)))
+    body = VALID_BODIES[kind]
+    path = draw(st.sampled_from(((),) + tuple(field_paths(body))))
+    value = draw(JSON_VALUES)
+    return kind, type(field_at(body, path)) is not type(value), replaced(body, path, value)
+
+
+@settings(max_examples=200)
+@given(raw_bodies())
+def test_discovery_readers_take_any_body(case):
+    """``handle_advertisement`` and ``handle_registration`` read peer input:
+    on any body each returns its outcome or raises an ``SmscError``, never
+    a builtin error.  A non-object body or a field of another type is a
+    ``ParseError``, and a refused body leaves the catalogue as it was."""
+    kind, retyped, body = case
+    svc = service("r", trust={"work": []})
+    svc.catalogue.upsert(service("q").profile, 0)
+    before = (dict(svc.catalogue.entries), svc.catalogue.earliest_expiry)
+    handle = svc.handle_advertisement if kind == "advert" else svc.handle_registration
+    try:
+        outcome = handle(body, 1)
+    except SmscError as exc:
+        assert isinstance(exc, ParseError) or not retyped, exc
+        assert (svc.catalogue.entries, svc.catalogue.earliest_expiry) == before
+        return
+    assert not retyped
+    if kind == "advert":
+        assert isinstance(outcome, AdvertOutcome)
+    else:
+        assert outcome in (None, svc.profile.to_wire())
