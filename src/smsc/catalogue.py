@@ -2,11 +2,12 @@
 
 Every cell keeps its own view of the federation: which peers it has
 heard from, when, and the nonce of each one's last accepted advert; an
-entry is the one record of a peer.  Trust is not stored but read, each
-time it is asked, from the peer's profile and the trust policy in force,
-which maps each context to the capabilities a peer must advertise there;
-a peer in a context the policy does not mention is untrusted there.  A
-new trust policy thus takes effect on the next read.
+entry is the one record of a peer.  Trust is derived from the peer's
+profile and the trust policy in force, which maps each context to the
+capabilities a peer must advertise there; a peer in a context the policy
+does not mention is untrusted there.  The sorted list of trusted
+partners is kept until an upsert brings a new entry or another profile
+object, an entry expires or the policy is replaced.
 
 Entries age out: one whose last-seen tick plus its TTL is strictly
 below the current tick is expired.  The TTL is the one the peer
@@ -61,11 +62,11 @@ class CellProfile:
         }
 
     @classmethod
-    def from_wire(cls, data: Any) -> "CellProfile":
+    def from_wire(cls, data: Any, known: Optional["CellProfile"] = None) -> "CellProfile":
         """A peer's profile.  Each field must be present with the exact type
-        ``to_wire`` writes, as ``wire.field`` reads it, or ``ParseError`` is
-        raised; the test is one expression, since every advert is read here.
-        A field ``to_wire`` does not write is ignored."""
+        ``to_wire`` writes, or ``ParseError`` is raised; the test is one
+        expression, since every advert is read here.  Other fields are
+        ignored.  The fields of ``known``, lists sorted, give ``known`` itself."""
         if type(data) is not dict:
             raise ParseError(f"profile: must be an object, got {data!r}")
         get = data.get
@@ -76,6 +77,10 @@ class CellProfile:
                 and type(contexts) is type(capabilities) is list
                 and is_str_list(contexts + capabilities)):
             raise ParseError(f"profile {cell_id!r}: a field is absent or of another type")
+        if (known is not None and cell_id == known.cell_id and kind == known.resource_kind
+                and ttl == known.ttl_ticks and contexts == sorted(known.contexts)
+                and capabilities == sorted(known.capabilities)):
+            return known
         return cls(cell_id, frozenset(contexts), frozenset(capabilities), kind, ttl)
 
 
@@ -106,8 +111,10 @@ class Catalogue:
         cell_id = profile.cell_id
         if cell_id == self.owner_id:
             raise SelfRegistration(f"{self.owner_id!r} cannot register itself")
+        old = self.entries.get(cell_id)
+        if old is None or old.profile is not profile:
+            self._partners = None
         if nonce is None:
-            old = self.entries.get(cell_id)
             nonce = -1 if old is None else old.nonce
         expiry = now + min(profile.ttl_ticks, MAX_TTL_TICKS) + 1
         entry = self.entries[cell_id] = CatalogueEntry(profile, now, expiry, nonce)
@@ -128,6 +135,8 @@ class Catalogue:
             elif expiry < first:
                 first = expiry
         self.earliest_expiry = first
+        if stale:
+            self._partners = None
         stale.sort()
         for cid in stale:
             del self.entries[cid]
@@ -141,10 +150,6 @@ class Catalogue:
         required = self.trust_policy.get(context)
         return (required is not None and context in profile.contexts
                 and profile.capabilities.issuperset(required))
-
-    def trusted_anywhere(self, profile: CellProfile) -> bool:
-        """Whether the policy in force trusts ``profile`` in any context."""
-        return any(self.trusts(profile, c) for c in profile.contexts)
 
     def query(
         self, context: str, capability: Optional[str] = None, trusted_only: bool = False,
@@ -162,11 +167,13 @@ class Catalogue:
         return out
 
     def trusted_partners(self) -> list[str]:
-        """Ids trusted in at least one context, sorted."""
-        return sorted(
-            cid for cid, e in self.entries.items() if self.trusted_anywhere(e.profile)
-        )
+        """Ids trusted in at least one context, sorted; a copy of the kept list."""
+        if self._partners is None:
+            self._partners = sorted(cid for cid, e in self.entries.items() if any(
+                self.trusts(e.profile, c) for c in e.profile.contexts))
+        return self._partners[:]
 
     def set_trust_policy(self, policy: TrustPolicy) -> None:
         """Replace the trust policy; every later read of trust uses it."""
         self.trust_policy: dict[str, list[str]] = {c: sorted(caps) for c, caps in policy.items()}
+        self._partners: Optional[list[str]] = None

@@ -512,8 +512,7 @@ class Cell:
             self._handle_response(kind, src, body, now)
 
     def _handle_digest(self, src: str, body: Mapping[str, Any]) -> None:
-        sender = self.catalogue.get(src)
-        if sender is None or not self.catalogue.trusted_anywhere(sender.profile):
+        if src not in self.catalogue.trusted_partners():
             self._observer("digest-ignored", {"from": src})
             return
         archive, marks = self.store.archive, integers(body, "applied", "digest", {})

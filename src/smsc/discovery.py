@@ -3,14 +3,15 @@
 This module owns the advert and registration wire: a cell hands it each
 ``advert`` body (``{"profile", "nonce"}``) and ``register`` body
 (``{"profile", "wantReply"}``) as it arrived, and sends the bodies it
-returns.  A cell builds its own profile once and sends that same profile
-in every advert, registration and register-reply.  Adverts carry a per-sender
-monotonic nonce so a receiver can discard replays and reordered copies
-while the sender is in its catalogue; the nonce is kept in the sender's
-catalogue entry and goes when that entry expires, so what a cell keeps
-per peer is its catalogue.  Registration is the directed handshake used
-when a cell wants a specific peer (often a registry cell) to know about
-it; the receiver may return its own profile in reply.
+returns.  A cell builds its own profile once and sends it in every
+advert, registration and register-reply.  Adverts carry a per-sender
+monotonic nonce, kept in the sender's catalogue entry until it expires,
+so a receiver discards replays and reordered copies while it knows the
+sender.  An advert whose profile fields are exactly the stored ones is a
+refresh: the stored profile object is upserted with the new tick and
+nonce, and no profile is built.  Registration is the directed handshake
+by which a cell makes a specific peer (often a registry cell) know it;
+the receiver may return its own profile in reply.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ class DiscoveryService:
 
     def handle_advertisement(self, body: Any, now: int) -> AdvertOutcome:
         nonce = field(body, "nonce", "advert", int)
-        profile = CellProfile.from_wire(body.get("profile"))
-        peer = profile.cell_id
-        if peer == self.profile.cell_id:
+        wire = body.get("profile")
+        peer = wire.get("cellId") if type(wire) is dict else None
+        entry = self.catalogue.get(peer) if type(peer) is str else None
+        profile = CellProfile.from_wire(wire, None if entry is None else entry.profile)
+        if profile.cell_id == self.profile.cell_id:
             return AdvertOutcome.SELF_IGNORED
-        entry = self.catalogue.get(peer)
         if nonce <= (-1 if entry is None else entry.nonce):
             return AdvertOutcome.STALE_NONCE
         self.catalogue.upsert(profile, now, nonce)

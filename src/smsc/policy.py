@@ -438,10 +438,6 @@ def matching_rule_ids(rules: Iterable[PolicyRule],
     return deny, permit
 
 
-def rule_matches(rule: PolicyRule, request: DecisionRequest) -> bool:
-    return any(matching_rule_ids((rule,), request))
-
-
 def evaluate_request(rules: Iterable[PolicyRule], request: DecisionRequest) -> Decision:
     """Decide ``request`` over ``rules`` deny-overrides: a matching Deny
     rule gives Deny, else a matching Permit rule Permit, else

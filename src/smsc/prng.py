@@ -22,16 +22,12 @@ class SplitMix64:
     def __init__(self, seed: int) -> None:
         self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
+    def next_float(self) -> float:
+        """Uniform draw in [0, 1): the top 53 bits of the next 64-bit output."""
+        z = self._state = (self._state + _GAMMA) & _MASK64
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
-
-    def next_float(self) -> float:
-        """Uniform draw in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) / float(1 << 53)
+        return ((z ^ (z >> 31)) >> 11) / float(1 << 53)
 
 
 def stream_for_link(seed: int, endpoint_a: str, endpoint_b: str) -> SplitMix64:

@@ -7,9 +7,10 @@ iteration.  Slow is fine; these only run in tests.
 
 from itertools import product
 
-from smsc.catalogue import MAX_TTL_TICKS
+from smsc.catalogue import MAX_TTL_TICKS, CellProfile
 from smsc.policy import AttributePair, DecisionRequest, Effect
 from smsc.sim import Simulator
+from smsc.wire import field
 
 
 # --- rule matching and evaluation ----------------------------------------
@@ -269,3 +270,18 @@ class NaiveDiscovery:
                    self.last_nonce.get(peer, -1))
             for peer, (profile, seen) in self.seen.items()
         }
+
+
+def parse_every_advert(catalogue, owner, body, now):
+    """The advert handler with no refresh screen: every advert's profile is
+    parsed anew, then its sender and nonce are checked against the
+    catalogue.  Returns the outcome's value."""
+    nonce = field(body, "nonce", "advert", int)
+    profile = CellProfile.from_wire(body.get("profile"))
+    if profile.cell_id == owner:
+        return "self-ignored"
+    entry = catalogue.get(profile.cell_id)
+    if nonce <= (-1 if entry is None else entry.nonce):
+        return "stale-nonce"
+    catalogue.upsert(profile, now, nonce)
+    return "accepted"

@@ -40,13 +40,14 @@ def test_trust_derivation():
     a = profile("a", contexts=("work", "home", "lab"), caps=("ring", "text", "extra"))
     assert {c: cat.trusts(a, c) for c in ("work", "home", "lab", "away")} == {
         "work": True, "home": True, "lab": False, "away": False}
-    assert cat.trusted_anywhere(a)
     # missing a required capability
     b = profile("b", caps=("ring",))
     assert not cat.trusts(b, "work")
-    assert not cat.trusted_anywhere(b)
     # a context the policy names but the profile does not advertise
     assert not cat.trusts(b, "home")
+    cat.upsert(a, 0)
+    cat.upsert(b, 0)
+    assert cat.trusted_partners() == ["a"]
 
 
 def test_ttl_is_strict():
@@ -104,11 +105,13 @@ CONTEXTS = ("work", "home")
 CAPABILITIES = ("ring", "text")
 TRUST_POLICIES = st.dictionaries(st.sampled_from(CONTEXTS),
                                  st.lists(st.sampled_from(CAPABILITIES), max_size=2))
-# (peer, contexts, capabilities, new trust policy or None, ticks to the next step)
+# (peer, contexts, capabilities, whether to refresh, new trust policy or
+# None, ticks to the next step)
 TRUST_STEPS = st.lists(st.tuples(
     st.sampled_from("ab"),
     st.frozensets(st.sampled_from(CONTEXTS), min_size=1),
     st.frozensets(st.sampled_from(CAPABILITIES)),
+    st.booleans(),
     st.one_of(st.none(), TRUST_POLICIES),
     st.integers(0, 4),
 ), max_size=30)
@@ -116,15 +119,20 @@ TRUST_STEPS = st.lists(st.tuples(
 
 @given(TRUST_POLICIES, TRUST_STEPS)
 def test_trust_matches_a_derivation_from_scratch(policy, steps):
-    """Each step upserts a profile, may replace the trust policy, then
+    """Each step upserts a profile, or refreshes a known peer by upserting
+    its stored profile object again, may replace the trust policy, then
     expires what lapsed.  After every step, trust in each peer in every
     context, those its profile lacks included, is what the policy in force
-    gives its profile, and the trusted partners and every trusted query
-    are the entries a filter on that trust picks."""
+    gives its profile, and the trusted partners (kept between reads) and
+    every trusted query are the entries a filter on that trust picks."""
     cat = Catalogue("me", policy)
     now = 0
-    for peer, contexts, caps, new_policy, gap in steps:
-        cat.upsert(profile(peer, contexts=contexts, caps=caps, ttl=3), now)
+    for peer, contexts, caps, refresh, new_policy, gap in steps:
+        known = cat.get(peer)
+        if refresh and known is not None:
+            cat.upsert(known.profile, now)
+        else:
+            cat.upsert(profile(peer, contexts=contexts, caps=caps, ttl=3), now)
         if new_policy is not None:
             policy = new_policy
             cat.set_trust_policy(policy)
@@ -164,6 +172,20 @@ def test_query_filters_and_order():
     assert ids == ["alpha", "zeta"]
     ids = [e.profile.cell_id for e in cat.query(context="home", trusted_only=True)]
     assert ids == []
+
+
+def test_kept_partner_list_is_not_the_callers():
+    """Changing the list ``trusted_partners`` returns leaves the next read
+    as it was."""
+    cat = Catalogue("me", {"work": []})
+    cat.upsert(profile("a"), 0)
+    cat.upsert(profile("b"), 0)
+    partners = cat.trusted_partners()
+    partners.remove("a")
+    partners.append("z")
+    assert cat.trusted_partners() == ["a", "b"]
+    cat.trusted_partners().clear()
+    assert cat.trusted_partners() == ["a", "b"]
 
 
 def test_set_trust_policy_rederives_existing_entries():

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,19 +8,21 @@ from smsc.catalogue import Catalogue, CellProfile
 from smsc.cell import Cell
 from smsc.discovery import AdvertOutcome, DiscoveryService
 from smsc.errors import ParseError, SelfRegistration, SmscError
-from smsc.sim import EventLog, Simulator
+from smsc.sim import EventLog, Simulator, parse_scenario
 
 from .corpus import build_scenario
 from .jsonfuzz import JSON_VALUES, field_at, field_paths, replaced
+from .oracles import parse_every_advert
+from .test_log_hashes import generated_mesh
 
 
-def service(cid, contexts=("work",), caps=("ring",), trust=None):
+def service(cid, contexts=("work",), caps=("ring",), trust=None, ttl=10):
     return DiscoveryService(
         Catalogue(cid, trust),
         contexts=frozenset(contexts),
         capabilities=frozenset(caps),
         resource_kind="call-filter",
-        ttl_ticks=10,
+        ttl_ticks=ttl,
     )
 
 
@@ -161,6 +164,38 @@ def test_no_profile_on_the_wire_carries_an_advert_tick(monkeypatch):
         assert entries[0] is not None and entries[0] == entries[1]
 
 
+PROFILE_FIELDS = ("cellId", "contexts", "capabilities", "resourceKind", "ttlTicks")
+
+
+def check_screen(body, known, trust, now=1):
+    """Hand ``body`` to a receiver ``r`` that holds ``known`` (no advert
+    nonce yet) and to the parse-every-advert reference holding the same entry:
+    the outcome or error class, the catalogue and the trusted partners
+    must agree, and an accepted advert from ``known``'s sender keeps the
+    stored profile object exactly when the profile fields are exactly the
+    stored ones."""
+    svc, reference = service("r", trust=trust), Catalogue("r", trust)
+    for catalogue in (svc.catalogue, reference):
+        catalogue.upsert(known, 0)
+    outcomes = []
+    for handle in (lambda: svc.handle_advertisement(body, now).value,
+                   lambda: parse_every_advert(reference, "r", body, now)):
+        try:
+            outcomes.append(handle())
+        except SmscError as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
+    assert svc.catalogue.entries == reference.entries
+    assert svc.catalogue.earliest_expiry == reference.earliest_expiry
+    assert svc.catalogue.trusted_partners() == reference.trusted_partners()
+    wire = body.get("profile") if type(body) is dict else None
+    if outcomes[0] == "accepted" and type(wire) is dict and wire.get("cellId") == known.cell_id:
+        exact = (json.dumps({name: wire.get(name) for name in PROFILE_FIELDS}, sort_keys=True)
+                 == json.dumps(known.to_wire(), sort_keys=True))
+        assert (svc.catalogue.get(known.cell_id).profile is known) == exact
+    return outcomes[0]
+
+
 # a valid advert and register body from peer "p" to receiver "r"
 _PEER = service("p", contexts=("work", "home"))
 VALID_BODIES = {"advert": _PEER.make_advertisement(), "register": _PEER.make_registration("r")}
@@ -183,10 +218,15 @@ def test_discovery_readers_take_any_body(case):
     """``handle_advertisement`` and ``handle_registration`` read peer input:
     on any body each returns its outcome or raises an ``SmscError``, never
     a builtin error.  A non-object body or a field of another type is a
-    ``ParseError``, and a refused body leaves the catalogue as it was."""
+    ``ParseError``, and a refused body leaves the catalogue as it was.  The
+    receiver knows the sender, so each advert also goes through the
+    refresh screen, which must agree with parsing every advert."""
     kind, retyped, body = case
+    if kind == "advert":
+        check_screen(body, _PEER.profile, {"work": []})
     svc = service("r", trust={"work": []})
     svc.catalogue.upsert(service("q").profile, 0)
+    svc.catalogue.upsert(_PEER.profile, 0)
     before = (dict(svc.catalogue.entries), svc.catalogue.earliest_expiry)
     handle = svc.handle_advertisement if kind == "advert" else svc.handle_registration
     try:
@@ -200,3 +240,112 @@ def test_discovery_readers_take_any_body(case):
         assert isinstance(outcome, AdvertOutcome)
     else:
         assert outcome in (None, svc.profile.to_wire())
+
+
+# a known peer with TTL 1, so that ``True`` is a twin of its TTL
+_KNOWN = service("p", contexts=("work", "home"), caps=("ring", "text"), ttl=1).profile
+# one change at a time to the known peer's profile wire
+SCREEN_VARIANTS = {
+    "same": {},
+    "ttl-float": {"ttlTicks": 1.0},
+    "ttl-bool": {"ttlTicks": True},
+    "ttl-other": {"ttlTicks": 30},
+    "ttl-zero": {"ttlTicks": 0},
+    "contexts-reordered": {"contexts": ["work", "home"]},
+    "contexts-duplicated": {"contexts": ["home", "work", "work"]},
+    "contexts-one-twice": {"contexts": ["home", "home"]},
+    "capabilities-reordered": {"capabilities": ["text", "ring"]},
+    "capabilities-one-twice": {"capabilities": ["ring", "ring"]},
+    "old-format": {"endpoint": "p", "advertisedAtTick": 7},
+    "cell-id-int": {"cellId": 7},
+    "cell-id-list": {"cellId": ["p"]},
+    "cell-id-object": {"cellId": {"p": "p"}},
+    "cell-id-unknown": {"cellId": "s"},
+    "cell-id-own": {"cellId": "r"},
+    "kind-changed": {"resourceKind": "email-filter"},
+    "context-dropped": {"contexts": ["work"]},
+    "context-added": {"contexts": ["home", "lab", "work"]},
+    "contexts-empty": {"contexts": []},
+    "capability-changed": {"capabilities": ["ring", "video"]},
+    "capability-dropped": {"capabilities": ["ring"]},
+}
+
+
+@pytest.mark.parametrize("nonce", [0, 7, -1, 0.0, True])
+@pytest.mark.parametrize("name", sorted(SCREEN_VARIANTS))
+def test_refresh_screen_matches_parsing_every_advert(name, nonce):
+    """An advert from a known peer, with one change to its profile or
+    nonce, gives the outcome (or error class), catalogue and trusted
+    partners that parsing every advert gives, and only a profile whose
+    fields are exactly the stored ones is a refresh that keeps the stored
+    object."""
+    body = {"profile": {**_KNOWN.to_wire(), **SCREEN_VARIANTS[name]}, "nonce": nonce}
+    outcome = check_screen(body, _KNOWN, {"work": ["ring"], "home": ["text"]})
+    if name == "same" and type(nonce) is int:
+        assert outcome == ("accepted" if nonce >= 0 else "stale-nonce")
+
+
+@pytest.mark.parametrize("ttl", [None, 8])
+def test_adverts_from_known_peers_build_no_profile(monkeypatch, ttl):
+    """On the generated mesh an advert builds a profile only when its
+    sender has no catalogue entry, and the trusted-partner list is derived
+    again at most once per catalogue change: a new entry or profile, an
+    expiry that drops entries, or a trust policy.  With its own TTL of 30
+    no entry lapses in the 40 ticks; with a TTL of 8 the partitions and
+    dropped adverts expire peers that later adverts re-admit."""
+    counts = Counter()
+    check = CellProfile.__post_init__
+    handle = DiscoveryService.handle_advertisement
+    upsert, expire = Catalogue.upsert, Catalogue.expire_stale
+    set_policy, partners = Catalogue.set_trust_policy, Catalogue.trusted_partners
+
+    def building(profile):
+        counts["profiles"] += 1
+        check(profile)
+
+    def advert(svc, body, now):
+        counts["adverts"] += 1
+        counts["unknown-sender"] += svc.catalogue.get(body["profile"]["cellId"]) is None
+        before = counts["profiles"]
+        outcome = handle(svc, body, now)
+        counts["advert-profiles"] += counts["profiles"] - before
+        return outcome
+
+    def changing_upsert(cat, profile, now, nonce=None):
+        old = cat.get(profile.cell_id)
+        counts["changes"] += old is None or old.profile != profile
+        return upsert(cat, profile, now, nonce)
+
+    def changing_expire(cat, now):
+        stale = expire(cat, now)
+        counts["changes"] += bool(stale)
+        return stale
+
+    def changing_policy(cat, policy):
+        counts["changes"] += 1
+        set_policy(cat, policy)
+
+    def deriving(cat):
+        counts["derivations"] += cat._partners is None
+        return partners(cat)
+
+    for owner, name, patched in (
+        (CellProfile, "__post_init__", building),
+        (DiscoveryService, "handle_advertisement", advert),
+        (Catalogue, "upsert", changing_upsert),
+        (Catalogue, "expire_stale", changing_expire),
+        (Catalogue, "set_trust_policy", changing_policy),
+        (Catalogue, "trusted_partners", deriving),
+    ):
+        monkeypatch.setattr(owner, name, patched)
+    scenario = generated_mesh()
+    if ttl is not None:
+        for cell in scenario["cells"]:
+            cell["profile"]["ttlTicks"] = ttl
+    sim = Simulator(parse_scenario(scenario))
+    assert sim.run()["passed"]
+    expired = sum(record["kind"] == "peer-expired" for record in sim.log.records)
+    assert (expired > 0) == (ttl is not None)
+    assert 0 < counts["unknown-sender"] < counts["adverts"] // 4
+    assert counts["advert-profiles"] == counts["unknown-sender"]
+    assert 0 < counts["derivations"] <= counts["changes"]

@@ -33,7 +33,7 @@ from smsc.policy import (
     evaluate_request,
     expand_delegations,
     issue_token,
-    rule_matches,
+    matching_rule_ids,
     verify_token,
 )
 
@@ -131,6 +131,11 @@ def test_decision_invariants():
 
 
 # --- matching -------------------------------------------------------------
+
+
+def rule_matches(rule, req):
+    """Whether ``rule`` alone matches ``req``, as the evaluator reads it."""
+    return any(matching_rule_ids((rule,), req))
 
 
 def test_rule_matching_components():
