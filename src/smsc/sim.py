@@ -28,18 +28,18 @@ rely on four invariants:
   in ``net_seq`` order, because ``net_seq`` is assigned in append order.
   Loss draws are therefore taken in ``net_seq`` order without a sort.
 * Surviving envelopes are delivered in ``(dst, net_seq)`` order.
-* Each cell sits in exactly one bucket of the wake schedule, at a tick
-  no later than its ``Cell.due_tick``.  Before that tick its ``on_tick``
-  would record and send nothing, so skipping it leaves the log as it
-  is, and waking early is harmless.  Only the cell's own state moves its
-  due tick, so after a delivery or script action only that cell is
-  checked again, and after its ``on_tick`` it is scheduled anew.
+* A cell's ``Cell.due_tick`` depends only on its own state and the
+  tick, and cells share no memory.  Asking every cell once per tick,
+  after that tick's script and deliveries, therefore sees every change
+  they made, and ``on_tick`` runs only on the cells due then.  Before
+  its due tick a cell's ``on_tick`` would record and send nothing.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
@@ -341,7 +341,7 @@ def _parse_script(actions: list, known: set[str]) -> tuple[ScriptAction, ...]:
     return tuple(out)
 
 
-def _parse_assertions(specs: list, known: set[str]) -> tuple[AssertionSpec, ...]:
+def _parse_assertions(specs: list, known: set[str], max_ticks: int) -> tuple[AssertionSpec, ...]:
     out: list[AssertionSpec] = []
     for index, data in enumerate(specs):
         where = f"assertions[{index}]"
@@ -354,9 +354,10 @@ def _parse_assertions(specs: list, known: set[str]) -> tuple[AssertionSpec, ...]
         if check == "decision-equals" and params["expected"] not in (
                 "Permit", "Deny", "NotApplicable", "Indeterminate"):
             raise ParseError(f"{where}: bad expected verdict {params['expected']!r}")
-        if head["atTick"] is None and not head["atEnd"]:
-            raise ParseError(f"{where}: needs atTick or atEnd")
-        out.append(AssertionSpec(head["id"] or f"a{index}", head["atTick"], check, params))
+        at_tick = head["atTick"]
+        if (at_tick is None) != head["atEnd"] or not 0 <= (at_tick or 0) <= max_ticks:
+            raise ParseError(f"{where}: needs 'atTick' (0-{max_ticks}) or 'atEnd': true, not both")
+        out.append(AssertionSpec(head["id"] or f"a{index}", at_tick, check, params))
     return tuple(out)
 
 
@@ -380,14 +381,15 @@ def parse_scenario(
         if key in seen_links:
             raise ParseError(f"scenario: duplicate link {link.a}-{link.b}")
         seen_links.add(key)
+    max_ticks = field(data, "maxTicks", "scenario", int, 10, 0)
     return ScenarioSpec(
         name=field(data, "name", "scenario", str, "unnamed"),
         seed=field(data, "seed", "scenario", int, 1),
-        max_ticks=field(data, "maxTicks", "scenario", int, 10, 0),
+        max_ticks=max_ticks,
         cells=cells,
         links=links,
         script=_parse_script(objects(data, "script", "scenario", []), known),
-        assertions=_parse_assertions(objects(data, "assertions", "scenario", []), known),
+        assertions=_parse_assertions(objects(data, "assertions", "scenario", []), known, max_ticks),
     )
 
 
@@ -471,10 +473,6 @@ class Simulator:
         for cs in spec.cells:
             self.cells[cs.cell_id] = Cell(**vars(cs), observer=self._make_observer(cs.cell_id))
         self._cell_order = sorted(self.cells)
-        # the wake schedule: tick -> ids of the cells due then, and each
-        # cell's scheduled tick; every cell is due at 0
-        self._wake: dict[int, set[str]] = {0: set(self.cells)}
-        self._wake_tick = dict.fromkeys(self.cells, 0)
         # (src, dst) -> (link key, latency, drop), both directions of a link
         self._routes: dict[tuple[str, str], tuple[frozenset[str], int, float]] = {}
         self._adjacency: dict[str, list[str]] = {}
@@ -497,12 +495,14 @@ class Simulator:
         self.results: list[dict[str, Any]] = []
 
     def _make_observer(self, cell_id: str):
+        sim = weakref.proxy(self)  # so that the cells hold the simulator in no cycle
+
         def observe(kind: str, detail: dict[str, Any]) -> None:
-            self.log.record(self.tick, cell_id, kind, detail)
+            sim.log.record(sim.tick, cell_id, kind, detail)
             if kind == "decision":
                 action = detail.get("action")
-                self._latest[cell_id, action, detail.get("context")] = detail
-                self._latest[cell_id, action, None] = detail
+                sim._latest[cell_id, action, detail.get("context")] = detail
+                sim._latest[cell_id, action, None] = detail
 
         return observe
 
@@ -516,30 +516,11 @@ class Simulator:
 
     # --- per-tick machinery -----------------------------------------------
 
-    def _run_script(self, tick: int) -> None:
-        for action in self._script_by_tick.get(tick, []):
-            self._apply_action(action, tick)
-            for key in ("cell", "from", "to"):
-                if action.params.get(key) is not None:
-                    self._recheck(action.params[key], tick)
-
-    def _schedule(self, cell_id: str, tick: int) -> None:
-        self._wake_tick[cell_id] = tick
-        self._wake.setdefault(tick, set()).add(cell_id)
-
-    def _recheck(self, cell_id: str, tick: int) -> None:
-        """Move the cell's wake earlier when its state made it due sooner."""
-        due = self.cells[cell_id].due_tick(tick)
-        scheduled = self._wake_tick[cell_id]
-        if due < scheduled:
-            self._wake[scheduled].discard(cell_id)
-            self._schedule(cell_id, due)
-
     def _tick_due_cells(self, tick: int) -> None:
-        for cell_id in sorted(self._wake.pop(tick, ())):
+        for cell_id in self._cell_order:
             cell = self.cells[cell_id]
-            cell.on_tick(tick)
-            self._schedule(cell_id, cell.due_tick(tick + 1))
+            if cell.due_tick(tick) == tick:
+                cell.on_tick(tick)
 
     def _apply_action(self, action: ScriptAction, tick: int) -> None:
         p = action.params
@@ -589,8 +570,6 @@ class Simulator:
             record(tick, "deliver", envelope)
             kind, src, dst, _, body = envelope
             cells[dst].handle_envelope(kind, src, body, tick)
-        for dst in {envelope.dst for envelope in survivors}:
-            self._recheck(dst, tick)
 
     def _dispatch_outboxes(self, tick: int) -> None:
         for cell_id in self._cell_order:
@@ -662,7 +641,8 @@ class Simulator:
     # --- main loop --------------------------------------------------------
 
     def _step(self, tick: int) -> None:
-        self._run_script(tick)
+        for action in self._script_by_tick.get(tick, ()):
+            self._apply_action(action, tick)
         if tick > 0:
             self._deliver_due(tick)
         self._tick_due_cells(tick)
@@ -686,9 +666,9 @@ class Simulator:
             }
             self.log.record(self.tick, SIM, "assert", entry)
             self.results.append(entry)
-        failed = any(not r["ok"] for r in self.results)
-        unfired = bool(self.spec.assertions) and not self.results
-        passed = not failed and not unfired
+        # every assertion fired once and passed, and the run raised nothing
+        passed = (len(self.results) == len(self.spec.assertions)
+                  and all(r["ok"] for r in self.results))
         self.log.record(self.tick, SIM, "end", {"passed": passed})
         return {
             "passed": passed,

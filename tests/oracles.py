@@ -206,7 +206,7 @@ def naive_digest_reply(packages, marks):
 
 class NaiveStepping(Simulator):
     """A simulator that calls ``on_tick`` on every cell on every tick, in
-    id order, instead of only on the cells its wake schedule says are due."""
+    id order, instead of only on the cells whose ``due_tick`` is the tick."""
 
     def _tick_due_cells(self, tick):
         for cell_id in sorted(self.cells):

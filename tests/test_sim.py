@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import gc
 import io
 import json
 import re
@@ -30,6 +32,7 @@ from smsc.sim import (
 
 from .jsonfuzz import JSON_VALUES, field_at, field_paths, replaced
 from .oracles import NaiveStepping, naive_neighbors
+from .test_log_hashes import generated_mesh
 
 PERMIT_ANY = {
     "rules": [{
@@ -204,6 +207,16 @@ BAD_NUMERIC_FIELDS = {
                        "cell 'c0' profile", "'ttl'"),
     "interval-misspelled": (lambda w: w["cells"][0].update(intervals={"antientropy": 2}),
                             "cell 'c0' intervals", "'antientropy'"),
+    # an assertion that could never fire, or that names two times
+    "at-tick-past-max-ticks": (lambda w: w.update(assertions=[
+        {"check": "store-version", "cell": "c0", "expected": 0, "atTick": 50}
+    ]), "assertions[0]", "'atTick'"),
+    "at-tick-negative": (lambda w: w.update(assertions=[
+        {"check": "converged", "atTick": -1}
+    ]), "assertions[0]", "'atTick'"),
+    "at-tick-and-at-end": (lambda w: w.update(assertions=[
+        {"check": "converged", "atTick": 2, "atEnd": True}
+    ]), "assertions[0]", "'atTick'"),
 }
 
 _SCRIPT_MANGLES = [lambda w, action=action: w.update(script=[action])
@@ -211,7 +224,7 @@ _SCRIPT_MANGLES = [lambda w, action=action: w.update(script=[action])
 _OTHER_MANGLES = [mangle for mangle, _, _ in BAD_NUMERIC_FIELDS.values()]
 # the size of each table at each earlier cut: the entries up to a cut keep
 # their test_parse_rejections ids, and those added since come after them
-_CUTS = [(6, 7), (18, 29), (None, None)]
+_CUTS = [(6, 7), (18, 29), (20, 32), (None, None)]
 _MANGLES_IN_ID_ORDER = [
     mangle
     for (s0, o0), (s1, o1) in zip([(0, 0)] + _CUTS, _CUTS)
@@ -723,6 +736,45 @@ def test_new_peer_expiry_before_the_next_scheduled_wake():
     assert sim.log.lines == naive.lines
 
 
+def traced_ticks(simulator):
+    """Each ``on_tick`` call of a run of the generated mesh under
+    ``simulator``, as (tick, cell, whether the call recorded or sent
+    anything)."""
+    sim = simulator(parse_scenario(generated_mesh()))
+    calls = []
+    for cell_id, cell in sim.cells.items():
+        def on_tick(now, cell_id=cell_id, cell=cell, original=cell.on_tick):
+            before = len(sim.log.lines), len(cell.outbox)
+            original(now)
+            calls.append((now, cell_id, (len(sim.log.lines), len(cell.outbox)) != before))
+        cell.on_tick = on_tick
+    sim.run()
+    return calls
+
+
+def test_on_tick_runs_exactly_when_it_does_something():
+    """The simulator calls ``on_tick`` on exactly the (tick, cell) pairs
+    where ticking every cell every tick records or sends something.  The
+    log cannot show a wake too many, since an idle ``on_tick`` writes
+    nothing, so the calls themselves are compared."""
+    woken = traced_ticks(Simulator)
+    busy = [call for call in traced_ticks(NaiveStepping) if call[2]]
+    assert woken == busy
+
+
+def test_a_dropped_simulator_leaves_no_cycle():
+    """Once a finished simulator is dropped, reference counting frees all
+    of it, and the cyclic collector finds nothing."""
+    spec = parse_scenario(generated_mesh())
+    gc.collect()
+    gc.disable()
+    try:
+        Simulator(spec).run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_hostile_updates_do_not_stop_the_run():
     wire = scenario_wire(assertions=[
         {"id": "untouched", "check": "store-version", "cell": "c1",
@@ -837,11 +889,30 @@ def test_decision_equals_picks_latest_matching():
 def test_assertion_that_never_fires_fails_the_run():
     wire = scenario_wire(assertions=[
         {"id": "late", "check": "store-version", "cell": "c0",
-         "expected": 0, "atTick": 99},
+         "expected": 0, "atTick": 5},
     ])
-    _, report = run_sim(wire)
+    # a spec built past the load checks, whose run ends before tick 5
+    spec = dataclasses.replace(parse_scenario(wire), max_ticks=3)
+    report = Simulator(spec).run()
     assert not report["passed"]
     assert report["assertions"] == []
+
+
+def test_one_unfired_assertion_fails_the_run():
+    """A run fails when any declared assertion left no result, even if
+    every one that fired passed."""
+    wire = scenario_wire(assertions=[
+        {"id": "early", "check": "store-version", "cell": "c0",
+         "expected": 0, "atTick": 2},
+        {"id": "late", "check": "store-version", "cell": "c0",
+         "expected": 0, "atTick": 5},
+    ])
+    spec = dataclasses.replace(parse_scenario(wire), max_ticks=3)
+    sim = Simulator(spec)
+    report = sim.run()
+    assert [(r["id"], r["ok"]) for r in report["assertions"]] == [("early", True)]
+    assert not report["passed"]
+    assert records_of(sim, "end")[0]["detail"] == {"passed": False}
 
 
 def test_at_end_assertions_fire_after_last_tick():
