@@ -8,7 +8,8 @@ path: ``send_request`` sends the body, ``handle_request`` gates it at the
 receiver, and one prologue denies a name outside the channel's own set
 before ``decide_operation`` decides the rest.  The enforcement point
 verifies a token once per context and keeps its claims, expanded through
-delegation, until it expires, at most ``VERIFIED_CAP`` of them.
+delegation, until it expires, at most ``VERIFIED_CAP`` of them.  A token
+read once is recognised from its exact wire form and not parsed again.
 
 Cells never share memory.  All interaction is via the message kinds in
 ``OutboundMessage``; the simulator (or any other transport) moves those
@@ -69,21 +70,13 @@ PENDING_REQUEST_CAP = 256
 # bus envelopes queued for the audit drain; reaching it drains at once
 AUDIT_QUEUE_CAP = 1024
 
-# (token, context) -> expanded claims kept in _verified; the oldest goes first
+# entries kept in _verified and in _read_tokens; the oldest goes first
 VERIFIED_CAP = 1024
 
 ENVELOPE_KINDS = frozenset({
     "advert", "register", "register-reply", "update", "digest", "digest-reply",
     "op-req", "op-resp", "mgmt-req", "mgmt-resp",
 })
-
-_MALFORMED_TOKEN = "indeterminate: malformed-token"
-
-_VERIFY_TAGS = {
-    "UntrustedIssuer": "untrusted-issuer",
-    "Expired": "expired",
-    "BadSignature": "bad-signature",
-}
 
 
 class OutboundMessage(NamedTuple):
@@ -98,14 +91,6 @@ def _ok(result: Any) -> dict[str, Any]:
 
 def _denied(reason: str) -> dict[str, Any]:
     return {"status": "denied", "reason": reason, "result": None}
-
-
-def _wire_tokens(body: Mapping[str, Any], where: str) -> Optional[list[Token]]:
-    """The request's tokens, or None when one of them does not parse."""
-    try:
-        return [Token.from_wire(t) for t in field(body, "tokens", where, list, [])]
-    except SmscError:
-        return None
 
 
 class Cell:
@@ -149,6 +134,7 @@ class Cell:
         # requestId -> (response kind, peer asked, action or command)
         self._requests: dict[int, tuple[str, str, str]] = {}
         self._verified: dict[tuple[Token, str], frozenset[AttributePair]] = {}
+        self._read_tokens: dict[str, tuple[Token, dict[str, Any]]] = {}
 
     # --- plumbing ---------------------------------------------------------
 
@@ -165,6 +151,24 @@ class Cell:
             self.record_bus()
 
     # --- decision pipeline ------------------------------------------------
+
+    def _wire_tokens(self, body: Mapping[str, Any], where: str) -> Optional[list[Token]]:
+        """The request's tokens, or None when one does not parse.  A wire equal to
+        a read token's own wire form, with an exact-int ``expiryTick``, is that token."""
+        tokens = []
+        try:
+            for wire in field(body, "tokens", where, list, []):
+                sig = wire.get("sig") if isinstance(wire, dict) else None
+                kept = self._read_tokens.get(sig) if type(sig) is str else None
+                if kept is None or wire != kept[1] or type(wire["expiryTick"]) is not int:
+                    token = Token.from_wire(wire)
+                    kept = self._read_tokens[token.signature] = (token, token.to_wire())
+                    if len(self._read_tokens) > VERIFIED_CAP:
+                        del self._read_tokens[next(iter(self._read_tokens))]
+                tokens.append(kept[0])
+        except SmscError:
+            return None
+        return tokens
 
     def _verified_attrs(
         self, tokens: Iterable[Token], context: str, now: int
@@ -208,12 +212,11 @@ class Cell:
         token, token verification, blocklist, rules.
         """
         if tokens is None:
-            return Decision(Verdict.INDETERMINATE, _MALFORMED_TOKEN)
+            return Decision(Verdict.INDETERMINATE, "indeterminate: malformed-token")
         try:
             attrs = self._verified_attrs(tokens, context, now)
         except TokenVerificationError as exc:
-            tag = _VERIFY_TAGS.get(type(exc).__name__, "token-invalid")
-            return Decision(Verdict.INDETERMINATE, f"indeterminate: {tag}")
+            return Decision(Verdict.INDETERMINATE, f"indeterminate: {exc.tag}")
         if self._blocklisted_value(args, context) is not None:
             return Decision(Verdict.DENY, "blocklisted")
         request = DecisionRequest(attrs, action, self.resource.kind, context, now)
@@ -235,7 +238,7 @@ class Cell:
                 Verdict.DENY, "unknown-action" if operation else "unknown-command")
         else:
             decision = self.decide_operation(
-                _wire_tokens(body, kind), action, args, context, now)
+                self._wire_tokens(body, kind), action, args, context, now)
         self._observer("decision", {
             "caller": caller, "action": action, "context": context, **decision.to_wire()})
         self._publish("cell.op", "pep")

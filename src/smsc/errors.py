@@ -18,19 +18,21 @@ class DuplicateRuleId(PolicyError):
 
 
 class TokenVerificationError(PolicyError):
-    """Base for the three token checks; the subclass names which failed."""
+    """Base for the three token checks; a subclass's ``tag`` names which failed."""
+    tag = "token-invalid"
 
 
 class UntrustedIssuer(TokenVerificationError):
-    pass
+    tag = "untrusted-issuer"
 
 
 class Expired(TokenVerificationError):
-    pass
+    tag = "expired"
 
 
 class BadSignature(TokenVerificationError):
     """Digest mismatch on a token or an update package."""
+    tag = "bad-signature"
 
 
 # --- governance ----------------------------------------------------------

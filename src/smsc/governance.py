@@ -590,10 +590,8 @@ def detect_conflicts(rules: Sequence[PolicyRule], spec: DomainSpec) -> list[Conf
             contexts = sorted(a.contexts & b.contexts & set(spec.contexts))
             if not contexts:
                 continue
-            actions = [
-                act for act in sorted(spec.actions)
-                if a.action_matches(act) and b.action_matches(act)
-            ]
+            actions = [act for act in sorted(spec.actions)
+                       if {a.action, b.action} <= {act, WILDCARD}]
             if not actions:
                 continue
             resources = [

@@ -151,9 +151,6 @@ class PolicyRule:
         if body and not TOKEN_RE.match(body):
             raise PolicyError(f"bad resource pattern: {self.resource!r}")
 
-    def action_matches(self, action: str) -> bool:
-        return self.action == WILDCARD or self.action == action
-
     def resource_matches(self, resource_id: str) -> bool:
         if self.resource.endswith(WILDCARD):
             return resource_id.startswith(self.resource[:-1])

@@ -2,7 +2,7 @@ import copy
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smsc.catalogue import MAX_TTL_TICKS, CellProfile
 from smsc import cell as cell_module
@@ -23,6 +23,7 @@ from smsc.policy import (
     PolicyRule,
     RegressionCase,
     RootGrant,
+    Token,
     Verdict,
     issue_token,
     sign_payload,
@@ -319,27 +320,74 @@ CACHE_TOKENS = (
     token("dave", "user", issuer="rogue"),
     replace(token("erin", "user"), signature="0" * 64),
     replace(_VALID, claims=frozenset({AttributePair("role", "admin")})),
+    # two claims, so that a wire can carry them reordered or repeated
+    issue_token("bob", [AttributePair("role", "user"), AttributePair("dept", "eng")], "idp", 9),
+    # expiring at tick 1, so that an expiryTick of 1.0 or True equals its own
+    token("frank", "user", expiry=1),
 )
+
+
+def _other_role(value):
+    return "user" if value == "admin" else "admin"
+
+
+def _claim_swapped(wire):
+    first = wire["claims"][0]
+    return {**wire, "claims": [{**first, "value": _other_role(first["value"])},
+                               *wire["claims"][1:]]}
+
+
+# forms a token's wire may arrive in; only the exact one may stand in for
+# a token read before, and every other one is parsed like a first sight
+WIRE_FORMS = {
+    "exact": lambda wire: wire,
+    "float-expiry": lambda wire: {**wire, "expiryTick": float(wire["expiryTick"])},
+    "bool-expiry": lambda wire: {**wire, "expiryTick": True},
+    "extra-key": lambda wire: {**wire, "note": "x"},
+    "claims-reordered": lambda wire: {**wire, "claims": wire["claims"][::-1]},
+    "claim-repeated": lambda wire: {**wire, "claims": wire["claims"] + wire["claims"][:1]},
+    "claim-swapped": _claim_swapped,
+    "list-sig": lambda wire: {**wire, "sig": [wire["sig"]]},
+    "int-sig": lambda wire: {**wire, "sig": 7},
+    "null-sig": lambda wire: {**wire, "sig": None},
+    "not-an-object": lambda wire: [wire],
+}
+
+_FRANK = CACHE_TOKENS[-1]
 
 
 @settings(max_examples=100)
 @given(steps=st.lists(st.tuples(
-    st.lists(st.sampled_from(CACHE_TOKENS), max_size=2),
+    st.lists(st.tuples(st.sampled_from(CACHE_TOKENS), st.sampled_from(sorted(WIRE_FORMS))),
+             max_size=2),
     st.sampled_from(("work", "home")),
     st.integers(0, 10),
+    st.booleans(),
 ), min_size=8, max_size=30))
+@example(steps=[([(_FRANK, "exact")], "work", 0, False),
+                ([(_FRANK, "float-expiry")], "work", 0, False),
+                ([(_FRANK, "bool-expiry")], "work", 0, False)])
+@example(steps=[([(_VALID, "exact")], "work", 1, True)])
 def test_a_long_lived_cell_decides_as_a_fresh_cell_per_request(steps):
-    """Kept expansions change no decision: valid, expired, untrusted,
-    forged and claim-swapped tokens, two tokens of one subject, in either
-    context, with the clock moving forward and back."""
+    """Kept expansions and kept token reads change no decision: valid,
+    expired, untrusted, forged and claim-swapped tokens, two tokens of one
+    subject, each in any of the wire forms, in either context, with the
+    clock moving forward and back, and with token objects the caller
+    changes in place after the request and sends again."""
     policy = document(**_DELEGATING)
     long_lived = make_cell(policy=policy)
-    for tokens, context, now in steps:
-        body = {"tokens": [t.to_wire() for t in tokens], "action": "echo",
-                "args": {}, "context": context}
-        kept, _ = long_lived.handle_operation(body, "ext", now)
-        fresh, _ = make_cell(policy=policy).handle_operation(body, "ext", now)
-        assert kept == fresh
+    for tokens, context, now, changed_after in steps:
+        body = {"tokens": [WIRE_FORMS[form](t.to_wire()) for t, form in tokens],
+                "action": "echo", "args": {}, "context": context}
+        for _ in range(1 + changed_after):
+            kept, _ = long_lived.handle_operation(body, "ext", now)
+            fresh, _ = make_cell(policy=policy).handle_operation(body, "ext", now)
+            assert kept == fresh
+            # the caller swaps a claim inside its own objects, to send again
+            for wire in body["tokens"]:
+                if isinstance(wire, dict):
+                    claim = wire["claims"][0]
+                    claim["value"] = _other_role(claim["value"])
 
 
 def test_a_verified_token_is_checked_again_only_once_it_expires(monkeypatch):
@@ -367,6 +415,27 @@ def test_verified_tokens_are_capped_oldest_first():
         cell.decide_operation([tok], "echo", {}, "work", 1)
     assert len(cell._verified) == VERIFIED_CAP
     assert list(cell._verified) == [(tok, "work") for tok in tokens[5:]]
+
+
+def test_a_token_wire_read_once_is_not_parsed_again(monkeypatch):
+    calls = []
+    parse = Token.from_wire
+    monkeypatch.setattr(Token, "from_wire",
+                        classmethod(lambda cls, data: calls.append(data) or parse(data)))
+    cell = make_cell()
+    tokens = [token("bob"), token("alice", "admin"), token("carol", "guest")]
+    for index in range(20):
+        cell.handle_operation(op_body(tokens[index % 3]), "ext", 1)
+    assert calls == [tok.to_wire() for tok in tokens]
+
+
+def test_read_tokens_are_capped_oldest_first():
+    cell = make_cell()
+    tokens = [token(expiry=100 + i) for i in range(VERIFIED_CAP + 5)]
+    for tok in tokens:
+        cell.handle_operation(op_body(tok), "ext", 1)
+    assert list(cell._read_tokens) == [tok.signature for tok in tokens[5:]]
+    assert [kept for kept, _ in cell._read_tokens.values()] == tokens[5:]
 
 
 MANAGEMENT_PAYLOADS = {
@@ -1226,6 +1295,25 @@ def test_a_peer_field_of_another_type_is_one_parse_error_reject(name):
     cell.handle_envelope(kind, "p1", replaced(copy.deepcopy(VALID_BODIES[kind]), path, value), 1)
     assert events == [("reject", {"kind": kind, "from": "p1", "error": "ParseError"})]
     assert cell.take_outbox() == []
+
+
+# kind, field path, value: token fields a request is decided on, so that
+# the body is not rejected but decided as a malformed token
+DECIDED_MUTATIONS = {
+    "op-req-token-sig-list": ("op-req", ("tokens", 0, "sig"), [1]),
+    "mgmt-req-token-sig-object": ("mgmt-req", ("tokens", 0, "sig"), {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECIDED_MUTATIONS))
+def test_an_unhashable_token_sig_is_one_malformed_token_decision(name):
+    kind, path, value = DECIDED_MUTATIONS[name]
+    events = []
+    cell = fuzz_target(events)
+    cell.handle_envelope(kind, "p1", replaced(copy.deepcopy(VALID_BODIES[kind]), path, value), 1)
+    assert [record for record, _ in events if record == "reject"] == []
+    assert [detail["reason"] for record, detail in events if record == "decision"] == [
+        "indeterminate: malformed-token"]
 
 
 @st.composite

@@ -701,9 +701,10 @@ def small_scenarios(draw):
 
 
 @given(small_scenarios())
-def test_wake_schedule_matches_ticking_every_cell(wire):
-    """Calling ``on_tick`` only on due cells writes the same log, byte for
-    byte, as calling it on every cell on every tick."""
+def test_due_cell_scan_matches_ticking_every_cell(wire):
+    """Scanning the cells each tick and calling ``on_tick`` only on those
+    due writes the same log, byte for byte, as calling it on every cell on
+    every tick."""
     spec = parse_scenario(wire)
     logs = []
     for simulator in (Simulator, NaiveStepping):
@@ -713,9 +714,10 @@ def test_wake_schedule_matches_ticking_every_cell(wire):
     assert logs[0] == logs[1]
 
 
-def test_new_peer_expiry_before_the_next_scheduled_wake():
-    """A peer learned between wakes moves the receiver's next wake earlier,
-    to the peer's expiry, and the receiver wakes at no other tick."""
+def test_new_peer_expiry_makes_the_receiver_due_before_its_next_interval():
+    """A peer learned on a tick the receiver is not due moves the
+    receiver's due tick earlier, to the peer's expiry, and the due-cell
+    scan ticks the receiver at no other tick."""
     cells = [cell_wire("c0", intervals={"advertise": 20, "antiEntropy": 20}),
              cell_wire("c1", intervals={"advertise": 20, "antiEntropy": 20})]
     cells[1]["profile"]["ttlTicks"] = 2
