@@ -327,52 +327,41 @@ class Cell:
     def ingest_security_update(
         self, package_wire: Mapping[str, Any], from_cell: str
     ) -> ApplyStatus:
-        """Ingest one pushed or back-filled package.
+        """Ingest one pushed or back-filled package in one guarded step:
+        screen or parse it, check its sender, then apply it.
 
-        A package that does not parse or fails its signature check is
-        contained: it is logged as ``invalid`` and never raises, so one
-        hostile peer cannot abort the caller's loop.  A package the full
-        gap buffer drops is logged as ``evicted``.  An exact copy of an
-        archived package is recognised on the wire and stands in as the
-        archived package itself, so it is not parsed, and the store takes
-        it as a duplicate without a second signature check.
+        An exact copy of an archived package stands in as that package, so
+        it is neither parsed nor verified again.  A sender not trusted in
+        every context the package names makes it ``untrusted-source`` before
+        its signature is checked.  A package that does not parse or fails
+        its signature check is logged as ``invalid`` and never raises, so one
+        hostile peer cannot abort the caller's loop.  A package the full gap
+        buffer drops is logged as ``evicted``.
         """
-        package = self.store.archived_copy(package_wire)
-        if package is None:
-            try:
-                package = UpdatePackage.from_wire(package_wire)
-            except SmscError as exc:
-                return self._invalid_update(from_cell, exc)
-        sender = self.catalogue.get(from_cell)
-        trusts = self.catalogue.trusts
-        if sender is None or not all(trusts(sender.profile, c) for c in package.contexts):
-            self._update_record(package, ApplyStatus.UNTRUSTED_SOURCE.value, from_cell)
-            return ApplyStatus.UNTRUSTED_SOURCE
         try:
-            report = self.store.apply_update(package)
+            package = (self.store.archived_copy(package_wire)
+                       or UpdatePackage.from_wire(package_wire))
+            sender = self.catalogue.get(from_cell)
+            trusts = self.catalogue.trusts
+            if sender is None or not all(trusts(sender.profile, c) for c in package.contexts):
+                report = ApplyReport(ApplyStatus.UNTRUSTED_SOURCE)
+            else:
+                report = self.store.apply_update(package)
         except SmscError as exc:
-            return self._invalid_update(from_cell, exc)
-        self._after_apply(report, via=from_cell, push=True)
-        if report.status in (ApplyStatus.DUPLICATE, ApplyStatus.BUFFERED):
+            self._observer("update", {"status": ApplyStatus.INVALID.value, "from": from_cell,
+                                      "error": type(exc).__name__})
+            return ApplyStatus.INVALID
+        if report.consumed:
+            self._after_apply(report, via=from_cell, push=True)
+        else:  # duplicate, buffered or untrusted-source
             self._update_record(package, report.status.value, from_cell)
         if report.evicted is not None:
             self._update_record(report.evicted, "evicted", from_cell)
         return report.status
 
     def _update_record(self, package: UpdatePackage, status: str, from_cell: str) -> None:
-        self._observer(
-            "update",
-            {"origin": package.origin, "seq": package.seq,
-             "status": status, "from": from_cell},
-        )
-
-    def _invalid_update(self, from_cell: str, exc: Exception) -> ApplyStatus:
-        self._observer(
-            "update",
-            {"status": ApplyStatus.INVALID.value, "from": from_cell,
-             "error": type(exc).__name__},
-        )
-        return ApplyStatus.INVALID
+        self._observer("update", {"origin": package.origin, "seq": package.seq,
+                                  "status": status, "from": from_cell})
 
     def _after_apply(
         self, report: ApplyReport, via: Optional[str], push: bool
@@ -393,16 +382,10 @@ class Cell:
                 self._forward(package, via)
 
     def _forward(self, package: UpdatePackage, via: Optional[str]) -> None:
-        targets: set[str] = set()
-        for context in package.contexts:
-            for entry in self.catalogue.query(context=context, trusted_only=True):
-                targets.add(entry.profile.cell_id)
-        targets.discard(self.cell_id)
-        targets.discard(package.origin)
-        if via is not None:
-            targets.discard(via)
+        targets = {entry.profile.cell_id for context in package.contexts
+                   for entry in self.catalogue.query(context=context, trusted_only=True)}
         wire = package.to_wire()
-        for target in sorted(targets):
+        for target in sorted(targets - {package.origin, via}):
             self._send("update", target, wire)
 
     # --- periodic work ----------------------------------------------------

@@ -45,7 +45,7 @@ from .policy import (
     matching_rule_ids,
     sign_payload,
 )
-from .wire import field, member, string_lists, strings
+from .wire import field, member, no_other_fields, string_lists, strings
 
 PENDING_CAP = 64
 
@@ -528,6 +528,10 @@ class ConflictReport:
         }
 
 
+# the fields a domains file may hold; any other is refused
+_DOMAIN_FIELDS = frozenset({"domains", "actions", "resources", "contexts"})
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Finite universes making conflict detection decidable."""
@@ -539,6 +543,7 @@ class DomainSpec:
 
     @classmethod
     def from_wire(cls, data: Any) -> "DomainSpec":
+        no_other_fields(data, _DOMAIN_FIELDS, "domains")
         return cls(
             domains={k: tuple(v) for k, v in string_lists(data, "domains", "domains", {}).items()},
             actions=tuple(strings(data, "actions", "domains", [])),

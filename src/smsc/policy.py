@@ -34,11 +34,17 @@ from .errors import (
     PolicyError,
     UntrustedIssuer,
 )
-from .wire import field, is_str_list, member, objects, string_lists, strings
+from .wire import field, is_str_list, member, no_other_fields, objects, string_lists, strings
 
 TOKEN_RE = re.compile(r"[a-z0-9_:-]+\Z")
 
 WILDCARD = "*"
+
+# the fields each policy-file object may hold; any other is refused
+_RULE_FIELDS = frozenset({"id", "effect", "subject", "action", "resource", "contexts"})
+_REQUEST_FIELDS = frozenset({"subjectAttrs", "action", "resourceId", "context", "tick"})
+_CASE_FIELDS = frozenset({"request", "expected", "protected"})
+_DOCUMENT_FIELDS = frozenset({"rules", "delegations", "roots", "trustedIssuers", "regression"})
 
 
 def _check_token(value: str, what: str) -> str:
@@ -168,6 +174,7 @@ class PolicyRule:
 
     @classmethod
     def from_wire(cls, data: Any) -> "PolicyRule":
+        no_other_fields(data, _RULE_FIELDS, "rule")
         return cls(
             id=field(data, "id", "rule", str),
             effect=member(Effect, data, "effect", "rule"),
@@ -381,6 +388,7 @@ class DecisionRequest:
 
     @classmethod
     def from_wire(cls, data: Any) -> "DecisionRequest":
+        no_other_fields(data, _REQUEST_FIELDS, "request")
         return cls(
             subject_attrs=attrs_from_wire(string_lists(data, "subjectAttrs", "request", {})),
             action=field(data, "action", "request", str),
@@ -478,6 +486,7 @@ class RegressionCase:
 
     @classmethod
     def from_wire(cls, data: Any) -> "RegressionCase":
+        no_other_fields(data, _CASE_FIELDS, "regression case")
         return cls(
             request=DecisionRequest.from_wire(field(data, "request", "regression case", dict)),
             expected=member(Verdict, data, "expected", "regression case"),
@@ -512,6 +521,7 @@ class PolicyDocument:
 
     @classmethod
     def from_wire(cls, data: Any) -> "PolicyDocument":
+        no_other_fields(data, _DOCUMENT_FIELDS, "policy")
         return cls(
             rules=tuple(PolicyRule.from_wire(r) for r in objects(data, "rules", "policy", [])),
             delegations=tuple(

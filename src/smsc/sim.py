@@ -19,11 +19,12 @@ set: the draw is taken all the same.
 The per-tick structures are built once, in ``Simulator.__init__``, and
 rely on four invariants:
 
-* Links never change after construction, so the neighbour lists and
-  the route table stay valid for the whole run.  The route table maps
-  each ``(src, dst)`` direction of a link to its link key, latency and
-  drop probability, so that sending and delivering an envelope each
-  look its link up once.  A link's stream is made on its first use.
+* Links never change after construction, and ``parse_scenario``
+  refuses a duplicate, so the neighbour lists and the route table stay
+  valid for the whole run.  The route table maps each ``(src, dst)``
+  direction of a link to its link key, latency and drop probability,
+  so that sending and delivering an envelope each look its link up
+  once.  A link's stream is made on its first use.
 * In-flight envelopes are bucketed by delivery tick, and each bucket is
   in ``net_seq`` order, because ``net_seq`` is assigned in append order.
   Loss draws are therefore taken in ``net_seq`` order without a sort.
@@ -43,7 +44,7 @@ import weakref
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import AbstractSet, Any, Callable, Mapping, NamedTuple, Optional, TextIO
+from typing import Any, Callable, Mapping, NamedTuple, Optional, TextIO
 
 from .cell import EXTERNAL_CALLER, Cell
 from .errors import InvalidProbability, ParseError, SmscError, UnknownCellRef
@@ -58,7 +59,7 @@ from .policy import (
 )
 from .prng import SplitMix64, stream_for_link
 from .resources import RESOURCE_KINDS
-from .wire import field, member, objects, string_lists, strings
+from .wire import field, member, no_other_fields, objects, string_lists, strings
 
 SIM = "-"  # the "cell" column for simulator-level log records
 
@@ -181,11 +182,6 @@ _LINK_FIELDS = frozenset({"a", "b", "latency", "drop"})
 _NO_POLICY = PolicyDocument()
 
 
-def _no_other_fields(data: Mapping[str, Any], allowed: AbstractSet[str], where: str) -> None:
-    if not data.keys() <= allowed:
-        raise ParseError(f"{where}: unknown field(s) {sorted(data.keys() - allowed)}")
-
-
 def _check_cell_ref(ref: Any, known: set[str], where: str) -> str:
     if not isinstance(ref, str) or ref not in known:
         raise UnknownCellRef(f"{where}: unknown cell {ref!r}")
@@ -196,7 +192,7 @@ def _read_declared(
     data: Mapping[str, Any], declared: Mapping[str, Any], known: set[str], where: str
 ) -> dict[str, Any]:
     """Exactly the declared fields of ``data``, each read and checked."""
-    _no_other_fields(data, declared.keys(), where)
+    no_other_fields(data, declared.keys(), where)
     params = {}
     for key, spec in declared.items():
         kind, *default = spec if type(spec) is tuple else (spec,)
@@ -221,7 +217,7 @@ def token_from_spec(data: Any, where: str) -> Token:
     of values, and a stanza without a signature is signed by its issuer."""
     if not isinstance(data, dict):
         raise ParseError(f"{where}: token stanza must be an object")
-    _no_other_fields(data, {"subject", "issuer", "claims", "expiryTick", "sig"}, where)
+    no_other_fields(data, {"subject", "issuer", "claims", "expiryTick", "sig"}, where)
     claims = string_lists(data, "claims", where, {})
     subject, issuer = field(data, "subject", where, str), field(data, "issuer", where, str)
     expiry = field(data, "expiryTick", where, int)
@@ -237,10 +233,10 @@ def token_from_spec(data: Any, where: str) -> Token:
 def _parse_cell(data: Mapping[str, Any], resolver: Optional[PolicyResolver]) -> CellSpec:
     cell_id = field(data, "cellId", "cell", str)
     where = f"cell {cell_id!r}"
-    _no_other_fields(data, _CELL_FIELDS, where)
+    no_other_fields(data, _CELL_FIELDS, where)
     profile = field(data, "profile", where, dict)
     at = f"{where} profile"
-    _no_other_fields(profile, _PROFILE_FIELDS, at)
+    no_other_fields(profile, _PROFILE_FIELDS, at)
     contexts = tuple(strings(profile, "contexts", at))
     if not contexts:
         raise ParseError(f"{at}: 'contexts' is empty")
@@ -267,7 +263,7 @@ def _parse_cell(data: Mapping[str, Any], resolver: Optional[PolicyResolver]) -> 
         trust_policy = {c: [] for c in contexts}
     intervals = field(data, "intervals", where, dict, {})
     at_intervals = f"{where} intervals"
-    _no_other_fields(intervals, _INTERVAL_FIELDS, at_intervals)
+    no_other_fields(intervals, _INTERVAL_FIELDS, at_intervals)
     return CellSpec(
         cell_id=cell_id,
         contexts=contexts,
@@ -287,7 +283,7 @@ def _parse_link(data: Mapping[str, Any], known: set[str]) -> LinkSpec:
     if a == b:
         raise ParseError(f"link: {a!r} linked to itself")
     where = f"link {a}-{b}"
-    _no_other_fields(data, _LINK_FIELDS, where)
+    no_other_fields(data, _LINK_FIELDS, where)
     drop = data.get("drop", 0.0)
     if type(drop) not in (int, float) or not 0.0 <= drop <= 1.0:
         raise InvalidProbability(f"{where}: 'drop' must be a number in [0, 1], got {drop!r}")
@@ -367,13 +363,13 @@ def parse_scenario(
     cells = tuple(_parse_cell(c, resolver) for c in objects(data, "cells", "scenario"))
     if not cells:
         raise ParseError("scenario: no cells")
-    _no_other_fields(data, {"name", "seed", "maxTicks", "cells", "topology", "script",
-                            "assertions"}, "scenario")
+    no_other_fields(data, {"name", "seed", "maxTicks", "cells", "topology", "script",
+                           "assertions"}, "scenario")
     known = {c.cell_id for c in cells}
     if len(known) != len(cells):
         raise ParseError("scenario: duplicate cell ids")
     topology = field(data, "topology", "scenario", dict, {})
-    _no_other_fields(topology, {"links"}, "topology")
+    no_other_fields(topology, {"links"}, "topology")
     links = tuple(_parse_link(l, known) for l in objects(topology, "links", "topology", []))
     seen_links = set()
     for link in links:
@@ -478,9 +474,8 @@ class Simulator:
         self._adjacency: dict[str, list[str]] = {}
         for link in spec.links:
             a, b = link.a, link.b
-            if (a, b) not in self._routes:
-                self._adjacency.setdefault(a, []).append(b)
-                self._adjacency.setdefault(b, []).append(a)
+            self._adjacency.setdefault(a, []).append(b)
+            self._adjacency.setdefault(b, []).append(a)
             self._routes[a, b] = self._routes[b, a] = (
                 frozenset((a, b)), link.latency, link.drop)
         for peers in self._adjacency.values():
@@ -505,14 +500,6 @@ class Simulator:
                 sim._latest[cell_id, action, None] = detail
 
         return observe
-
-    # --- topology helpers -------------------------------------------------
-
-    def _stream(self, key: frozenset[str]) -> SplitMix64:
-        if key not in self._streams:
-            a, b = sorted(key)
-            self._streams[key] = stream_for_link(self.spec.seed, a, b)
-        return self._streams[key]
 
     # --- per-tick machinery -----------------------------------------------
 
@@ -553,7 +540,9 @@ class Simulator:
         for envelope in self._in_flight.pop(tick, ()):
             src, dst = envelope.src, envelope.dst
             key, _, drop = routes[src, dst]
-            stream = streams.get(key) or self._stream(key)
+            stream = streams.get(key)
+            if stream is None:
+                stream = streams[key] = stream_for_link(self.spec.seed, src, dst)
             draw = stream.next_float()
             if partitions and any(w.cuts(src, dst) for w in partitions):
                 reason = "partition"

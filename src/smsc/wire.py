@@ -4,7 +4,8 @@ Each read takes one field of a JSON object and checks it has the exact
 type ``to_wire`` writes: an integer is never a bool, and a list is never
 a string, which would otherwise be split into its characters.  An input
 that is not an object, an absent required field, or a field of another
-type raises ``ParseError`` naming where it sits and the field.  What a
+type raises ``ParseError`` naming where it sits and the field, and so
+does a field a reader with optional fields does not declare.  What a
 well-typed value may hold (token grammar, non-empty sets) is the
 caller's check.
 """
@@ -12,7 +13,7 @@ caller's check.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Optional
+from typing import AbstractSet, Any, Optional
 
 from .errors import ParseError
 
@@ -47,6 +48,15 @@ def field(
         return value
     bound = "" if least is None else f" >= {least}"
     raise ParseError(f"{where}: {key!r} must be {_KIND_NAMES[kind]}{bound}, got {value!r}")
+
+
+def no_other_fields(data: Any, allowed: AbstractSet[str], where: str) -> None:
+    """Refuse an object holding a field outside ``allowed``, so that a
+    misspelled optional field is not dropped for its default."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{where}: must be an object, got {data!r}")
+    if not data.keys() <= allowed:
+        raise ParseError(f"{where}: unknown field(s) {sorted(data.keys() - allowed)}")
 
 
 def objects(data: Any, key: str, where: str, default: Any = _MISSING) -> list:

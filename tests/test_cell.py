@@ -590,6 +590,8 @@ def test_impact_rejection_blocks_add_rule_but_consumes_seq():
 
 
 _GOOD_RULE = rule("extra", Effect.PERMIT, {}, "echo").to_wire()
+# the rule without its subject, which a misspelled field would leave it
+_TYPO_RULE = {k: v for k, v in _GOOD_RULE.items() if k != "subject"}
 
 
 @pytest.mark.parametrize("command,payload", [
@@ -599,8 +601,9 @@ _GOOD_RULE = rule("extra", Effect.PERMIT, {}, "echo").to_wire()
     ("set-trust", {"work": 5}),
     ("set-trust", {"work": [7]}),
     ("set-config", {"key": 7, "value": 1}),
+    ("add-rule", {**_TYPO_RULE, "subjet": {"role": ["admin"]}}),
 ], ids=["bad-id", "bad-effect", "no-contexts", "trust-not-a-list", "trust-capability-int",
-        "config-key-int"])
+        "config-key-int", "misspelled-subject"])
 @pytest.mark.parametrize("path", ["direct", "wire"])
 def test_malformed_payload_of_a_permitted_command_is_contained(command, payload, path):
     """A permitted command whose payload fails validation is answered
@@ -855,6 +858,8 @@ def kindless_wire():
     pytest.param(resigned_wire(contexts=["work", 7]), "ParseError",
                  id="wire11-MalformedUpdate"),
     pytest.param({**signed_wire(), "origin": 7}, "ParseError", id="wire12-MalformedUpdate"),
+    pytest.param(resigned_wire(kind="RuleAdd", payload={**_TYPO_RULE, "subjet": {}}),
+                 "ParseError", id="wire13-ParseError"),
 ])
 def test_hostile_package_from_trusted_peer_is_contained(wire, error):
     events = []
@@ -992,6 +997,31 @@ def test_valid_copy_in_another_wire_form_is_verified_and_logged_duplicate(monkey
     assert events[-1] == ("update", {"origin": "org", "seq": 0, "status": "duplicate",
                                      "from": "p1"})
     assert cell.store.content_digest() == content and cell.store.version == 1
+
+
+@pytest.mark.parametrize("sender,wire,logged,signed_by", [
+    ("stranger", kindless_wire(),
+     {"status": "invalid", "from": "stranger", "error": "ParseError"}, []),
+    ("stranger", forged_wire(),
+     {"origin": "org", "seq": 0, "status": "untrusted-source", "from": "stranger"}, []),
+    ("p1", forged_wire(), {"status": "invalid", "from": "p1", "error": "BadSignature"}, ["org"]),
+], ids=["unparsed-from-untrusted", "forged-from-untrusted", "forged-from-trusted"])
+def test_an_ingest_parses_then_checks_trust_then_the_signature(
+        sender, wire, logged, signed_by, monkeypatch):
+    """One ingest runs its checks in a fixed order: a package that does
+    not parse is ``invalid`` whoever sends it, a parsed one from an
+    untrusted sender is ``untrusted-source`` before any signature check,
+    and only then is the signature checked."""
+    events = []
+    cell = make_cell(trust={"work": []},
+                     observer=lambda kind, detail: events.append((kind, detail)))
+    cell.catalogue.upsert(peer_profile("p1"), 0)
+    signed = counted_signatures(monkeypatch)
+    expected = ApplyStatus.INVALID if "error" in logged else ApplyStatus.UNTRUSTED_SOURCE
+    assert cell.ingest_security_update(wire, sender) is expected
+    assert events == [("update", logged)]
+    assert signed == signed_by
+    assert cell.store.version == 0 and cell.take_outbox() == []
 
 
 def test_digest_reply_ingests_the_packages_around_a_bad_one():

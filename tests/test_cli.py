@@ -164,6 +164,40 @@ def test_conflicts_unknown_attribute_domain(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_policy_refuses_a_misspelled_request_field(tmp_path, capsys):
+    """A request whose ``subjectAttrs`` is misspelled would be decided
+    with no attributes at all; it is unusable input instead."""
+    with open(request_file(tmp_path), encoding="utf-8") as fh:
+        request = json.load(fh)
+    request["subjectAtrs"] = request.pop("subjectAttrs")
+    code = main([
+        "check-policy",
+        "--policies", shipped(os.path.join("policies", "email-personal.json")),
+        "--request", write_json(tmp_path / "request.json", request),
+    ])
+    assert code == 2
+    assert "subjectAtrs" in capsys.readouterr().err
+
+
+def test_conflicts_refuses_a_misspelled_domains_field(tmp_path, capsys):
+    """A domains file whose ``contexts`` is misspelled would search no
+    context and report no conflict; it is unusable input instead."""
+    policy = write_json(tmp_path / "policy.json", {
+        "rules": [
+            {"id": "allow", "effect": "Permit", "subject": {},
+             "action": "deliver", "resource": "email-filter",
+             "contexts": ["personal"]},
+            {"id": "block", "effect": "Deny", "subject": {},
+             "action": "deliver", "resource": "email-filter",
+             "contexts": ["personal"]},
+        ],
+    })
+    domains = {k: v for k, v in DOMAINS.items() if k != "contexts"}
+    domains = write_json(tmp_path / "domains.json", {**domains, "context": ["personal"]})
+    assert main(["conflicts", "--policies", policy, "--domains", domains]) == 2
+    assert "context" in capsys.readouterr().err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])

@@ -516,6 +516,32 @@ def test_a_scalar_of_another_type_is_a_parse_error(parse, field):
         parse()
 
 
+def misspelled(wire, key, typo):
+    """``wire`` with its field ``key`` renamed ``typo``."""
+    wire = dict(wire)
+    wire[typo] = wire.pop(key)
+    return wire
+
+
+@pytest.mark.parametrize("parse,typo", [
+    (lambda: PolicyRule.from_wire(misspelled(RULE_WIRE, "subject", "subjet")), "subjet"),
+    (lambda: PolicyDocument.from_wire({"trustedIsuers": ["idp"]}), "trustedIsuers"),
+    (lambda: RegressionCase.from_wire(misspelled(CASE_WIRE, "protected", "protectd")),
+     "protectd"),
+    (lambda: DecisionRequest.from_wire(
+        misspelled(request([ADMIN]).to_wire(), "subjectAttrs", "subjectAtrs")), "subjectAtrs"),
+    (lambda: DomainSpec.from_wire({"actions": ["read"], "context": ["work"]}), "context"),
+], ids=["rule-subject", "document-trusted-issuers", "case-protected", "request-subject-attrs",
+        "domains-contexts"])
+def test_an_undeclared_field_is_refused(parse, typo):
+    """A misspelled optional field is refused, not dropped for its
+    default: a rule read without its ``subject`` would match every
+    subject, and a domains file without its ``contexts`` would find no
+    conflict at all."""
+    with pytest.raises(ParseError, match=re.escape(f"unknown field(s) [{typo!r}]")):
+        parse()
+
+
 def test_policy_document_duplicate_ids():
     with pytest.raises(DuplicateRuleId):
         PolicyDocument(rules=(rule("r1", Effect.PERMIT, {}), rule("r1", Effect.DENY, {})))

@@ -405,6 +405,29 @@ def test_unreadable_policy_file_is_a_parse_error(name, tmp_path, capsys):
     assert "cell 'c0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["policy", "policyFile"])
+def test_a_misspelled_rule_field_fails_the_load(source, tmp_path, capsys):
+    """A rule whose ``subject`` is misspelled ``subjet`` would load as a
+    rule with no condition, which matches every subject; inline or in a
+    ``policyFile``, the load refuses it, and ``smsc run`` exits 2."""
+    typo = {k: v for k, v in RULE.items() if k != "subject"}
+    policy = {**PERMIT_ANY, "rules": [{**typo, "subjet": {"role": ["admin"]}}]}
+    wire = scenario_wire()
+    if source == "policy":
+        wire["cells"][0]["policy"] = policy
+    else:
+        del wire["cells"][0]["policy"]
+        wire["cells"][0]["policyFile"] = "p.json"
+        (tmp_path / "p.json").write_text(json.dumps(policy))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(wire))
+    with pytest.raises(ParseError, match=re.escape("cell 'c0'")) as info:
+        load_scenario(str(path))
+    assert "subjet" in str(info.value)
+    assert cli_main(["run", "--scenario", str(path)]) == 2
+    assert "subjet" in capsys.readouterr().err
+
+
 def test_token_from_spec_signs_or_keeps_signature():
     signed = token_from_spec(USER_TOKEN, "here")
     assert signed.signature and signed.subject == "u" and signed.expiry_tick == 999
@@ -581,7 +604,7 @@ def test_exactly_one_draw_per_due_envelope():
     fresh = stream_for_link(7, "c0", "c1")
     for _ in range(consumed):
         fresh.next_float()
-    assert sim._stream(frozenset(("c0", "c1"))).next_float() == fresh.next_float()
+    assert sim._streams[frozenset(("c0", "c1"))].next_float() == fresh.next_float()
 
 
 def test_a_partition_that_cuts_no_link_leaves_the_log_as_it_is():
