@@ -27,6 +27,7 @@ on the same request, and produces a concrete witness request when so.
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Iterable, Mapping, Optional, Sequence, Union
@@ -241,50 +242,68 @@ _DUPLICATE = ApplyReport(ApplyStatus.DUPLICATE)
 
 
 class _Bucket:
-    """The rules of one (context, action) key and their subject matcher.
+    """The rules of one (context, action) key and their matcher: the first
+    read builds it, and each later write sets or clears its rule's bit.
 
-    Rule i of ``_order`` owns bit i.  ``_constrains[name]`` is the mask of
-    rules with an atom on ``name``; ``_allows[name][value]`` is the mask of
-    rules whose atom admits ``value``.  A request keeps, for each
-    constrained name, the OR of its values' masks plus every rule without
-    an atom there.  That is an OR per attribute, never a count, so a
-    request with two values of one attribute, or none, is exact.  A write
-    drops the matcher; the next read rebuilds it.
+    ``_order`` maps each rule's flag, ``1 << bit``, to the rule and ``_flags``
+    its id to the flag; a put reuses a freed flag first, so the bit space
+    never exceeds the peak count of live rules.  ``_constrains[name]`` masks
+    the rules with an atom on ``name``, ``_allows[name][value]`` those whose
+    atom admits ``value`` (an emptied mask leaves its map), ``_resources[res]``
+    those whose pattern matches ``res``, per resource id read.  A request
+    keeps its resource's rules that, per constrained name, are in one of its
+    values' masks or have no atom there: an OR, never a count, so two values
+    of one name, or none, are exact.
     """
 
-    __slots__ = ("rules", "_order", "_constrains", "_allows")
-    _constrains: dict[str, int]
-    _allows: dict[str, dict[str, int]]
+    __slots__ = ("rules", "_flags", "_order", "_free", "_constrains", "_allows", "_resources")
 
     def __init__(self) -> None:
         self.rules: dict[str, PolicyRule] = {}
-        self._order: Optional[tuple[PolicyRule, ...]] = None
+        self._resources: Optional[dict[str, int]] = None
 
     def put(self, rule: PolicyRule) -> None:
         self.rules[rule.id] = rule
-        self._order = None
+        if self._resources is not None:
+            flag = self._flags[rule.id] = self._free.pop() if self._free else 1 << len(self._order)
+            self._order[flag] = rule
+            self._flip(rule, flag)
 
     def drop(self, rule_id: str) -> None:
-        del self.rules[rule_id]
-        self._order = None
+        rule = self.rules.pop(rule_id)
+        if self._resources is not None:
+            flag = self._flags.pop(rule_id)
+            del self._order[flag]
+            self._free.append(flag)
+            self._flip(rule, flag)
 
-    def _build(self) -> tuple[PolicyRule, ...]:
-        self._order = order = tuple(self.rules.values())
-        self._constrains = constrains = {}
-        self._allows = allows = {}
-        for bit, rule in enumerate(order):
-            flag = 1 << bit
-            for name, values in rule.subject.atoms:
-                constrains[name] = constrains.get(name, 0) | flag
-                by_value = allows.setdefault(name, {})
-                for value in values:
-                    by_value[value] = by_value.get(value, 0) | flag
-        return order
+    def _flip(self, rule: PolicyRule, flag: int) -> None:
+        """Toggle ``flag`` in every mask that holds ``rule``."""
+        for name, values in rule.subject.atoms:
+            by_value = self._allows.setdefault(name, {})
+            for value in values:
+                by_value[value] = mask = by_value.get(value, 0) ^ flag
+                if not mask:
+                    del by_value[value]
+            self._constrains[name] = mask = self._constrains.get(name, 0) ^ flag
+            if not mask:
+                del self._constrains[name], self._allows[name]
+        for resource, mask in self._resources.items():
+            if rule.resource_matches(resource):
+                self._resources[resource] = mask ^ flag
 
-    def select(self, grouped: Mapping[str, set[str]]) -> list[PolicyRule]:
-        """The rules whose condition admits the grouped subject attributes."""
-        order = self._order if self._order is not None else self._build()
-        keep = (1 << len(order)) - 1
+    def select(self, grouped: Mapping[str, set[str]], resource: str) -> list[PolicyRule]:
+        """The rules on ``resource`` whose condition admits ``grouped``."""
+        if self._resources is None:
+            rules, self.rules, self._flags, self._order, self._free = self.rules, {}, {}, {}, []
+            self._constrains, self._allows, self._resources = {}, {}, {}
+            for rule in rules.values():
+                self.put(rule)
+        order, resources = self._order, self._resources
+        keep = resources.get(resource)
+        if keep is None:
+            keep = resources[resource] = sum(
+                flag for flag, rule in order.items() if rule.resource_matches(resource))
         for name, constrained in self._constrains.items():
             by_value = self._allows[name]
             hit = 0
@@ -294,7 +313,7 @@ class _Bucket:
         pool = []
         while keep:
             low = keep & -keep
-            pool.append(order[low.bit_length() - 1])
+            pool.append(order[low])
             keep ^= low
         return pool
 
@@ -307,21 +326,16 @@ class PolicyStore:
     its consumed packages, rejected ones included, in seq order with no
     holes: it serves gap-fill requests, and its lengths are the per-origin
     high-water marks.  Rules are indexed by (context, action), and each
-    bucket matches a request's subject attributes against per-attribute
-    bitmasks, so an evaluation reads only the rules ``candidates`` selects
-    instead of every rule.  A bucket's matcher is built on the first read
-    after a write to that bucket, never at construction.
+    bucket matches a request's resource and subject attributes against
+    bitmasks, so an evaluation reads only the rules that match it instead
+    of every rule.  A bucket's matcher is built on its first read, never
+    at construction, and kept current by each later write.
     """
 
-    def __init__(
-        self,
-        rules: Iterable[PolicyRule] = (),
-        regression: Sequence[RegressionCase] = (),
-    ):
+    def __init__(self, rules: Iterable[PolicyRule] = (), regression: Sequence[RegressionCase] = ()):
         self.rules: dict[str, PolicyRule] = {}
-        # (context, action) -> bucket; wildcard-action rules under
-        # (context, "*")
-        self._index: dict[tuple[str, str], _Bucket] = {}
+        # (context, action) -> bucket; wildcard-action rules under (context, "*")
+        self._index: defaultdict[tuple[str, str], _Bucket] = defaultdict(_Bucket)
         for rule in rules:
             if rule.id in self.rules:
                 raise MalformedUpdate(f"duplicate seed rule id {rule.id!r}")
@@ -415,9 +429,7 @@ class PolicyStore:
             assert isinstance(package.payload, PolicyRule)
             self._put_rule(package.payload)
         elif package.kind is UpdateKind.RULE_REMOVE:
-            gone = self.rules.pop(package.payload, None)
-            if gone is not None:
-                self._unindex(gone)
+            self._unindex(package.payload)
         elif package.kind is UpdateKind.BLOCKLIST_ADD:
             for context in package.contexts:
                 self.blocklist.add((context, package.payload))
@@ -427,23 +439,17 @@ class PolicyStore:
 
     def _put_rule(self, rule: PolicyRule) -> None:
         """Add or replace a rule; a replaced rule leaves the index first."""
-        old = self.rules.get(rule.id)
-        if old is not None:
-            self._unindex(old)
+        self._unindex(rule.id)
         self.rules[rule.id] = rule
         for context in rule.contexts:
-            key = (context, rule.action)
-            bucket = self._index.get(key)
-            if bucket is None:
-                bucket = self._index[key] = _Bucket()
-            bucket.put(rule)
+            self._index[context, rule.action].put(rule)
 
-    def _unindex(self, rule: PolicyRule) -> None:
-        for context in rule.contexts:
+    def _unindex(self, rule_id: str) -> None:
+        rule = self.rules.pop(rule_id, None)
+        for context in rule.contexts if rule is not None else ():
             key = (context, rule.action)
-            bucket = self._index[key]
-            bucket.drop(rule.id)
-            if not bucket.rules:
+            self._index[key].drop(rule_id)
+            if not self._index[key].rules:
                 del self._index[key]
 
     # queries
@@ -474,20 +480,15 @@ class PolicyStore:
         return hashlib.sha256(canonical_json(self._content()).encode("utf-8")).hexdigest()
 
     def candidates(self, request: DecisionRequest) -> list[PolicyRule]:
-        """Every rule that can match ``request``, each once: the rules of
-        its context's wildcard-action bucket, and of its action's own
-        bucket unless the action is ``"*"``, whose condition admits the
-        request's subject attributes.  The resource is left to the
-        evaluator, which re-checks every rule it is handed."""
-        keys = [(request.context, WILDCARD)]
-        if request.action != WILDCARD:
-            keys.append((request.context, request.action))
+        """Exactly the rules that match ``request``, each once, from its
+        context's wildcard-action bucket and, unless the action is ``"*"``,
+        its action's own bucket."""
         grouped = group_attrs(request.subject_attrs)
         pool: list[PolicyRule] = []
-        for key in keys:
-            bucket = self._index.get(key)
+        for action in (WILDCARD,) if request.action == WILDCARD else (WILDCARD, request.action):
+            bucket = self._index.get((request.context, action))
             if bucket is not None:
-                pool += bucket.select(grouped)
+                pool += bucket.select(grouped, request.resource_id)
         return pool
 
     # snapshot

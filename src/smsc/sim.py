@@ -215,9 +215,8 @@ def _read_declared(
 def token_from_spec(data: Any, where: str) -> Token:
     """A scenario token stanza as a token.  Its claims map names to lists
     of values, and a stanza without a signature is signed by its issuer."""
-    if not isinstance(data, dict):
-        raise ParseError(f"{where}: token stanza must be an object")
-    no_other_fields(data, {"subject", "issuer", "claims", "expiryTick", "sig"}, where)
+    no_other_fields(data, {"subject", "issuer", "claims", "expiryTick", "sig"},
+                    f"{where}: token stanza")
     claims = string_lists(data, "claims", where, {})
     subject, issuer = field(data, "subject", where, str), field(data, "issuer", where, str)
     expiry = field(data, "expiryTick", where, int)

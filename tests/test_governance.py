@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,13 +36,11 @@ from smsc.policy import (
 from .jsonfuzz import JSON_VALUES, field_at, field_paths, replaced
 from .oracles import (
     enumerate_conflicts,
-    naive_action_matches,
     naive_assess_impact,
     naive_cited_ids,
     naive_digest_reply,
     naive_evaluate,
     naive_rule_matches,
-    naive_subject_matches,
 )
 
 
@@ -403,16 +402,13 @@ def _rule_package(seq, change):
 
 def _check_against_the_oracle(store, model, requests):
     """Each request's pool holds, once each and current, exactly the rules
-    of its context whose action and subject match under the oracle, and
-    evaluating the pool gives the oracle's decision over the context."""
+    of its context that match it under the oracle, on action, resource and
+    subject, and evaluating the pool gives the oracle's decision over the
+    context."""
     for request in requests:
         scoped = [r for r in model.values() if request.context in r.contexts]
         pool = store.candidates(request)
-        expected = [
-            r.id for r in scoped
-            if naive_action_matches(r.action, request.action)
-            and naive_subject_matches(r.subject.atoms, request.subject_attrs)
-        ]
+        expected = [r.id for r in scoped if naive_rule_matches(r, request)]
         assert sorted(r.id for r in pool) == sorted(expected), request
         assert all(model[r.id] == r for r in pool), request
         decision = evaluate_request(pool, request)
@@ -435,6 +431,24 @@ def _check_against_the_oracle(store, model, requests):
     rule("r0", Effect.PERMIT, {"role": ["admin"]}, action="mgmt:x"),
     "r1",
     "r2",
+])
+# a rule removed after the first read frees its bit, and a new rule in the
+# same bucket takes it
+@example(steps=[
+    rule("r0", Effect.PERMIT, {"role": ["admin"]}),
+    rule("r1", Effect.DENY, {"dept": ["eng"]}, resource="*"),
+    "r0",
+    rule("r2", Effect.DENY, {"role": ["user"], "dept": ["ops"]}, resource="repo-a"),
+])
+# every resource id is read after the first write and again after each
+# later one, so each write must set or clear its rule's bit in the masks
+# of exactly the ids its pattern matches
+@example(steps=[
+    rule("r0", Effect.PERMIT, {}, resource="repo-a"),
+    rule("r1", Effect.DENY, {"role": ["user"]}, resource="*"),
+    rule("r2", Effect.PERMIT, {"role": ["user"]}, resource="repo-*"),
+    "r1",
+    rule("r0", Effect.DENY, {}, resource="*"),
 ])
 def test_indexed_decisions_match_the_oracle(steps):
     store = PolicyStore()
@@ -489,21 +503,83 @@ def test_matcher_over_a_bucket_wider_than_two_machine_words():
 
 
 def test_read_right_after_a_write_to_the_same_bucket_sees_it():
-    store = PolicyStore([rule("r0", Effect.PERMIT, {"role": ["admin"]})])
+    """Each read equals the oracle's pool: the rules that match the request
+    on action, resource and subject, among those the last write left."""
+    model = {"r0": rule("r0", Effect.PERMIT, {"role": ["admin"]})}
+    store = PolicyStore(model.values())
     request = DecisionRequest(
         frozenset({AttributePair("role", "admin")}), "read", "repo-a", "work", 0
     )
 
     def pool_ids():
-        return sorted(r.id for r in store.candidates(request))
+        pool = sorted(r.id for r in store.candidates(request))
+        assert pool == sorted(r.id for r in model.values() if naive_rule_matches(r, request))
+        return pool
 
     assert pool_ids() == ["r0"]
-    store.apply_update(upd(0, UpdateKind.RULE_ADD, rule("r1", Effect.DENY, {"role": ["admin"]})))
-    assert pool_ids() == ["r0", "r1"]
-    store.apply_update(upd(1, UpdateKind.RULE_ADD, rule("r0", Effect.PERMIT, {"role": ["user"]})))
-    assert pool_ids() == ["r1"]
-    store.apply_update(upd(2, UpdateKind.RULE_REMOVE, "r1"))
-    assert pool_ids() == []
+    writes = [
+        rule("r1", Effect.DENY, {"role": ["admin"]}),
+        rule("r2", Effect.DENY, {"role": ["admin"]}, resource="log"),
+        rule("r0", Effect.PERMIT, {"role": ["user"]}),
+        "r1",
+    ]
+    pools = []
+    for seq, change in enumerate(writes):
+        store.apply_update(_rule_package(seq, change))
+        if isinstance(change, PolicyRule):
+            model[change.id] = change
+        else:
+            del model[change]
+        pools.append(pool_ids())
+    assert pools == [["r0", "r1"], ["r0", "r1"], ["r1"], []]
+
+
+def test_rule_churn_keeps_the_bucket_within_its_live_rules():
+    """2,000 fresh rule ids come into one bucket and leave it again, with
+    a read between writes; each rule names a fresh user and a shared one.
+    Every read equals the oracle; the bit space,
+    free bits included, never exceeds the peak count of live rules; and
+    the subject masks hold only the names and values of live rules."""
+    rng = random.Random(7)
+    keep = rule("keep", Effect.PERMIT, {"dept": ["eng"]}, resource="*")
+    model = {keep.id: keep}
+    store = PolicyStore(model.values())
+    requests = [
+        DecisionRequest(frozenset({AttributePair("user", user), AttributePair("dept", "eng")}),
+                        "read", resource, "work", 0)
+        for user in ("u1", "u2")
+        for resource in ("repo-a", "log")
+    ]
+    resources = ("repo-a", "repo-*", "log", "*")
+    fresh, seq, peak = iter(range(2000)), 0, 0
+    while True:
+        live = [rid for rid in model if rid != keep.id]
+        adding = len(live) < 2 or (len(live) < 16 and rng.random() < 0.5)
+        i = next(fresh, None) if adding else None
+        if i is None and not live:
+            break
+        if i is not None:
+            change = rule(f"n{i}", rng.choice(list(Effect)),
+                          {"user": [f"u{i}", f"u{i % 4}"], "dept": ["eng"]} if i % 3 else {},
+                          resource=resources[i % 4])
+            model[change.id] = change
+        else:
+            change = live[rng.randrange(len(live))]
+            del model[change]
+        store.apply_update(_rule_package(seq, change))
+        seq += 1
+        peak = max(peak, len(model))
+        for request in requests:
+            pool = sorted(r.id for r in store.candidates(request))
+            assert pool == sorted(r.id for r in model.values() if naive_rule_matches(r, request))
+        bucket = store._index["work", "read"]
+        bits = sorted(flag.bit_length() - 1 for flag in [*bucket._flags.values(), *bucket._free])
+        assert bits == list(range(len(bits)))
+        assert len(bits) <= peak
+        values = {(name, v) for r in model.values() for name, vs in r.subject.atoms for v in vs}
+        assert {(name, v) for name, by in bucket._allows.items() for v in by} == values
+        assert set(bucket._constrains) == {name for name, _ in values}
+    assert seq == 4000
 
 
 @given(
