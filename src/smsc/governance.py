@@ -40,6 +40,7 @@ from .policy import (
     Effect,
     PolicyRule,
     RegressionCase,
+    Verdict,
     canonical_json,
     evaluate_request,
     group_attrs,
@@ -68,10 +69,6 @@ class ConfigSetting:
 
 
 Payload = Union[PolicyRule, ConfigSetting, str]
-
-
-def _payload_to_wire(payload: Payload) -> Any:
-    return payload if isinstance(payload, str) else payload.to_wire()
 
 
 def payload_from_wire(kind: UpdateKind, data: Any) -> Payload:
@@ -116,7 +113,7 @@ class UpdatePackage:
             "origin": self.origin,
             "seq": self.seq,
             "kind": self.kind.value,
-            "payload": _payload_to_wire(self.payload),
+            "payload": self.payload if isinstance(self.payload, str) else self.payload.to_wire(),
             "contexts": sorted(self.contexts),
             "issuedTick": self.issued_tick,
         }
@@ -175,15 +172,17 @@ def assess_update_impact(
     package: UpdatePackage,
     regression: Sequence[RegressionCase],
 ) -> ImpactAssessment:
-    """Replay pinned cases against the hypothetical post-update rule set.
+    """Find the pinned cases an update would flip.
 
     Only rule changes can move a decision; blocklist and config packages
     are accepted without replay.  A verdict depends only on the set of
     rules that match, so a case that neither the added rule nor the rule
-    it replaces or removes matches keeps its verdict and is skipped; the
-    others are replayed over the rules in their context.  A flip on a
-    protected case blocks the package; unprotected flips are reported
-    but do not block.
+    it replaces or removes matches keeps its verdict and is skipped.  The
+    others are replayed once, over the rules in their context before the
+    change, and the verdict after it follows from that decision and the
+    added rule's match; only a Deny whose one cited rule goes is replayed
+    again, since a Deny cites no Permit rule.  A flip on a protected case
+    blocks the package; unprotected flips are reported but do not block.
     """
     if package.kind in (UpdateKind.BLOCKLIST_ADD, UpdateKind.CONFIG_SET):
         return ImpactAssessment()
@@ -194,18 +193,29 @@ def assess_update_impact(
     else:
         assert isinstance(package.payload, str)
         gone_id = package.payload
-    changed = [r for r in (added, rules.get(gone_id)) if r is not None]
+    replaced = rules.get(gone_id)
+    changed = [r for r in (added, replaced) if r is not None]
     flipped: list[RegressionCase] = []
     for case in regression:
         request = case.request
-        if not any(matching_rule_ids(changed, request)):
+        deny, permit = matching_rule_ids(changed, request)
+        if not deny and not permit:
             continue
+        if added is None:
+            deny = permit = []
+        elif replaced is not None:  # both carry gone_id: match the added rule alone
+            deny, permit = matching_rule_ids((added,), request)
         before = [r for r in rules.values() if request.context in r.contexts]
-        after = [r for r in before if r.id != gone_id]
-        if added is not None and request.context in added.contexts:
-            after.append(added)
-        old = evaluate_request(before, request).verdict
-        new = evaluate_request(after, request).verdict
+        decision = evaluate_request(before, request)
+        old, cited = decision.verdict, decision.matched_rule_ids
+        if deny or (old is Verdict.DENY and cited != (gone_id,)):
+            new = Verdict.DENY
+        elif permit:
+            new = Verdict.PERMIT
+        elif old is Verdict.DENY:  # its one Deny rule goes: the Permit rules decide
+            new = evaluate_request([r for r in before if r.id != gone_id], request).verdict
+        else:
+            new = Verdict.PERMIT if any(i != gone_id for i in cited) else Verdict.NOT_APPLICABLE
         if old != new:
             flipped.append(case)
     return ImpactAssessment(tuple(flipped), next((c for c in flipped if c.protected), None))
@@ -557,16 +567,11 @@ def _condition_overlap(
     a: PolicyRule, b: PolicyRule, spec: DomainSpec
 ) -> Optional[dict[str, str]]:
     """Smallest per-attribute witness values, or None if unsatisfiable."""
-    constrained = dict(a.subject.atoms)
+    atoms_a, atoms_b = dict(a.subject.atoms), dict(b.subject.atoms)
     witness: dict[str, str] = {}
-    for name, values_b in b.subject.atoms:
-        allowed = values_b & constrained.pop(name) if name in constrained else values_b
-        feasible = sorted(allowed & set(spec.domains[name]))
-        if not feasible:
-            return None
-        witness[name] = feasible[0]
-    for name, values_a in constrained.items():
-        feasible = sorted(values_a & set(spec.domains[name]))
+    for name in atoms_a.keys() | atoms_b.keys():
+        domain = frozenset(spec.domains[name])
+        feasible = sorted(domain & atoms_a.get(name, domain) & atoms_b.get(name, domain))
         if not feasible:
             return None
         witness[name] = feasible[0]
@@ -609,15 +614,8 @@ def detect_conflicts(rules: Sequence[PolicyRule], spec: DomainSpec) -> list[Conf
             values = _condition_overlap(a, b, spec)
             if values is None:
                 continue
-            witness = DecisionRequest(
-                subject_attrs=frozenset(
-                    AttributePair(n, v) for n, v in values.items()
-                ),
-                action=actions[0],
-                resource_id=resources[0],
-                context=contexts[0],
-                tick=0,
-            )
+            witness = DecisionRequest(frozenset(AttributePair(n, v) for n, v in values.items()),
+                                      actions[0], resources[0], contexts[0], 0)
             permit, deny = (a, b) if a.effect is Effect.PERMIT else (b, a)
             reports.append(ConflictReport(permit.id, deny.id, witness))
     return reports

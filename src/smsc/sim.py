@@ -370,12 +370,10 @@ def parse_scenario(
     topology = field(data, "topology", "scenario", dict, {})
     no_other_fields(topology, {"links"}, "topology")
     links = tuple(_parse_link(l, known) for l in objects(topology, "links", "topology", []))
-    seen_links = set()
+    seen_links: dict[frozenset[str], LinkSpec] = {}
     for link in links:
-        key = frozenset((link.a, link.b))
-        if key in seen_links:
+        if seen_links.setdefault(frozenset((link.a, link.b)), link) is not link:
             raise ParseError(f"scenario: duplicate link {link.a}-{link.b}")
-        seen_links.add(key)
     max_ticks = field(data, "maxTicks", "scenario", int, 10, 0)
     return ScenarioSpec(
         name=field(data, "name", "scenario", str, "unnamed"),
@@ -408,7 +406,8 @@ def load_scenario(path: str) -> ScenarioSpec:
 class EventLog:
     """Append-only JSON-lines log, held in one place: a log with a sink
     writes every line to it and keeps nothing; one without keeps the
-    encoded lines, and ``records`` decodes them on demand."""
+    encoded lines, and ``records`` decodes them on demand.  Each line is
+    written without the encoder and equals ``canonical_json`` of its record."""
 
     def __init__(self, sink: Optional[TextIO] = None):
         self._sink = sink
@@ -425,8 +424,16 @@ class EventLog:
             self._sink.write(line + "\n")
 
     def record(self, tick: int, cell: str, kind: str, detail: Mapping[str, Any]) -> None:
-        entry = {"tick": tick, "cell": cell, "kind": kind, "detail": dict(detail)}
-        self._write(canonical_json(entry))
+        parts = []
+        for key in sorted(detail):
+            value = detail[key]
+            if type(value) is str:
+                value = _quote(value)
+            elif type(value) is not int:  # bool, None, float, list, dict, enum
+                value = canonical_json(value)
+            parts.append(f"{_quote(key)}:{value}")
+        self._write(f'{{"cell":{_quote(cell)},"detail":{{{",".join(parts)}}},'
+                    f'"kind":{_quote(kind)},"tick":{tick}}}')
 
     def record_envelope(
         self, tick: int, kind: str, envelope: SimEnvelope, reason: Optional[str] = None
@@ -576,9 +583,7 @@ class Simulator:
     ) -> None:
         route = self._routes.get((src, dst))
         if route is None or dst not in self.cells:
-            self.log.record(tick, src, "drop", {
-                "kind": kind, "dst": dst, "reason": "no-link",
-            })
+            self.log.record(tick, src, "drop", {"kind": kind, "dst": dst, "reason": "no-link"})
             return
         net_seq = self._next_net_seq
         self._next_net_seq = net_seq + 1
@@ -622,8 +627,7 @@ class Simulator:
 
     def _run_assertions(self, tick: Optional[int]) -> None:
         for spec in self.spec.assertions:
-            due = spec.at_tick is None if tick is None else spec.at_tick == tick
-            if due:
+            if spec.at_tick == tick:  # None: after the final tick
                 self._evaluate_assertion(spec)
 
     # --- main loop --------------------------------------------------------
@@ -648,10 +652,7 @@ class Simulator:
             # the failed tick's on_tick calls may not have run
             for cell_id in self._cell_order:
                 self.cells[cell_id].record_bus()
-            entry = {
-                "id": "run-error", "ok": False,
-                "detail": f"{type(exc).__name__}: {exc}",
-            }
+            entry = {"id": "run-error", "ok": False, "detail": f"{type(exc).__name__}: {exc}"}
             self.log.record(self.tick, SIM, "assert", entry)
             self.results.append(entry)
         # every assertion fired once and passed, and the run raised nothing

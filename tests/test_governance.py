@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smsc import policy
+from smsc import governance, policy
 from smsc.catalogue import CellProfile
 from smsc.cell import Cell
 from smsc.errors import BadSignature, MalformedUpdate, UnknownAttributeDomain
@@ -582,6 +582,31 @@ def test_rule_churn_keeps_the_bucket_within_its_live_rules():
     assert seq == 4000
 
 
+# a pinned request, and a rule change per branch of the impact check, as
+# (rules before, change, governance.evaluate_request calls for the case):
+# (a) the case's only matching Deny rule goes while a Permit rule still
+# matches, so the case is replayed again without it; (b) a matching Deny
+# rule is added over a Permit; (c) the only matching Permit rule goes; (d)
+# a matching rule is replaced under its id by one of the opposite effect
+_ADMIN_READ = DecisionRequest(
+    frozenset({AttributePair("role", "admin")}), "read", "repo-a", "work", 0)
+_BRANCHES = {
+    "a": ([rule("r0", Effect.DENY, {"role": ["admin"]}), rule("r1", Effect.PERMIT, {})],
+          "r0", 2),
+    "b": ([rule("r0", Effect.PERMIT, {})], rule("r1", Effect.DENY, {"role": ["admin"]}), 1),
+    "c": ([rule("r0", Effect.PERMIT, {}), rule("r1", Effect.DENY, {"role": ["user"]})],
+          "r0", 1),
+    "d": ([rule("r0", Effect.DENY, {"role": ["admin"]})],
+          rule("r0", Effect.PERMIT, {"role": ["admin"]}), 1),
+}
+
+
+def _branch_example(name):
+    seeded, change, _ = _BRANCHES[name]
+    return example(seeded=seeded, change=change,
+                   regression=[RegressionCase(_ADMIN_READ, Verdict.PERMIT, protected=True)])
+
+
 @given(
     seeded=st.lists(_rules, max_size=3, unique_by=lambda r: r.id),
     change=st.one_of(_rules, st.sampled_from(_IDS)),
@@ -595,6 +620,10 @@ def test_rule_churn_keeps_the_bucket_within_its_live_rules():
         max_size=6,
     ),
 )
+@_branch_example("a")
+@_branch_example("b")
+@_branch_example("c")
+@_branch_example("d")
 def test_incremental_impact_matches_a_full_replay(seeded, change, regression):
     rules = {r.id: r for r in seeded}
     package = _rule_package(0, change)
@@ -602,6 +631,24 @@ def test_incremental_impact_matches_a_full_replay(seeded, change, regression):
     flipped, blocking = naive_assess_impact(rules, package, regression)
     assert assessment.flipped == flipped
     assert assessment.blocking == blocking
+
+
+@pytest.mark.parametrize("branch", sorted(_BRANCHES))
+def test_impact_check_replays_a_matched_case_once_unless_its_one_deny_goes(
+        monkeypatch, branch):
+    """Each case the change matches is replayed once over the rules before
+    it, and a second time only when its one cited Deny rule goes; a case
+    the change does not match is not replayed at all."""
+    seeded, change, replays = _BRANCHES[branch]
+    replayed = []
+    monkeypatch.setattr(governance, "evaluate_request",
+                        lambda rules, request: replayed.append(request)
+                        or evaluate_request(rules, request))
+    elsewhere = DecisionRequest(_ADMIN_READ.subject_attrs, "read", "repo-a", "home", 0)
+    cases = [RegressionCase(request, Verdict.PERMIT) for request in (elsewhere, _ADMIN_READ)]
+    assessment = assess_update_impact({r.id: r for r in seeded}, _rule_package(0, change), cases)
+    assert assessment.flipped == (cases[1],)
+    assert replayed == [_ADMIN_READ] * replays
 
 
 def test_impact_check_groups_each_case_attributes_once(monkeypatch):

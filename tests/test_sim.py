@@ -16,7 +16,7 @@ from smsc.errors import (
     SmscError,
     UnknownCellRef,
 )
-from smsc.governance import UpdateKind, make_update
+from smsc.governance import ApplyStatus, UpdateKind, make_update
 from smsc.policy import canonical_json
 from smsc.prng import stream_for_link
 from smsc.sim import (
@@ -1028,6 +1028,36 @@ def test_envelope_line_equals_the_canonical_record(kind, dst, envelope_kind, src
         detail["reason"] = reason
     assert log.lines == [canonical_json(
         {"tick": tick, "cell": dst, "kind": kind, "detail": detail}
+    )]
+
+
+# detail values: recursive JSON, with big and negative integers and text
+# that holds the characters JSON escapes, and the str-valued enum members
+# the cells record; half of them scalars, which the writer handles itself
+_DETAIL_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+    | st.integers(max_value=-2**64) | st.floats(allow_nan=False, allow_infinity=False)
+    | _WIRE_TEXT | st.sampled_from(ApplyStatus)
+)
+_DETAIL_VALUES = _DETAIL_SCALARS | st.recursive(
+    _DETAIL_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_WIRE_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(st.integers(), _WIRE_TEXT, _WIRE_TEXT,
+       st.dictionaries(_WIRE_TEXT, _DETAIL_VALUES, max_size=6))
+def test_record_line_equals_the_canonical_record(tick, cell, kind, detail):
+    """A record line written without the encoder is the line
+    ``canonical_json`` gives for the same record, whatever its cell, kind
+    and detail: keys in any order, bools, None, integers of any size and
+    sign, floats, enum members, nested lists and objects, and text with
+    quotes, backslashes, control and non-ASCII characters."""
+    log = EventLog()
+    log.record(tick, cell, kind, detail)
+    assert log.lines == [canonical_json(
+        {"tick": tick, "cell": cell, "kind": kind, "detail": detail}
     )]
 
 
