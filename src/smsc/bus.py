@@ -1,7 +1,8 @@
 """In-cell message bus: a numbered queue with one consumer.
 
-Each cell owns one bus, and the cell's audit service drains it.  There
-are no subscriptions and no topic filters.
+Each cell owns one bus and drains it after each publish, writing one
+``bus`` record per envelope.  There are no subscriptions and no topic
+filters.
 """
 
 from __future__ import annotations
@@ -23,14 +24,10 @@ class MessageBus:
         self._queue: list[Envelope] = []
         self._next_seq = 0
 
-    def publish(self, topic: str, publisher_id: str) -> int:
-        """Number and queue one envelope; returns the queue length."""
+    def publish(self, topic: str, publisher_id: str) -> None:
+        """Number and queue one envelope."""
         self._queue.append(Envelope(topic, publisher_id, self._next_seq))
         self._next_seq += 1
-        return len(self._queue)
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     def drain(self) -> list[Envelope]:
         """Return and clear the queued envelopes, bus_seq order."""

@@ -18,10 +18,9 @@ between cells.
 The observer is the cell's one recording channel: every fact the cell
 records goes to it as a ``(kind, detail)`` pair, and the simulator
 writes each pair to the event log.  Decisions and applied updates are
-also queued on the bus; its one consumer, the audit service, drains it
-into one ``bus`` record per envelope in ``on_tick`` (a cell whose bus
-holds envelopes is due on that tick), or at once when the queue reaches
-``AUDIT_QUEUE_CAP``.
+also published on the bus, and the bus is drained at once: each
+envelope's ``bus`` record follows the ``decision`` or applied ``update``
+record it reports, so the bus holds nothing between calls.
 """
 
 from __future__ import annotations
@@ -66,9 +65,6 @@ MANAGEMENT_COMMANDS = frozenset(
 
 # unanswered op-req/mgmt-req ids kept for pairing; the oldest goes first
 PENDING_REQUEST_CAP = 256
-
-# bus envelopes queued for the audit drain; reaching it drains at once
-AUDIT_QUEUE_CAP = 1024
 
 # entries kept in _verified and in _read_tokens; the oldest goes first
 VERIFIED_CAP = 1024
@@ -147,8 +143,14 @@ class Cell:
         return out
 
     def _publish(self, topic: str, publisher_id: str) -> None:
-        if self.bus.publish(topic, publisher_id) >= AUDIT_QUEUE_CAP:
-            self.record_bus()
+        """Publish one envelope and write its ``bus`` record at once."""
+        self.bus.publish(topic, publisher_id)
+        for envelope in self.bus.drain():
+            self._observer(
+                "bus",
+                {"topic": envelope.topic, "publisher": envelope.publisher_id,
+                 "busSeq": envelope.bus_seq},
+            )
 
     # --- decision pipeline ------------------------------------------------
 
@@ -390,24 +392,13 @@ class Cell:
 
     # --- periodic work ----------------------------------------------------
 
-    def record_bus(self) -> None:
-        """Write one ``bus`` record per envelope published since the last
-        drain, in bus_seq order."""
-        for envelope in self.bus.drain():
-            self._observer(
-                "bus",
-                {"topic": envelope.topic, "publisher": envelope.publisher_id,
-                 "busSeq": envelope.bus_seq},
-            )
-
     def on_tick(self, now: int) -> None:
-        """Periodic work: record the tick's bus envelopes, expire stale
-        peers, then advertise and send a digest when they are due.
+        """Periodic work: expire stale peers, then advertise and send a
+        digest when they are due.
 
         It may be called every tick.  On a tick before ``due_tick`` it
         records and sends nothing, which is why the simulator calls it
         only for due cells."""
-        self.record_bus()
         for cell_id in self.catalogue.expire_stale(now):
             self._observer("peer-expired", {"peer": cell_id})
         if now % self.advertise_interval == 0:
@@ -417,10 +408,8 @@ class Cell:
 
     def due_tick(self, now: int) -> int:
         """The first tick from ``now`` on whose ``on_tick`` may record or
-        send: ``now`` while the bus holds envelopes, else the next advert
-        or digest tick or the catalogue's expiry bound, if that is sooner."""
-        if len(self.bus):
-            return now
+        send: the next advert or digest tick, or the catalogue's expiry
+        bound if that is sooner."""
         return max(now, min(now + -now % self.advertise_interval,
                             now + -now % self.anti_entropy_interval,
                             self.catalogue.earliest_expiry))

@@ -126,10 +126,7 @@ def group_attrs(attrs: Iterable[AttributePair]) -> dict[str, set[str]]:
 
 
 def attrs_to_wire(attrs: frozenset[AttributePair]) -> dict[str, list[str]]:
-    grouped: dict[str, list[str]] = {}
-    for pair in sorted(attrs):
-        grouped.setdefault(pair.name, []).append(pair.value)
-    return grouped
+    return {name: sorted(values) for name, values in sorted(group_attrs(attrs).items())}
 
 
 def attrs_from_wire(data: Mapping[str, Iterable[str]]) -> frozenset[AttributePair]:

@@ -141,8 +141,6 @@ class ScenarioSpec:
 
 # --- scenario parsing -----------------------------------------------------
 
-PolicyResolver = Callable[[str], PolicyDocument]
-
 # Each field of an op or check, declared once: its type, or a (type,
 # default) pair when it may be absent.  CELL is a known cell id, CELLS a
 # non-empty list of them.  A field declared nowhere is refused.
@@ -229,7 +227,7 @@ def token_from_spec(data: Any, where: str) -> Token:
         raise ParseError(f"{where}: bad token: {exc}") from None
 
 
-def _parse_cell(data: Mapping[str, Any], resolver: Optional[PolicyResolver]) -> CellSpec:
+def _parse_cell(data: Mapping[str, Any], base: Optional[str]) -> CellSpec:
     cell_id = field(data, "cellId", "cell", str)
     where = f"cell {cell_id!r}"
     no_other_fields(data, _CELL_FIELDS, where)
@@ -247,9 +245,13 @@ def _parse_cell(data: Mapping[str, Any], resolver: Optional[PolicyResolver]) -> 
         if "policyFile" in data:
             if "policy" in data:
                 raise ParseError("give 'policy' or 'policyFile', not both")
-            if resolver is None:
-                raise ParseError("policyFile given but no way to resolve it")
-            policy = resolver(field(data, "policyFile", where, str))
+            name = field(data, "policyFile", where, str)
+            if base is None:
+                raise ParseError(f"policyFile {name!r} given but no directory to find it in")
+            try:
+                policy = load_policy_document(os.path.join(base, name))
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ParseError(f"policyFile {name!r}: {exc}") from None
         elif "policy" in data:
             policy = PolicyDocument.from_wire(data["policy"])
         else:
@@ -356,10 +358,10 @@ def _parse_assertions(specs: list, known: set[str], max_ticks: int) -> tuple[Ass
     return tuple(out)
 
 
-def parse_scenario(
-    data: Mapping[str, Any], resolver: Optional[PolicyResolver] = None
-) -> ScenarioSpec:
-    cells = tuple(_parse_cell(c, resolver) for c in objects(data, "cells", "scenario"))
+def parse_scenario(data: Mapping[str, Any], base: Optional[str] = None) -> ScenarioSpec:
+    """The scenario in ``data``; a cell's ``policyFile`` is read from the
+    directory ``base``."""
+    cells = tuple(_parse_cell(c, base) for c in objects(data, "cells", "scenario"))
     if not cells:
         raise ParseError("scenario: no cells")
     no_other_fields(data, {"name", "seed", "maxTicks", "cells", "topology", "script",
@@ -389,15 +391,7 @@ def parse_scenario(
 def load_scenario(path: str) -> ScenarioSpec:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    base = os.path.dirname(os.path.abspath(path))
-
-    def resolver(name: str) -> PolicyDocument:
-        try:
-            return load_policy_document(os.path.join(base, name))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"policyFile {name!r}: {exc}") from None
-
-    return parse_scenario(data, resolver)
+    return parse_scenario(data, os.path.dirname(os.path.abspath(path)))
 
 
 # --- the event log --------------------------------------------------------
@@ -410,18 +404,13 @@ class EventLog:
     written without the encoder and equals ``canonical_json`` of its record."""
 
     def __init__(self, sink: Optional[TextIO] = None):
-        self._sink = sink
         self.lines: list[str] = []
+        self._write: Callable[[str], Any] = (
+            self.lines.append if sink is None else lambda line: sink.write(line + "\n"))
 
     @property
     def records(self) -> list[dict[str, Any]]:
         return [json.loads(line) for line in self.lines]
-
-    def _write(self, line: str) -> None:
-        if self._sink is None:
-            self.lines.append(line)
-        else:
-            self._sink.write(line + "\n")
 
     def record(self, tick: int, cell: str, kind: str, detail: Mapping[str, Any]) -> None:
         parts = []
@@ -649,9 +638,6 @@ class Simulator:
                 self._step(self.tick)
             self._run_assertions(None)
         except SmscError as exc:
-            # the failed tick's on_tick calls may not have run
-            for cell_id in self._cell_order:
-                self.cells[cell_id].record_bus()
             entry = {"id": "run-error", "ok": False, "detail": f"{type(exc).__name__}: {exc}"}
             self.log.record(self.tick, SIM, "assert", entry)
             self.results.append(entry)

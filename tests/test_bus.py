@@ -5,13 +5,14 @@ from smsc.bus import MessageBus
 
 def test_publish_numbers_envelopes_from_zero():
     bus = MessageBus()
-    assert [bus.publish("cell.op", "pep") for _ in range(3)] == [1, 2, 3]
+    for _ in range(3):
+        bus.publish("cell.op", "pep")
     envelopes = bus.drain()
     assert [(e.topic, e.publisher_id, e.bus_seq) for e in envelopes] == [
         ("cell.op", "pep", 0), ("cell.op", "pep", 1), ("cell.op", "pep", 2),
     ]
-    # numbering runs on across drains; the queue length starts over
-    assert bus.publish("policy.updated", "governance") == 1
+    # numbering runs on across drains
+    bus.publish("policy.updated", "governance")
     assert [e.bus_seq for e in bus.drain()] == [3]
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from smsc.catalogue import MAX_TTL_TICKS, CellProfile
 from smsc import cell as cell_module
 from smsc.cell import (
-    AUDIT_QUEUE_CAP, ENVELOPE_KINDS, MANAGEMENT_COMMANDS, PENDING_REQUEST_CAP, VERIFIED_CAP, Cell,
+    ENVELOPE_KINDS, MANAGEMENT_COMMANDS, PENDING_REQUEST_CAP, VERIFIED_CAP, Cell,
 )
 from smsc.errors import UnknownCell
 from smsc.governance import (
@@ -468,28 +468,23 @@ def test_decision_is_published_on_the_bus_and_observed():
     assert len(decisions) == 1
     assert decisions[0]["verdict"] == "Permit"
     assert decisions[0]["caller"] == "ext"
-    # the queued audit consumer records it on the next tick drain
-    assert [k for k, _ in events] == ["decision"]
+    # the bus record is written as the decision is published
+    assert [k for k, _ in events] == ["decision", "bus"]
+    assert events[1][1] == {"topic": "cell.op", "publisher": "pep", "busSeq": 0}
     cell.on_tick(5)
-    bus_events = [d for k, d in events if k == "bus"]
-    assert bus_events == [{"topic": "cell.op", "publisher": "pep", "busSeq": 0}]
-    cell.on_tick(6)
-    assert len([k for k, _ in events if k == "bus"]) == 1
+    assert [k for k, _ in events] == ["decision", "bus"]
 
 
-def test_audit_queue_is_bounded_without_ticks():
-    """A cell driven without ``on_tick`` never holds more than
-    AUDIT_QUEUE_CAP undrained envelopes, and loses none of them."""
-    seqs = []
-    cell = make_cell(
-        observer=lambda kind, detail: seqs.append(detail["busSeq"]) if kind == "bus" else None
-    )
+def test_each_decision_is_recorded_on_the_bus_without_ticks():
+    """A cell driven without ``on_tick`` writes each decision's bus record
+    right after the decision, and loses none of them."""
+    events = []
+    cell = make_cell(observer=lambda kind, detail: events.append((kind, detail)))
     body = op_body(token())
-    for published in range(1, 5001):
+    for _ in range(5000):
         cell.handle_operation(body, "ext", 1)
-        assert published - len(seqs) < AUDIT_QUEUE_CAP
-    cell.on_tick(2)
-    assert seqs == list(range(5000))
+    assert [k for k, _ in events] == ["decision", "bus"] * 5000
+    assert [d["busSeq"] for k, d in events if k == "bus"] == list(range(5000))
 
 
 # --- management ------------------------------------------------------------
@@ -623,7 +618,7 @@ def test_malformed_payload_of_a_permitted_command_is_contained(command, payload,
         assert reply.kind == "mgmt-resp"
         assert reply.body["requestId"] == msg.body["requestId"]
         response = {k: v for k, v in reply.body.items() if k != "requestId"}
-        assert [k for k, _ in events] == ["decision"]
+        assert [k for k, _ in events] == ["decision", "bus"]
     assert response["status"] == "denied"
     assert response["reason"].startswith("malformed-payload: ")
     assert b.store.version == 0 and b.store.digest() == {}

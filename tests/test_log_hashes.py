@@ -6,10 +6,17 @@ value.  A change that only makes the simulator faster must leave every
 hash as it is.  A change that alters the log on purpose updates the
 hashes here and names the record kinds that changed.
 
-``MESH_HASH`` was last re-pinned when a scenario lost its topology
-partition windows: the generated mesh's window from tick 5 to 12 became
-a ``partition`` op with ``until``, which adds one ``fault`` record at
-tick 5; every other line is byte-identical, in the same order.
+The hashes were last re-pinned when the cell began writing each ``bus``
+record as it publishes the envelope, not when a later ``on_tick`` drains
+the bus.  Only the position of ``bus`` records changed: each keeps its
+tick, cell and detail, and moves up to follow the ``decision`` or applied
+``update`` record it reports, so each cell's ``bus`` records keep their
+order.  Every other line is byte-identical, in the same order.
+
+Before that, ``MESH_HASH`` was re-pinned when a scenario lost its
+topology partition windows: the generated mesh's window from tick 5 to
+12 became a ``partition`` op with ``until``, which adds one ``fault``
+record at tick 5; every other line is byte-identical, in the same order.
 
 Before that, the hashes were re-pinned when the cell's audit list was
 deleted and the event log became the cell's one recording channel.
@@ -41,26 +48,26 @@ SHIPPED = os.path.join(REPO_ROOT, "scenarios")
 
 CORPUS_HASHES = {
     "corporate-and-personal":
-        "cceaa7384b16300cca91229ebca28b89a4f49e742fa420a501f610f2fca68f67",
+        "9f2e9a7a51f6c2a4e9dfd5d2aa9b8fa508b7cbe78b8214eed91ba25b77318b52",
     "lossy-convergence":
-        "61a35117252a7222abd63429e2cccac2ae2b5ffa0976b418358e0a4848268d5a",
+        "ce6a4e2037f134e48cbac2858698e1445b7550dcc06c9b4371d365d60a873b7c",
     "partition-heal":
         "5908ad6976f46bb85547d53483725f40efbc8ed3453150857463221f36d1240a",
     "registry-discovery":
         "a1a07191d5cc4675112409a3ee89dbe1179bb8c9ed767316fd6d2a5f6ed68385",
     "ring-flood":
-        "15df2a84e07726194cf1c2e47a7215680c435cfb0c104eb4b463aa4cf7b2e097",
+        "bda6cad6d8624a99c227364c96d17dc1473dfc24184b88a7adc62631e3beb0f4",
     "spamfilter-disjoint-contexts":
-        "a3a0aa40bda3fe6f7702eb1ed1ab7cd1d1f2796f08f3c184fc69a3841d3d364e",
+        "9456cce12b2093f7ba01bbb2495411471f8af9960e179c5caf7a2473e3e56106",
     "spamfilter-no-link":
-        "348bc9a0fff802eaf8dc73cdb64d156c0f79ebaf343824061fda416085fa75a3",
+        "fcce30f30473cf313d5ace25799e6474d465a1084fe983bcdc96f281ede2c349",
     "spamfilter-reuse":
-        "5714fe7c0cd52de572c28d9498475d36361ce4bdd69ea928ea47f135c08b798c",
+        "4a396cd11d1b1d77c8c7e40ac9cc5278af95d2c58c9472dfc59c91a136491988",
 }
 
-MESH_HASH = "e23587b894ff4ebe1a5ba05f8475eaa07878aae7fdb08bacea3c2b288bd43990"
+MESH_HASH = "e4ce63fad3e8f0154cf801d624f8a2905faf078706582e39faeddf541e3700aa"
 
-REQUESTS_HASH = "a676f8278df8a0a7828aad1fac9685627077d72514786fdcb5ec42cc439947ae"
+REQUESTS_HASH = "2c4f025c518eca5fc021c9767092a6bfa1735040946e872449086bcc58e7d392"
 
 PERMIT_ANY = {
     "rules": [{
@@ -260,7 +267,8 @@ def test_request_exchange_log_hash_is_pinned():
 def test_every_published_fact_has_one_bus_record(name):
     """Each ``decision`` has one ``cell.op`` bus record and each applied
     ``update`` one ``policy.updated`` bus record, with the same cell and
-    tick; per cell, busSeq runs 0, 1, 2, ... with no envelope missing."""
+    tick, on the line right after it; per cell, busSeq runs 0, 1, 2, ...
+    with no envelope missing."""
     if name == "generated-mesh":
         sim = Simulator(parse_scenario(generated_mesh()))
     elif name == "request-exchange":
@@ -270,16 +278,23 @@ def test_every_published_fact_has_one_bus_record(name):
     sim.run()
     facts, buses = Counter(), Counter()
     seqs = defaultdict(list)
+    published = None  # (tick, cell, topic) of a fact the next line must report
     for record in sim.log.records:
         kind, detail = record["kind"], record["detail"]
         where = (record["tick"], record["cell"])
+        if published is not None:
+            assert kind == "bus" and where + (detail["topic"],) == published, record
+        published = None
         if kind == "decision":
-            facts[where + ("cell.op",)] += 1
+            published = where + ("cell.op",)
         elif kind == "update" and detail["status"] == "applied":
-            facts[where + ("policy.updated",)] += 1
+            published = where + ("policy.updated",)
         elif kind == "bus":
             buses[where + (detail["topic"],)] += 1
             seqs[record["cell"]].append(detail["busSeq"])
+        if published is not None:
+            facts[published] += 1
+    assert published is None
     assert facts == buses
     for cell, order in seqs.items():
         assert order == list(range(len(order))), cell

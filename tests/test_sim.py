@@ -375,12 +375,13 @@ def test_parse_defaults():
     assert spec.links[0].latency == 1 and spec.links[0].drop == 0.0
 
 
-def test_policy_file_requires_resolver():
+def test_policy_file_without_a_base_directory_is_a_parse_error():
     wire = scenario_wire()
     del wire["cells"][0]["policy"]
     wire["cells"][0]["policyFile"] = "something.json"
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=re.escape("cell 'c0'")) as info:
         parse_scenario(wire)
+    assert "policyFile 'something.json'" in str(info.value)
 
 
 # policyFile contents -> None for a file that is absent
@@ -968,11 +969,15 @@ def test_run_error_is_reported_not_raised():
 
 
 def test_run_error_keeps_the_failed_tick_bus_records():
-    sim = Simulator(parse_scenario(scenario_wire(links=[], script=[send_op(1, "c0")])))
+    """An ``on_tick`` that fails on an advert tick loses none of the bus
+    records of that tick's decisions, which were written as they were
+    published."""
+    sim = Simulator(parse_scenario(
+        scenario_wire(links=[], maxTicks=12, script=[send_op(10, "c0")])))
     on_tick = sim.cells["c0"].on_tick
 
     def explode(now):
-        if now == 1:
+        if now == 10:
             raise SmscError("boom")
         on_tick(now)
 
@@ -981,8 +986,8 @@ def test_run_error_keeps_the_failed_tick_bus_records():
     assert report["assertions"][0]["id"] == "run-error"
     assert "boom" in report["assertions"][0]["detail"]
     kinds = [(r["tick"], r["cell"], r["kind"]) for r in sim.log.records]
-    assert kinds == [(1, "c0", "decision"), (1, "c0", "bus"),
-                     (1, "-", "assert"), (1, "-", "end")]
+    assert kinds == [(10, "c0", "decision"), (10, "c0", "bus"),
+                     (10, "-", "assert"), (10, "-", "end")]
 
 
 # --- event log -------------------------------------------------------------
