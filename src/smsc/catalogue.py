@@ -104,8 +104,7 @@ class Catalogue:
         # expire_stale sets it to the exact first expiry
         self.earliest_expiry: float = math.inf
 
-    def upsert(self, profile: CellProfile, now: int,
-               nonce: Optional[int] = None) -> CatalogueEntry:
+    def upsert(self, profile: CellProfile, now: int, nonce: Optional[int] = None) -> None:
         """Store ``profile`` as seen at ``now``.  An accepted advert passes
         its nonce; any other upsert keeps the nonce the entry holds."""
         cell_id = profile.cell_id
@@ -117,10 +116,9 @@ class Catalogue:
         if nonce is None:
             nonce = -1 if old is None else old.nonce
         expiry = now + min(profile.ttl_ticks, MAX_TTL_TICKS) + 1
-        entry = self.entries[cell_id] = CatalogueEntry(profile, now, expiry, nonce)
+        self.entries[cell_id] = CatalogueEntry(profile, now, expiry, nonce)
         if expiry < self.earliest_expiry:
             self.earliest_expiry = expiry
-        return entry
 
     def expire_stale(self, now: int) -> list[str]:
         """Drop entries whose TTL has lapsed; returns their ids sorted.

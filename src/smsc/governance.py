@@ -70,6 +70,14 @@ class ConfigSetting:
 
 Payload = Union[PolicyRule, ConfigSetting, str]
 
+# the payload type each kind carries
+_PAYLOAD_TYPES: dict[UpdateKind, type] = {
+    UpdateKind.RULE_ADD: PolicyRule,
+    UpdateKind.RULE_REMOVE: str,
+    UpdateKind.BLOCKLIST_ADD: str,
+    UpdateKind.CONFIG_SET: ConfigSetting,
+}
+
 
 def payload_from_wire(kind: UpdateKind, data: Any) -> Payload:
     if kind is UpdateKind.RULE_ADD:
@@ -99,14 +107,9 @@ class UpdatePackage:
             raise MalformedUpdate(f"negative seq {self.seq} from {self.origin!r}")
         if not self.contexts:
             raise MalformedUpdate(f"update {self.origin}/{self.seq} has no contexts")
-        if self.kind is UpdateKind.RULE_ADD and not isinstance(self.payload, PolicyRule):
-            raise MalformedUpdate("RuleAdd payload must be a rule")
-        if self.kind is UpdateKind.CONFIG_SET and not isinstance(self.payload, ConfigSetting):
-            raise MalformedUpdate("ConfigSet payload must be a setting")
-        if self.kind in (UpdateKind.RULE_REMOVE, UpdateKind.BLOCKLIST_ADD) and not isinstance(
-            self.payload, str
-        ):
-            raise MalformedUpdate(f"{self.kind.value} payload must be a string")
+        if not isinstance(self.payload, _PAYLOAD_TYPES[self.kind]):
+            raise MalformedUpdate(
+                f"{self.kind.value} payload must be a {_PAYLOAD_TYPES[self.kind].__name__}")
 
     def body(self) -> dict[str, Any]:
         return {
@@ -188,10 +191,8 @@ def assess_update_impact(
         return ImpactAssessment()
     added: Optional[PolicyRule] = None
     if package.kind is UpdateKind.RULE_ADD:
-        assert isinstance(package.payload, PolicyRule)
         added, gone_id = package.payload, package.payload.id
     else:
-        assert isinstance(package.payload, str)
         gone_id = package.payload
     replaced = rules.get(gone_id)
     changed = [r for r in (added, replaced) if r is not None]
@@ -252,39 +253,40 @@ _DUPLICATE = ApplyReport(ApplyStatus.DUPLICATE)
 
 
 class _Bucket:
-    """The rules of one (context, action) key and their matcher: the first
-    read builds it, and each later write sets or clears its rule's bit.
+    """The rules of one (context, action) key and their matcher.
 
     ``_order`` maps each rule's flag, ``1 << bit``, to the rule and ``_flags``
-    its id to the flag; a put reuses a freed flag first, so the bit space
-    never exceeds the peak count of live rules.  ``_constrains[name]`` masks
-    the rules with an atom on ``name``, ``_allows[name][value]`` those whose
-    atom admits ``value`` (an emptied mask leaves its map), ``_resources[res]``
-    those whose pattern matches ``res``, per resource id read.  A request
-    keeps its resource's rules that, per constrained name, are in one of its
-    values' masks or have no atom there: an OR, never a count, so two values
-    of one name, or none, are exact.
+    its id to the flag, the bucket's one record of its rules.  A put takes a
+    flag at once, a freed one first, so the bit space never exceeds the peak
+    count of live rules; the first read flips the kept flags into the masks,
+    and each later write sets or clears its rule's bit.  ``_constrains[name]``
+    masks the rules with an atom on ``name``, ``_allows[name][value]`` those
+    whose atom admits ``value`` (an emptied mask leaves its map),
+    ``_resources[res]`` those whose pattern matches ``res``, per resource id
+    read.  A request keeps its resource's rules that, per constrained name,
+    are in one of its values' masks or have no atom there: an OR, never a
+    count, so two values of one name, or none, are exact.
     """
 
-    __slots__ = ("rules", "_flags", "_order", "_free", "_constrains", "_allows", "_resources")
+    __slots__ = ("_flags", "_order", "_free", "_constrains", "_allows", "_resources")
 
     def __init__(self) -> None:
-        self.rules: dict[str, PolicyRule] = {}
+        self._flags: dict[str, int] = {}
+        self._order: dict[int, PolicyRule] = {}
+        self._free: list[int] = []
         self._resources: Optional[dict[str, int]] = None
 
     def put(self, rule: PolicyRule) -> None:
-        self.rules[rule.id] = rule
+        flag = self._flags[rule.id] = self._free.pop() if self._free else 1 << len(self._order)
+        self._order[flag] = rule
         if self._resources is not None:
-            flag = self._flags[rule.id] = self._free.pop() if self._free else 1 << len(self._order)
-            self._order[flag] = rule
             self._flip(rule, flag)
 
     def drop(self, rule_id: str) -> None:
-        rule = self.rules.pop(rule_id)
+        flag = self._flags.pop(rule_id)
+        rule = self._order.pop(flag)
+        self._free.append(flag)
         if self._resources is not None:
-            flag = self._flags.pop(rule_id)
-            del self._order[flag]
-            self._free.append(flag)
             self._flip(rule, flag)
 
     def _flip(self, rule: PolicyRule, flag: int) -> None:
@@ -305,10 +307,9 @@ class _Bucket:
     def select(self, grouped: Mapping[str, set[str]], resource: str) -> list[PolicyRule]:
         """The rules on ``resource`` whose condition admits ``grouped``."""
         if self._resources is None:
-            rules, self.rules, self._flags, self._order, self._free = self.rules, {}, {}, {}, []
             self._constrains, self._allows, self._resources = {}, {}, {}
-            for rule in rules.values():
-                self.put(rule)
+            for flag, rule in self._order.items():
+                self._flip(rule, flag)
         order, resources = self._order, self._resources
         keep = resources.get(resource)
         if keep is None:
@@ -338,8 +339,8 @@ class PolicyStore:
     high-water marks.  Rules are indexed by (context, action), and each
     bucket matches a request's resource and subject attributes against
     bitmasks, so an evaluation reads only the rules that match it instead
-    of every rule.  A bucket's matcher is built on its first read, never
-    at construction, and kept current by each later write.
+    of every rule.  A bucket flips its rules' flags into its masks on its
+    first read, never at construction, and each later write keeps them.
     """
 
     def __init__(self, rules: Iterable[PolicyRule] = (), regression: Sequence[RegressionCase] = ()):
@@ -436,7 +437,6 @@ class PolicyStore:
 
     def _mutate(self, package: UpdatePackage) -> None:
         if package.kind is UpdateKind.RULE_ADD:
-            assert isinstance(package.payload, PolicyRule)
             self._put_rule(package.payload)
         elif package.kind is UpdateKind.RULE_REMOVE:
             self._unindex(package.payload)
@@ -444,7 +444,6 @@ class PolicyStore:
             for context in package.contexts:
                 self.blocklist.add((context, package.payload))
         elif package.kind is UpdateKind.CONFIG_SET:
-            assert isinstance(package.payload, ConfigSetting)
             self.config[package.payload.key] = package.payload.value
 
     def _put_rule(self, rule: PolicyRule) -> None:
@@ -459,7 +458,7 @@ class PolicyStore:
         for context in rule.contexts if rule is not None else ():
             key = (context, rule.action)
             self._index[key].drop(rule_id)
-            if not self._index[key].rules:
+            if not self._index[key]._flags:
                 del self._index[key]
 
     # queries

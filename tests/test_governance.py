@@ -83,16 +83,27 @@ def test_signature_round_trip_and_tamper():
         PolicyStore().apply_update(forged)
 
 
-def test_payload_shape_enforced():
+_A_RULE = rule("r1", Effect.DENY, {"role": ["x"]})
+
+
+# every kind with two payloads of a wrong type, then the package-level
+# checks: no contexts and a negative seq
+@pytest.mark.parametrize("seq,kind,payload,contexts", [
+    pytest.param(0, UpdateKind.RULE_ADD, "not-a-rule", ["work"], id="RuleAdd-string"),
+    pytest.param(0, UpdateKind.RULE_ADD, ConfigSetting("k", 1), ["work"], id="RuleAdd-setting"),
+    pytest.param(0, UpdateKind.RULE_REMOVE, ConfigSetting("k", 1), ["work"],
+                 id="RuleRemove-setting"),
+    pytest.param(0, UpdateKind.RULE_REMOVE, _A_RULE, ["work"], id="RuleRemove-rule"),
+    pytest.param(0, UpdateKind.BLOCKLIST_ADD, 7, ["work"], id="BlocklistAdd-int"),
+    pytest.param(0, UpdateKind.BLOCKLIST_ADD, _A_RULE, ["work"], id="BlocklistAdd-rule"),
+    pytest.param(0, UpdateKind.CONFIG_SET, "k", ["work"], id="ConfigSet-string"),
+    pytest.param(0, UpdateKind.CONFIG_SET, _A_RULE, ["work"], id="ConfigSet-rule"),
+    pytest.param(0, UpdateKind.BLOCKLIST_ADD, "e", [], id="no-contexts"),
+    pytest.param(-1, UpdateKind.BLOCKLIST_ADD, "e", ["work"], id="negative-seq"),
+])
+def test_payload_shape_enforced(seq, kind, payload, contexts):
     with pytest.raises(MalformedUpdate):
-        make_update("o", 0, UpdateKind.RULE_ADD, "not-a-rule", ["work"], 0)
-    with pytest.raises(MalformedUpdate):
-        make_update("o", 0, UpdateKind.RULE_REMOVE,
-                    ConfigSetting("k", 1), ["work"], 0)
-    with pytest.raises(MalformedUpdate):
-        make_update("o", 0, UpdateKind.BLOCKLIST_ADD, "e", [], 0)
-    with pytest.raises(MalformedUpdate):
-        make_update("o", -1, UpdateKind.BLOCKLIST_ADD, "e", ["work"], 0)
+        make_update("o", seq, kind, payload, contexts, 0)
 
 
 @pytest.mark.parametrize("seq", [1.5, 1.0, True, "1", None])
@@ -450,16 +461,34 @@ def _check_against_the_oracle(store, model, requests):
     "r1",
     rule("r0", Effect.DENY, {}, resource="*"),
 ])
+# two rules removed before the first read free two flags of one bucket,
+# which the next two rules there take in reverse order, so the store read
+# only after the last step builds that matcher from kept flags, two of
+# them reused
+@example(steps=[
+    rule("r0", Effect.PERMIT, {"role": ["admin"]}),
+    rule("r1", Effect.DENY, {"dept": ["eng"]}, resource="*", contexts=("work", "home")),
+    rule("r2", Effect.PERMIT, {}, resource="repo-a"),
+    "r0",
+    "r1",
+    rule("r0", Effect.DENY, {"role": ["user"]}, resource="*"),
+    rule("r1", Effect.PERMIT, {"dept": ["ops"]}, resource="repo-a", contexts=("work", "home")),
+])
 def test_indexed_decisions_match_the_oracle(steps):
-    store = PolicyStore()
+    """One store is read after every step; a second takes the same writes
+    and is read only after the last, so its buckets first meet a read
+    with the flags that every put and drop before it left."""
+    store, unread = PolicyStore(), PolicyStore()
     model = {}
     for seq, change in enumerate(steps):
-        assert store.apply_update(_rule_package(seq, change)).status is ApplyStatus.APPLIED
+        for target in (store, unread):
+            assert target.apply_update(_rule_package(seq, change)).status is ApplyStatus.APPLIED
         if isinstance(change, PolicyRule):
             model[change.id] = change
         else:
             model.pop(change, None)
         _check_against_the_oracle(store, model, _REQUESTS)
+    _check_against_the_oracle(unread, model, _REQUESTS)
 
 
 def test_matcher_over_a_bucket_wider_than_two_machine_words():
@@ -537,9 +566,10 @@ def test_read_right_after_a_write_to_the_same_bucket_sees_it():
 def test_rule_churn_keeps_the_bucket_within_its_live_rules():
     """2,000 fresh rule ids come into one bucket and leave it again, with
     a read between writes; each rule names a fresh user and a shared one.
-    Every read equals the oracle; the bit space,
-    free bits included, never exceeds the peak count of live rules; and
-    the subject masks hold only the names and values of live rules."""
+    Every read equals the oracle; after each write, before the reads that
+    follow it, the bit space, free bits included, never exceeds the peak
+    count of live rules; a read moves no rule's flag; and the subject
+    masks hold only the names and values of live rules."""
     rng = random.Random(7)
     keep = rule("keep", Effect.PERMIT, {"dept": ["eng"]}, resource="*")
     model = {keep.id: keep}
@@ -569,13 +599,15 @@ def test_rule_churn_keeps_the_bucket_within_its_live_rules():
         store.apply_update(_rule_package(seq, change))
         seq += 1
         peak = max(peak, len(model))
+        bucket = store._index["work", "read"]
+        flags = dict(bucket._flags)
+        bits = sorted(flag.bit_length() - 1 for flag in [*flags.values(), *bucket._free])
+        assert bits == list(range(len(bits)))
+        assert len(bits) <= peak
         for request in requests:
             pool = sorted(r.id for r in store.candidates(request))
             assert pool == sorted(r.id for r in model.values() if naive_rule_matches(r, request))
-        bucket = store._index["work", "read"]
-        bits = sorted(flag.bit_length() - 1 for flag in [*bucket._flags.values(), *bucket._free])
-        assert bits == list(range(len(bits)))
-        assert len(bits) <= peak
+        assert bucket._flags == flags
         values = {(name, v) for r in model.values() for name, vs in r.subject.atoms for v in vs}
         assert {(name, v) for name, by in bucket._allows.items() for v in by} == values
         assert set(bucket._constrains) == {name for name, _ in values}
