@@ -74,7 +74,7 @@ print("\n== seq 3 arrives before seq 2 ==")
 report = store.apply_update(
     make_update("admin", 3, UpdateKind.CONFIG_SET,
                 ConfigSetting("digest-mode", "daily"), ["personal"], 3))
-print(f"  seq 3: {report.status.value} (pending: {store.pending_count()})")
+print(f"  seq 3: {report.status.value} (high water still {store.digest()})")
 report = store.apply_update(
     make_update("admin", 2, UpdateKind.BLOCKLIST_ADD, "phish-host",
                 ["personal"], 2))

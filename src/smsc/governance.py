@@ -43,7 +43,6 @@ from .policy import (
     Verdict,
     canonical_json,
     evaluate_request,
-    group_attrs,
     matching_rule_ids,
     sign_payload,
 )
@@ -189,11 +188,8 @@ def assess_update_impact(
     """
     if package.kind in (UpdateKind.BLOCKLIST_ADD, UpdateKind.CONFIG_SET):
         return ImpactAssessment()
-    added: Optional[PolicyRule] = None
-    if package.kind is UpdateKind.RULE_ADD:
-        added, gone_id = package.payload, package.payload.id
-    else:
-        gone_id = package.payload
+    added = package.payload if package.kind is UpdateKind.RULE_ADD else None
+    gone_id = package.payload if added is None else added.id
     replaced = rules.get(gone_id)
     changed = [r for r in (added, replaced) if r is not None]
     flipped: list[RegressionCase] = []
@@ -463,11 +459,6 @@ class PolicyStore:
 
     # queries
 
-    def pending_count(self, origin: Optional[str] = None) -> int:
-        if origin is not None:
-            return len(self._pending.get(origin, {}))
-        return sum(len(slot) for slot in self._pending.values())
-
     def digest(self) -> dict[str, int]:
         """Per-origin high-water marks, the anti-entropy summary."""
         return {origin: len(self.archive[origin]) - 1 for origin in sorted(self.archive)}
@@ -492,12 +483,11 @@ class PolicyStore:
         """Exactly the rules that match ``request``, each once, from its
         context's wildcard-action bucket and, unless the action is ``"*"``,
         its action's own bucket."""
-        grouped = group_attrs(request.subject_attrs)
         pool: list[PolicyRule] = []
         for action in (WILDCARD,) if request.action == WILDCARD else (WILDCARD, request.action):
             bucket = self._index.get((request.context, action))
             if bucket is not None:
-                pool += bucket.select(grouped, request.resource_id)
+                pool += bucket.select(request.grouped, request.resource_id)
         return pool
 
     # snapshot

@@ -6,7 +6,8 @@ closed-world (an attribute a rule asks about must be present on the
 request) and reads the rules in one pass: each matching rule's id goes on
 a Deny or a Permit list, the lists combine deny-overrides as in XACML 3.0,
 and the decision cites the winning list sorted.  A repeated rule id raises
-``DuplicateRuleId`` naming the first repeat.
+``DuplicateRuleId`` naming the first repeat.  A rule builds its match test
+once, at construction, and a request groups its attributes once.
 
 Delegation lets a principal that holds an attribute pass it on, budgeted
 by a hop depth.  ``expand_delegations`` computes the transitive closure a
@@ -24,6 +25,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -153,11 +155,14 @@ class PolicyRule:
         body = self.resource[:-1] if self.resource.endswith(WILDCARD) else self.resource
         if body and not TOKEN_RE.match(body):
             raise PolicyError(f"bad resource pattern: {self.resource!r}")
+        # the match test, built once: the prefix is None for an exact resource
+        object.__setattr__(self, "_match", (
+            self.contexts, self.action, self.resource, None if body == self.resource else body,
+            self.subject.atoms, self.effect is Effect.DENY, self.id))
 
     def resource_matches(self, resource_id: str) -> bool:
-        if self.resource.endswith(WILDCARD):
-            return resource_id.startswith(self.resource[:-1])
-        return resource_id == self.resource
+        prefix = self._match[3]
+        return resource_id == self.resource if prefix is None else resource_id.startswith(prefix)
 
     def to_wire(self) -> dict[str, Any]:
         return {
@@ -374,6 +379,11 @@ class DecisionRequest:
     context: str
     tick: int
 
+    @cached_property
+    def grouped(self) -> dict[str, set[str]]:
+        """Subject attributes by name, grouped on first read; shared, so never changed."""
+        return group_attrs(self.subject_attrs)
+
     def to_wire(self) -> dict[str, Any]:
         return {
             "subjectAttrs": attrs_to_wire(self.subject_attrs),
@@ -422,21 +432,20 @@ def matching_rule_ids(rules: Iterable[PolicyRule],
     or ``*``, on its resource or a ``*``-ended prefix of it, and when every
     attribute its condition names has an allowed value on the request."""
     context, action, resource = request.context, request.action, request.resource_id
-    grouped = group_attrs(request.subject_attrs)
+    grouped = request.grouped
     deny: list[str] = []
     permit: list[str] = []
     for rule in rules:
-        pattern = rule.resource
-        if (context not in rule.contexts
-                or (rule.action != action and rule.action != WILDCARD)
-                or (resource != pattern and not (
-                    pattern[-1:] == WILDCARD and resource.startswith(pattern[:-1])))):
+        contexts, rule_action, pattern, prefix, atoms, is_deny, rule_id = rule._match
+        if (context not in contexts
+                or (rule_action != action and rule_action != WILDCARD)
+                or (resource != pattern and (prefix is None or not resource.startswith(prefix)))):
             continue
-        for name, allowed in rule.subject.atoms:
+        for name, allowed in atoms:
             if allowed.isdisjoint(grouped.get(name, ())):
                 break
         else:
-            (deny if rule.effect is Effect.DENY else permit).append(rule.id)
+            (deny if is_deny else permit).append(rule_id)
     return deny, permit
 
 

@@ -597,8 +597,10 @@ _TYPO_RULE = {k: v for k, v in _GOOD_RULE.items() if k != "subject"}
     ("set-trust", {"work": [7]}),
     ("set-config", {"key": 7, "value": 1}),
     ("add-rule", {**_TYPO_RULE, "subjet": {"role": ["admin"]}}),
+    ("flag-spam", {"entry": ""}),
+    ("flag-spam", {"entry": 5}),
 ], ids=["bad-id", "bad-effect", "no-contexts", "trust-not-a-list", "trust-capability-int",
-        "config-key-int", "misspelled-subject"])
+        "config-key-int", "misspelled-subject", "flag-spam-empty", "flag-spam-int"])
 @pytest.mark.parametrize("path", ["direct", "wire"])
 def test_malformed_payload_of_a_permitted_command_is_contained(command, payload, path):
     """A permitted command whose payload fails validation is answered

@@ -122,7 +122,7 @@ def test_fractional_seqs_cannot_fill_the_gap_buffer():
             store.apply_update(upd(1 + i / 1000, payload=f"h{i}"))
     report = store.apply_update(upd(2))
     assert report.status is ApplyStatus.BUFFERED and report.evicted is None
-    assert store.pending_count("org") == 1
+    assert len(store._pending["org"]) == 1
 
 
 def test_wire_round_trip():
@@ -232,7 +232,7 @@ def test_gap_buffers_until_filled():
     assert report.status is ApplyStatus.APPLIED
     assert [(p.seq, reason) for p, reason in report.consumed] == [(0, None), (1, None), (2, None)]
     assert store.version == 3
-    assert store.pending_count() == 0
+    assert store._pending == {}
 
 
 def test_independent_origins_have_independent_streams():
@@ -241,6 +241,21 @@ def test_independent_origins_have_independent_streams():
     assert store.apply_update(upd(1, origin="b")).status is ApplyStatus.BUFFERED
     store.apply_update(upd(0, origin="b", payload="x"))
     assert store.digest() == {"a": 0, "b": 1}
+
+
+def test_filling_one_origins_gap_drains_only_that_origin():
+    """Each origin has its own gap-buffer slot: filling one origin's gap
+    drains that slot alone and leaves the other origin's packages pending."""
+    store = PolicyStore()
+    for seq in (1, 2, 3):
+        store.apply_update(upd(seq, origin="a", payload=f"a{seq}"))
+    store.apply_update(upd(2, origin="b", payload="b2"))
+    assert {origin: sorted(slot) for origin, slot in store._pending.items()} == {
+        "a": [1, 2, 3], "b": [2]}
+    report = store.apply_update(upd(0, origin="a", payload="a0"))
+    assert [p.seq for p, _ in report.consumed] == [0, 1, 2, 3]
+    assert {origin: sorted(slot) for origin, slot in store._pending.items()} == {"b": [2]}
+    assert store.digest() == {"a": 3} and store.version == 4
 
 
 def test_pending_buffer_capped():
@@ -259,7 +274,7 @@ def test_pending_buffer_capped():
 
     for seq in range(2, PENDING_CAP + 2):
         assert ingest(seq) is ApplyStatus.BUFFERED
-    assert cell.store.pending_count("org") == PENDING_CAP
+    assert len(cell.store._pending["org"]) == PENDING_CAP
     assert ingest(PENDING_CAP + 2) is ApplyStatus.BUFFERED  # itself the furthest
     assert ingest(1) is ApplyStatus.BUFFERED
     evicted = [d for k, d in events if k == "update" and d["status"] == "evicted"]
@@ -267,10 +282,10 @@ def test_pending_buffer_capped():
         {"origin": "org", "seq": PENDING_CAP + 2, "status": "evicted", "from": "org"},
         {"origin": "org", "seq": PENDING_CAP + 1, "status": "evicted", "from": "org"},
     ]
-    assert cell.store.pending_count("org") == PENDING_CAP
+    assert len(cell.store._pending["org"]) == PENDING_CAP
     assert ingest(0) is ApplyStatus.APPLIED
     assert cell.store.digest()["org"] == PENDING_CAP
-    assert cell.store.pending_count() == 0
+    assert cell.store._pending == {}
 
 
 def test_blocklist_add_spans_all_package_contexts():
@@ -685,7 +700,8 @@ def test_impact_check_replays_a_matched_case_once_unless_its_one_deny_goes(
 
 def test_impact_check_groups_each_case_attributes_once(monkeypatch):
     """A change that matches no pinned case replays none of them and
-    groups each case's subject attributes once, not once per changed rule."""
+    groups each case's subject attributes once, not once per changed rule;
+    a later assessment against the same cases groups none of them again."""
     grouped = []
     group_attrs = policy.group_attrs
     monkeypatch.setattr(
@@ -700,6 +716,9 @@ def test_impact_check_groups_each_case_attributes_once(monkeypatch):
         for role in ("user", "guest", "ops")
     ]
     assessment = assess_update_impact({"r0": old}, _rule_package(0, new), cases)
+    assert assessment.flipped == () and assessment.blocking is None
+    assert len(grouped) == len(cases)
+    assessment = assess_update_impact({"r0": old}, _rule_package(1, new), cases)
     assert assessment.flipped == () and assessment.blocking is None
     assert len(grouped) == len(cases)
 

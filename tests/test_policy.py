@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -272,6 +273,23 @@ def test_evaluator_agrees_with_naive_oracle_sample():
         with pytest.raises(DuplicateRuleId, match=re.escape(repr(rules[first].id))):
             evaluate_request(rules, req)
     assert repeat_matched == {True, False}
+    # a rule rebuilt through dataclasses.replace is matched on its new
+    # resource, action or effect, never on the test built for the original
+    flipped = set()
+    for case in range(300):
+        rules = [_random_rule(rng, f"r{i}") for i in range(rng.randint(1, 6))]
+        req = _random_request(rng)
+        before = evaluate_request(rules, req)
+        rebuilt = [dataclasses.replace(r, **rng.choice((
+            {"resource": "*"}, {"resource": "repo-*"}, {"resource": "repo-a"},
+            {"action": rng.choice(_POOL_ACTIONS)},
+            {"effect": Effect.DENY if r.effect is Effect.PERMIT else Effect.PERMIT},
+        ))) for r in rules]
+        decision = evaluate_request(rebuilt, req)
+        assert decision.verdict.value == naive_evaluate(rebuilt, req)
+        assert decision.matched_rule_ids == naive_cited_ids(rebuilt, req)
+        flipped.add(decision != before)
+    assert flipped == {True, False}
 
 
 def test_any_iterable_of_rules_is_evaluated_as_its_list():
