@@ -254,14 +254,14 @@ class _Bucket:
     ``_order`` maps each rule's flag, ``1 << bit``, to the rule and ``_flags``
     its id to the flag, the bucket's one record of its rules.  A put takes a
     flag at once, a freed one first, so the bit space never exceeds the peak
-    count of live rules; the first read flips the kept flags into the masks,
-    and each later write sets or clears its rule's bit.  ``_constrains[name]``
-    masks the rules with an atom on ``name``, ``_allows[name][value]`` those
-    whose atom admits ``value`` (an emptied mask leaves its map),
-    ``_resources[res]`` those whose pattern matches ``res``, per resource id
-    read.  A request keeps its resource's rules that, per constrained name,
-    are in one of its values' masks or have no atom there: an OR, never a
-    count, so two values of one name, or none, are exact.
+    count of live rules, and every put and drop sets or clears its rule's
+    bit in the masks.  ``_constrains[name]`` masks the rules with an atom on
+    ``name``, ``_allows[name][value]`` those whose atom admits ``value`` (an
+    emptied mask leaves its map), ``_resources[res]`` those whose pattern
+    matches ``res``, per resource id, filled when the id is first read.  A
+    request keeps its resource's rules that, per constrained name, are in
+    one of its values' masks or have no atom there: an OR, never a count,
+    so two values of one name, or none, are exact.
     """
 
     __slots__ = ("_flags", "_order", "_free", "_constrains", "_allows", "_resources")
@@ -270,20 +270,19 @@ class _Bucket:
         self._flags: dict[str, int] = {}
         self._order: dict[int, PolicyRule] = {}
         self._free: list[int] = []
-        self._resources: Optional[dict[str, int]] = None
+        self._constrains: dict[str, int] = {}
+        self._allows: dict[str, dict[str, int]] = {}
+        self._resources: dict[str, int] = {}
 
     def put(self, rule: PolicyRule) -> None:
         flag = self._flags[rule.id] = self._free.pop() if self._free else 1 << len(self._order)
         self._order[flag] = rule
-        if self._resources is not None:
-            self._flip(rule, flag)
+        self._flip(rule, flag)
 
     def drop(self, rule_id: str) -> None:
         flag = self._flags.pop(rule_id)
-        rule = self._order.pop(flag)
         self._free.append(flag)
-        if self._resources is not None:
-            self._flip(rule, flag)
+        self._flip(self._order.pop(flag), flag)
 
     def _flip(self, rule: PolicyRule, flag: int) -> None:
         """Toggle ``flag`` in every mask that holds ``rule``."""
@@ -302,10 +301,6 @@ class _Bucket:
 
     def select(self, grouped: Mapping[str, set[str]], resource: str) -> list[PolicyRule]:
         """The rules on ``resource`` whose condition admits ``grouped``."""
-        if self._resources is None:
-            self._constrains, self._allows, self._resources = {}, {}, {}
-            for flag, rule in self._order.items():
-                self._flip(rule, flag)
         order, resources = self._order, self._resources
         keep = resources.get(resource)
         if keep is None:
@@ -335,8 +330,9 @@ class PolicyStore:
     high-water marks.  Rules are indexed by (context, action), and each
     bucket matches a request's resource and subject attributes against
     bitmasks, so an evaluation reads only the rules that match it instead
-    of every rule.  A bucket flips its rules' flags into its masks on its
-    first read, never at construction, and each later write keeps them.
+    of every rule.  Each put and drop keeps its bucket's masks current
+    from the first rule on; only a resource id's mask waits for that id's
+    first read.
     """
 
     def __init__(self, rules: Iterable[PolicyRule] = (), regression: Sequence[RegressionCase] = ()):

@@ -209,15 +209,6 @@ class DelegationAssertion:
         for ctx in self.contexts:
             _check_token(ctx, "context")
 
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "issuer": self.issuer,
-            "subject": self.subject,
-            "attr": self.attr.to_wire(),
-            "depth": self.depth,
-            "contexts": sorted(self.contexts),
-        }
-
     @classmethod
     def from_wire(cls, data: Any) -> "DelegationAssertion":
         return cls(
@@ -241,9 +232,6 @@ class RootGrant:
         _check_token(self.principal, "principal")
         if self.depth < 0:
             raise PolicyError(f"negative root depth: {self.depth}")
-
-    def to_wire(self) -> dict[str, Any]:
-        return {"principal": self.principal, "attr": self.attr.to_wire(), "depth": self.depth}
 
     @classmethod
     def from_wire(cls, data: Any) -> "RootGrant":
@@ -515,15 +503,6 @@ class PolicyDocument:
         if len(set(ids)) != len(ids):
             dup = sorted({rid for rid in ids if ids.count(rid) > 1})
             raise DuplicateRuleId(f"duplicate rule ids: {dup}")
-
-    def to_wire(self) -> dict[str, Any]:
-        return {
-            "rules": [r.to_wire() for r in self.rules],
-            "delegations": [d.to_wire() for d in self.delegations],
-            "roots": [g.to_wire() for g in self.roots],
-            "trustedIssuers": sorted(self.trusted_issuers),
-            "regression": [c.to_wire() for c in self.regression],
-        }
 
     @classmethod
     def from_wire(cls, data: Any) -> "PolicyDocument":

@@ -69,25 +69,25 @@ SIM = "-"  # the "cell" column for simulator-level log records
 
 @dataclass(frozen=True)
 class CellSpec:
-    """A cell as loaded: its fields are the arguments of ``Cell``."""
+    """A cell as loaded: the arguments of ``Cell``, None for ``Cell``'s default."""
 
     cell_id: str
     contexts: tuple[str, ...]
     capabilities: Optional[tuple[str, ...]]
-    ttl_ticks: int
     resource_kind: str
     policy: PolicyDocument
     trust_policy: dict[str, list[str]]
-    advertise_interval: int
-    anti_entropy_interval: int
+    ttl_ticks: Optional[int] = None
+    advertise_interval: Optional[int] = None
+    anti_entropy_interval: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class LinkSpec:
     a: str
     b: str
-    latency: int = 1
-    drop: float = 0.0
+    latency: int
+    drop: float
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class PartitionWindow:
 
     group_a: frozenset[str]
     group_b: frozenset[str]
-    to_tick: Optional[int] = None
+    to_tick: Optional[int]
 
     def cuts(self, src: str, dst: str) -> bool:
         return (src in self.group_a and dst in self.group_b) or (
@@ -265,16 +265,17 @@ def _parse_cell(data: Mapping[str, Any], base: Optional[str]) -> CellSpec:
     intervals = field(data, "intervals", where, dict, {})
     at_intervals = f"{where} intervals"
     no_other_fields(intervals, _INTERVAL_FIELDS, at_intervals)
+    given = ((profile, at, "ttlTicks", "ttl_ticks"),
+             (intervals, at_intervals, "advertise", "advertise_interval"),
+             (intervals, at_intervals, "antiEntropy", "anti_entropy_interval"))
     return CellSpec(
         cell_id=cell_id,
         contexts=contexts,
         capabilities=tuple(capabilities) if capabilities is not None else None,
-        ttl_ticks=field(profile, "ttlTicks", at, int, 30, 1),
         resource_kind=resource_kind,
         policy=policy,
         trust_policy=trust_policy,
-        advertise_interval=field(intervals, "advertise", at_intervals, int, 10, 1),
-        anti_entropy_interval=field(intervals, "antiEntropy", at_intervals, int, 5, 1),
+        **{arg: field(obj, key, at_obj, int, least=1) for obj, at_obj, key, arg in given if key in obj},
     )
 
 
@@ -462,7 +463,8 @@ class Simulator:
         # (cell, action, None), for ``decision-equals``
         self._latest: dict[tuple[str, str, Optional[str]], dict[str, Any]] = {}
         for cs in spec.cells:
-            self.cells[cs.cell_id] = Cell(**vars(cs), observer=self._make_observer(cs.cell_id))
+            args = {name: value for name, value in vars(cs).items() if value is not None}
+            self.cells[cs.cell_id] = Cell(**args, observer=self._make_observer(cs.cell_id))
         self._cell_order = sorted(self.cells)
         # (src, dst) -> (link key, latency, drop), both directions of a link
         self._routes: dict[tuple[str, str], tuple[frozenset[str], int, float]] = {}

@@ -148,7 +148,9 @@ def test_conflicts_found(tmp_path, capsys):
     assert len(reports) == 1
     assert reports[0]["permitRuleId"] == "allow"
     assert reports[0]["denyRuleId"] == "block"
-    assert reports[0]["witness"]["subjectAttrs"] == {"role": ["guest"]}
+    assert reports[0]["witness"] == {"subjectAttrs": {"role": ["guest"]}, "action": "deliver",
+                                     "resourceId": "email-filter", "context": "personal",
+                                     "tick": 0}
 
 
 def test_conflicts_unknown_attribute_domain(tmp_path, capsys):

@@ -40,6 +40,7 @@ from .oracles import (
     naive_cited_ids,
     naive_digest_reply,
     naive_evaluate,
+    naive_resource_matches,
     naive_rule_matches,
 )
 
@@ -442,6 +443,39 @@ def _check_against_the_oracle(store, model, requests):
         assert decision.matched_rule_ids == naive_cited_ids(scoped, request), request
 
 
+def _check_masks(store, model):
+    """Each bucket holds exactly the live rules of its (context, action),
+    and each mask exactly the flags of the live rules that belong there:
+    ``_constrains[name]`` those with an atom on ``name``,
+    ``_allows[name][value]`` those whose atom admits ``value``, and
+    ``_resources[res]`` those whose pattern matches ``res``.  No emptied
+    bucket, name or value is left; a resource id's mask, kept once that id
+    is read, may be empty."""
+    assert set(store._index) == {(c, r.action) for r in model.values() for c in r.contexts}
+    for (context, action), bucket in store._index.items():
+        rules = {r.id: r for r in model.values() if context in r.contexts and r.action == action}
+        order = bucket._order
+        assert {rid: order[flag] for rid, flag in bucket._flags.items()} == rules
+        assert len(order) == len(rules) and not set(bucket._free) & set(order)
+
+        def ids(mask):
+            assert mask & ~sum(order) == 0  # no bit of a freed flag
+            return {rule.id for flag, rule in order.items() if mask & flag}
+
+        constrains, allows = {}, {}
+        for r in rules.values():
+            for name, values in r.subject.atoms:
+                constrains.setdefault(name, set()).add(r.id)
+                for value in values:
+                    allows.setdefault(name, {}).setdefault(value, set()).add(r.id)
+        assert {name: ids(mask) for name, mask in bucket._constrains.items()} == constrains
+        assert {name: {value: ids(mask) for value, mask in by.items()}
+                for name, by in bucket._allows.items()} == allows
+        assert {res: ids(mask) for res, mask in bucket._resources.items()} == {
+            res: {r.id for r in rules.values() if naive_resource_matches(r.resource, res)}
+            for res in bucket._resources}
+
+
 @given(steps=st.lists(st.one_of(_rules, st.sampled_from(_IDS)), max_size=8))
 # a replace that moves a rule to another action and context
 @example(steps=[
@@ -458,8 +492,8 @@ def _check_against_the_oracle(store, model, requests):
     "r1",
     "r2",
 ])
-# a rule removed after the first read frees its bit, and a new rule in the
-# same bucket takes it
+# a rule removed after a read frees its bit, and a new rule in the same
+# bucket takes it
 @example(steps=[
     rule("r0", Effect.PERMIT, {"role": ["admin"]}),
     rule("r1", Effect.DENY, {"dept": ["eng"]}, resource="*"),
@@ -476,10 +510,9 @@ def _check_against_the_oracle(store, model, requests):
     "r1",
     rule("r0", Effect.DENY, {}, resource="*"),
 ])
-# two rules removed before the first read free two flags of one bucket,
-# which the next two rules there take in reverse order, so the store read
-# only after the last step builds that matcher from kept flags, two of
-# them reused
+# two rules removed free two flags of one bucket, which the next two rules
+# there take in reverse order, so the store read only after the last step
+# meets masks in which two flags were cleared and set again
 @example(steps=[
     rule("r0", Effect.PERMIT, {"role": ["admin"]}),
     rule("r1", Effect.DENY, {"dept": ["eng"]}, resource="*", contexts=("work", "home")),
@@ -492,7 +525,8 @@ def _check_against_the_oracle(store, model, requests):
 def test_indexed_decisions_match_the_oracle(steps):
     """One store is read after every step; a second takes the same writes
     and is read only after the last, so its buckets first meet a read
-    with the flags that every put and drop before it left."""
+    with the masks that every put and drop before it left.  After each
+    write, both stores' masks hold exactly the live rules' flags."""
     store, unread = PolicyStore(), PolicyStore()
     model = {}
     for seq, change in enumerate(steps):
@@ -502,6 +536,8 @@ def test_indexed_decisions_match_the_oracle(steps):
             model[change.id] = change
         else:
             model.pop(change, None)
+        _check_masks(store, model)
+        _check_masks(unread, model)
         _check_against_the_oracle(store, model, _REQUESTS)
     _check_against_the_oracle(unread, model, _REQUESTS)
 
@@ -583,12 +619,13 @@ def test_rule_churn_keeps_the_bucket_within_its_live_rules():
     a read between writes; each rule names a fresh user and a shared one.
     Every read equals the oracle; after each write, before the reads that
     follow it, the bit space, free bits included, never exceeds the peak
-    count of live rules; a read moves no rule's flag; and the subject
-    masks hold only the names and values of live rules."""
+    count of live rules, and the masks of that store and of one that
+    takes the same writes and is never read hold exactly the live rules'
+    flags; and a read moves no rule's flag."""
     rng = random.Random(7)
     keep = rule("keep", Effect.PERMIT, {"dept": ["eng"]}, resource="*")
     model = {keep.id: keep}
-    store = PolicyStore(model.values())
+    store, unread = PolicyStore(model.values()), PolicyStore(model.values())
     requests = [
         DecisionRequest(frozenset({AttributePair("user", user), AttributePair("dept", "eng")}),
                         "read", resource, "work", 0)
@@ -611,7 +648,9 @@ def test_rule_churn_keeps_the_bucket_within_its_live_rules():
         else:
             change = live[rng.randrange(len(live))]
             del model[change]
-        store.apply_update(_rule_package(seq, change))
+        for target in (store, unread):
+            target.apply_update(_rule_package(seq, change))
+            _check_masks(target, model)
         seq += 1
         peak = max(peak, len(model))
         bucket = store._index["work", "read"]
@@ -623,9 +662,6 @@ def test_rule_churn_keeps_the_bucket_within_its_live_rules():
             pool = sorted(r.id for r in store.candidates(request))
             assert pool == sorted(r.id for r in model.values() if naive_rule_matches(r, request))
         assert bucket._flags == flags
-        values = {(name, v) for r in model.values() for name, vs in r.subject.atoms for v in vs}
-        assert {(name, v) for name, by in bucket._allows.items() for v in by} == values
-        assert set(bucket._constrains) == {name for name, _ in values}
     assert seq == 4000
 
 
@@ -794,11 +830,9 @@ def test_conflict_found_with_valid_witness():
     assert [(r.permit_rule_id, r.deny_rule_id) for r in reports] == [("allow", "block")]
     witness = reports[0].witness
     assert all(naive_rule_matches(r, witness) for r in rules)
-    # smallest feasible values are picked
-    assert witness.subject_attrs == frozenset({AttributePair("role", "user")})
-    assert witness.action == "read"
-    assert witness.resource_id == "repo-a"
-    assert witness.context == "work"
+    # smallest feasible values are picked, at tick 0
+    assert witness == DecisionRequest(
+        frozenset({AttributePair("role", "user")}), "read", "repo-a", "work", 0)
 
 
 def test_no_conflict_when_any_component_is_disjoint():

@@ -480,19 +480,31 @@ def test_attrs_wire_round_trip():
     assert attrs_to_wire(attrs) == {"dept": ["eng"], "role": ["admin", "user"]}
 
 
-def test_policy_document_round_trip():
-    doc = PolicyDocument(
-        rules=(rule("r1", Effect.PERMIT, {"role": ["admin"]}),),
+RULE_WIRE = rule("r1", Effect.PERMIT, {"role": ["user"]}).to_wire()
+DELEGATION_WIRE = {"issuer": "alice", "subject": "bob", "attr": {"name": "role", "value": "admin"},
+                   "depth": 1, "contexts": ["work"]}
+
+
+def test_policy_document_is_read_from_its_wire_form():
+    """A document holding one of each part reads to the objects built
+    directly."""
+    doc = PolicyDocument.from_wire({
+        "rules": [{"id": "r1", "effect": "Permit", "subject": {"role": ["user"]},
+                   "action": "read", "resource": "repo-*", "contexts": ["work"]}],
+        "delegations": [DELEGATION_WIRE],
+        "roots": [{"principal": "alice", "attr": {"name": "role", "value": "admin"}, "depth": 2}],
+        "trustedIssuers": ["idp"],
+        "regression": [{"request": {"subjectAttrs": {"role": ["admin"]}, "action": "read",
+                                    "resourceId": "repo-a", "context": "work", "tick": 3},
+                        "expected": "Deny", "protected": True}],
+    })
+    assert doc == PolicyDocument(
+        rules=(rule("r1", Effect.PERMIT, {"role": ["user"]}),),
         delegations=(DelegationAssertion("alice", "bob", ADMIN, 1, frozenset({"work"})),),
         roots=(RootGrant("alice", ADMIN, 2),),
         trusted_issuers=frozenset({"idp"}),
+        regression=(RegressionCase(request([ADMIN], tick=3), Verdict.DENY, protected=True),),
     )
-    again = PolicyDocument.from_wire(doc.to_wire())
-    assert again == doc
-
-
-RULE_WIRE = rule("r1", Effect.PERMIT, {"role": ["user"]}).to_wire()
-DELEGATION_WIRE = DelegationAssertion("alice", "bob", ADMIN, 1, frozenset({"work"})).to_wire()
 
 
 @pytest.mark.parametrize("parse", [

@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from smsc.cell import OutboundMessage
+from smsc.cell import Cell, OutboundMessage
 from smsc.cli import main as cli_main
 from smsc.errors import (
     InvalidProbability,
@@ -17,7 +17,7 @@ from smsc.errors import (
     UnknownCellRef,
 )
 from smsc.governance import ApplyStatus, UpdateKind, make_update
-from smsc.policy import canonical_json
+from smsc.policy import PolicyDocument, canonical_json
 from smsc.prng import stream_for_link
 from smsc.sim import (
     EventLog,
@@ -366,10 +366,20 @@ def test_bad_numeric_field_is_a_parse_error(name, tmp_path, capsys):
 
 
 def test_parse_defaults():
+    """A scenario cell with no ``intervals`` or ``ttlTicks`` gets the
+    settings of a ``Cell`` built directly without them; one that gives
+    them gets those."""
     spec = parse_scenario(scenario_wire())
-    assert spec.cells[0].advertise_interval == 10
-    assert spec.cells[0].anti_entropy_interval == 5
-    assert spec.cells[0].ttl_ticks == 30
+
+    def settings(cell):
+        return cell.advertise_interval, cell.anti_entropy_interval, cell.discovery.profile
+
+    built = Simulator(spec).cells["c0"]
+    direct = Cell("c0", ("work",), "echo", PolicyDocument.from_wire(PERMIT_ANY))
+    assert settings(built) == settings(direct)
+    assert settings(built)[:2] == (10, 5) and built.discovery.profile.ttl_ticks == 30
+    given = Simulator(parse_scenario(SMALL)).cells["c0"]
+    assert settings(given)[:2] == (2, 3) and given.discovery.profile.ttl_ticks == 20
     # absent trust policy: trust anyone inside the cell's own contexts
     assert spec.cells[0].trust_policy == {"work": []}
     assert spec.links[0].latency == 1 and spec.links[0].drop == 0.0
