@@ -42,7 +42,7 @@ pin = RegressionCase(
     expected=Verdict.PERMIT,
     protected=True,
 )
-store = PolicyStore(rules=[deliver_any], regression=[pin])
+store = PolicyStore("email-filter", rules=[deliver_any], regression=[pin])
 print("pinned: plain mail keeps getting delivered (protected)")
 
 print("\n== seq 0: a harmless blocklist entry ==")

@@ -14,10 +14,10 @@ below the current tick is expired.  The TTL is the one the peer
 advertised, capped at ``MAX_TTL_TICKS`` so that a peer cannot pin an
 entry for good; the stored profile, and anything that reports it, keeps
 the advertised value.  Each entry holds its expiry tick, computed once
-when it is made.  A fresh advert re-admits the peer with no memory of
-the eviction.  The catalogue also keeps a lower bound on the first tick
-at which any entry expires, so that its owner knows when it next has to
-look.
+when it is made, as its one record of when the peer was last seen.  A
+fresh advert re-admits the peer with no memory of the eviction.  The
+catalogue also keeps a lower bound on the first tick at which any entry
+expires, so that its owner knows when it next has to look.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class CellProfile:
 
 class CatalogueEntry(NamedTuple):
     profile: CellProfile
-    last_seen_tick: int
     # the first tick at which the entry is stale
     expires_at: int
     # the nonce of the last advert accepted from the peer; -1 before any
@@ -116,7 +115,7 @@ class Catalogue:
         if nonce is None:
             nonce = -1 if old is None else old.nonce
         expiry = now + min(profile.ttl_ticks, MAX_TTL_TICKS) + 1
-        self.entries[cell_id] = CatalogueEntry(profile, now, expiry, nonce)
+        self.entries[cell_id] = CatalogueEntry(profile, expiry, nonce)
         if expiry < self.earliest_expiry:
             self.earliest_expiry = expiry
 

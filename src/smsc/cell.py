@@ -110,7 +110,7 @@ class Cell:
 
         self.bus = MessageBus()
         self.catalogue = Catalogue(cell_id, trust_policy)
-        self.store = PolicyStore(policy.rules, policy.regression)
+        self.store = PolicyStore(resource_kind, policy.rules, policy.regression)
         self.delegations = policy.delegations
         self.roots = policy.roots
         self.trusted_issuers = frozenset(policy.trusted_issuers)

@@ -255,24 +255,23 @@ class _Bucket:
     its id to the flag, the bucket's one record of its rules.  A put takes a
     flag at once, a freed one first, so the bit space never exceeds the peak
     count of live rules, and every put and drop sets or clears its rule's
-    bit in the masks.  ``_constrains[name]`` masks the rules with an atom on
-    ``name``, ``_allows[name][value]`` those whose atom admits ``value`` (an
-    emptied mask leaves its map), ``_resources[res]`` those whose pattern
-    matches ``res``, per resource id, filled when the id is first read.  A
-    request keeps its resource's rules that, per constrained name, are in
-    one of its values' masks or have no atom there: an OR, never a count,
-    so two values of one name, or none, are exact.
+    bit in the masks.  ``_live`` masks every rule of the bucket,
+    ``_constrains[name]`` the rules with an atom on ``name`` and
+    ``_allows[name][value]`` those whose atom admits ``value`` (an emptied
+    mask leaves its map).  A request keeps the rules that, per constrained
+    name, are in one of its values' masks or have no atom there: an OR,
+    never a count, so two values of one name, or none, are exact.
     """
 
-    __slots__ = ("_flags", "_order", "_free", "_constrains", "_allows", "_resources")
+    __slots__ = ("_flags", "_order", "_free", "_live", "_constrains", "_allows")
 
     def __init__(self) -> None:
         self._flags: dict[str, int] = {}
         self._order: dict[int, PolicyRule] = {}
         self._free: list[int] = []
+        self._live = 0
         self._constrains: dict[str, int] = {}
         self._allows: dict[str, dict[str, int]] = {}
-        self._resources: dict[str, int] = {}
 
     def put(self, rule: PolicyRule) -> None:
         flag = self._flags[rule.id] = self._free.pop() if self._free else 1 << len(self._order)
@@ -286,6 +285,7 @@ class _Bucket:
 
     def _flip(self, rule: PolicyRule, flag: int) -> None:
         """Toggle ``flag`` in every mask that holds ``rule``."""
+        self._live ^= flag
         for name, values in rule.subject.atoms:
             by_value = self._allows.setdefault(name, {})
             for value in values:
@@ -295,24 +295,17 @@ class _Bucket:
             self._constrains[name] = mask = self._constrains.get(name, 0) ^ flag
             if not mask:
                 del self._constrains[name], self._allows[name]
-        for resource, mask in self._resources.items():
-            if rule.resource_matches(resource):
-                self._resources[resource] = mask ^ flag
 
-    def select(self, grouped: Mapping[str, set[str]], resource: str) -> list[PolicyRule]:
-        """The rules on ``resource`` whose condition admits ``grouped``."""
-        order, resources = self._order, self._resources
-        keep = resources.get(resource)
-        if keep is None:
-            keep = resources[resource] = sum(
-                flag for flag, rule in order.items() if rule.resource_matches(resource))
+    def select(self, grouped: Mapping[str, set[str]]) -> list[PolicyRule]:
+        """The rules whose condition admits ``grouped``."""
+        keep = self._live
         for name, constrained in self._constrains.items():
             by_value = self._allows[name]
             hit = 0
             for value in grouped.get(name, ()):
                 hit |= by_value.get(value, 0)
             keep &= hit | ~constrained
-        pool = []
+        order, pool = self._order, []
         while keep:
             low = keep & -keep
             pool.append(order[low])
@@ -327,15 +320,17 @@ class PolicyStore:
     and rejections leave it unchanged.  ``archive`` maps each origin to
     its consumed packages, rejected ones included, in seq order with no
     holes: it serves gap-fill requests, and its lengths are the per-origin
-    high-water marks.  Rules are indexed by (context, action), and each
-    bucket matches a request's resource and subject attributes against
-    bitmasks, so an evaluation reads only the rules that match it instead
-    of every rule.  Each put and drop keeps its bucket's masks current
-    from the first rule on; only a resource id's mask waits for that id's
-    first read.
+    high-water marks.  ``rules`` holds every rule, but only those whose
+    pattern matches ``resource``, the one resource the store's cell
+    guards, are indexed, by (context, action); each bucket matches a
+    request's subject attributes against bitmasks that every put and drop
+    keeps current, so an evaluation reads only the rules that match it
+    instead of every rule.
     """
 
-    def __init__(self, rules: Iterable[PolicyRule] = (), regression: Sequence[RegressionCase] = ()):
+    def __init__(self, resource: str, rules: Iterable[PolicyRule] = (),
+                 regression: Sequence[RegressionCase] = ()):
+        self.resource = resource
         self.rules: dict[str, PolicyRule] = {}
         # (context, action) -> bucket; wildcard-action rules under (context, "*")
         self._index: defaultdict[tuple[str, str], _Bucket] = defaultdict(_Bucket)
@@ -442,12 +437,13 @@ class PolicyStore:
         """Add or replace a rule; a replaced rule leaves the index first."""
         self._unindex(rule.id)
         self.rules[rule.id] = rule
-        for context in rule.contexts:
+        for context in rule.contexts if rule.resource_matches(self.resource) else ():
             self._index[context, rule.action].put(rule)
 
     def _unindex(self, rule_id: str) -> None:
         rule = self.rules.pop(rule_id, None)
-        for context in rule.contexts if rule is not None else ():
+        indexed = rule is not None and rule.resource_matches(self.resource)
+        for context in rule.contexts if indexed else ():
             key = (context, rule.action)
             self._index[key].drop(rule_id)
             if not self._index[key]._flags:
@@ -476,14 +472,14 @@ class PolicyStore:
         return hashlib.sha256(canonical_json(self._content()).encode("utf-8")).hexdigest()
 
     def candidates(self, request: DecisionRequest) -> list[PolicyRule]:
-        """Exactly the rules that match ``request``, each once, from its
-        context's wildcard-action bucket and, unless the action is ``"*"``,
-        its action's own bucket."""
+        """Exactly the rules that match ``request`` on the store's resource,
+        each once, from its context's wildcard-action bucket and, unless the
+        action is ``"*"``, its action's own bucket."""
         pool: list[PolicyRule] = []
         for action in (WILDCARD,) if request.action == WILDCARD else (WILDCARD, request.action):
             bucket = self._index.get((request.context, action))
             if bucket is not None:
-                pool += bucket.select(request.grouped, request.resource_id)
+                pool += bucket.select(request.grouped)
         return pool
 
     # snapshot

@@ -264,9 +264,10 @@ class NaiveDiscovery:
                 self.last_nonce.pop(peer, None)
 
     def contents(self):
-        """Per peer: (profile, last-seen tick, trust map, last nonce or -1)."""
+        """Per peer: (profile, expiry tick, trust map, last nonce or -1)."""
         return {
-            peer: (profile, seen, naive_trust(profile, self.trust_policy),
+            peer: (profile, seen + min(profile.ttl_ticks, MAX_TTL_TICKS) + 1,
+                   naive_trust(profile, self.trust_policy),
                    self.last_nonce.get(peer, -1))
             for peer, (profile, seen) in self.seen.items()
         }

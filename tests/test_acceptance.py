@@ -325,6 +325,12 @@ def _c4_wire(update_action):
     }
 
 
+# the verdicts of the probes before any update, so that a cell deciding
+# every probe alike, e.g. as a malformed token, cannot pass C4 unchanged
+_C4_VERDICTS = [Verdict.PERMIT, Verdict.DENY, Verdict.PERMIT, Verdict.DENY,
+                Verdict.NOT_APPLICABLE, Verdict.NOT_APPLICABLE]
+
+
 def test_c04_cross_context_updates_never_move_decisions(capsys):
     rng = random.Random(40404)
     probes = _c4_probes()
@@ -338,6 +344,7 @@ def test_c04_cross_context_updates_never_move_decisions(capsys):
             for d in (x.decide_operation(t, a, args, "alpha", 1)
                       for t, a, args in probes)
         ]
+        assert [verdict for verdict, _, _ in before] == _C4_VERDICTS
         sim.run()
         after = [
             (d.verdict, d.reason, d.matched_rule_ids)
@@ -384,7 +391,8 @@ def test_c05_protected_pins_block_updates_atomically(capsys):
     for name, wire in sorted(POLICY_FILES.items()):
         document = PolicyDocument.from_wire(wire)
         for case in document.regression:
-            store = PolicyStore(document.rules, document.regression)
+            store = PolicyStore(case.request.resource_id, document.rules,
+                                document.regression)
             package = _flip_update(store, case, 0)
             frozen = store.to_wire()
             assessment = assess_update_impact(store.rules, package,
@@ -436,7 +444,7 @@ def _c6_packages():
 
 def test_c06_every_permutation_converges_to_in_order_state(capsys):
     packages = _c6_packages()
-    reference = PolicyStore()
+    reference = PolicyStore("echo")
     for package in packages:
         assert reference.apply_update(package).status is ApplyStatus.APPLIED
     want = reference.to_wire()
@@ -445,7 +453,7 @@ def test_c06_every_permutation_converges_to_in_order_state(capsys):
     permutations = 0
     for perm in itertools.permutations(packages):
         permutations += 1
-        store = PolicyStore()
+        store = PolicyStore("echo")
         for package in perm:
             store.apply_update(package)
         if store.to_wire() == want:

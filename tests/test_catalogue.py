@@ -69,24 +69,28 @@ CATALOGUE_STEPS = st.lists(st.tuples(
 
 @given(CATALOGUE_STEPS)
 def test_expire_stale_matches_a_full_scan(steps):
-    """``expire_stale`` drops exactly the entries a full scan finds lapsed
-    and leaves the expiry bound at the exact first expiry, and the bound
-    never passes an entry's expiry."""
+    """``expire_stale`` drops exactly the entries a full scan over each
+    peer's last upsert tick finds lapsed and leaves the expiry bound at the
+    exact first expiry, and the bound never passes an entry's expiry."""
     cat = Catalogue("me")
     now = 0
+    seen = {}  # peer -> (tick of its last upsert, its ttl)
     for peer, ttl, gap in steps:
         now += gap
         if peer is not None:
             cat.upsert(profile(peer, ttl=ttl), now)
+            seen[peer] = (now, ttl)
         else:
-            lapsed = sorted(cid for cid, e in cat.entries.items()
-                            if e.last_seen_tick + e.profile.ttl_ticks < now)
+            lapsed = sorted(cid for cid, (tick, life) in seen.items() if tick + life < now)
             assert cat.expire_stale(now) == lapsed
-            expiries = [e.last_seen_tick + e.profile.ttl_ticks + 1
-                        for e in cat.entries.values()]
+            for cid in lapsed:
+                del seen[cid]
+            expiries = [tick + life + 1 for tick, life in seen.values()]
             assert cat.earliest_expiry == min(expiries, default=math.inf)
-        for e in cat.entries.values():
-            assert cat.earliest_expiry <= e.last_seen_tick + e.profile.ttl_ticks + 1
+        assert sorted(cat.entries) == sorted(seen)
+        for cid, (tick, life) in seen.items():
+            assert cat.get(cid).expires_at == tick + life + 1
+            assert cat.earliest_expiry <= tick + life + 1
 
 
 def test_advertised_ttl_is_capped_at_the_receiver():
@@ -154,7 +158,7 @@ def test_fresh_advert_readmits_after_eviction():
     cat.expire_stale(5)
     assert cat.get("a") is None
     cat.upsert(profile("a", ttl=2), now=5)
-    assert cat.get("a").last_seen_tick == 5
+    assert cat.get("a").expires_at == 5 + 2 + 1
 
 
 def test_query_filters_and_order():

@@ -1138,12 +1138,12 @@ def test_an_expired_peer_leaves_no_advert_nonce_behind():
         cell.handle_envelope("advert", "n", {"profile": profile.to_wire(), "nonce": 3}, 1)
     replay = {"profile": peer_profile("p0").to_wire(), "nonce": 3}
     cell.handle_envelope("advert", "n", replay, 2)
-    assert cell.catalogue.get("p0").last_seen_tick == 1
+    assert cell.catalogue.get("p0").expires_at == 1 + 5 + 1
     cell.on_tick(7)
     assert cell.catalogue.entries == {}
     cell.handle_envelope("advert", "n", replay, 8)
     entry = cell.catalogue.get("p0")
-    assert (entry.last_seen_tick, entry.nonce) == (8, 3)
+    assert (entry.expires_at, entry.nonce) == (8 + 50 + 1, 3)
 
 
 _PEER_PROFILES = st.builds(
@@ -1167,7 +1167,7 @@ def test_advert_nonces_match_a_separate_nonce_table(steps):
     separate last-nonce table dropped on expiry: over adverts with any
     nonce, replays included, register, register-reply and lookup upserts,
     and ticks that expire peers, every advert outcome and the catalogue
-    (profile, last-seen tick, trust and nonce per peer) match."""
+    (profile, expiry tick, trust and nonce per peer) match."""
     trust = {"work": ["echo"], "home": []}
     events = []
     cell = make_cell(trust=trust, observer=lambda kind, detail: events.append(kind))
@@ -1199,7 +1199,7 @@ def test_advert_nonces_match_a_separate_nonce_table(steps):
             naive.upsert(profile, now)
         cell.take_outbox()
         trusts = cell.catalogue.trusts
-        assert {cid: (e.profile, e.last_seen_tick,
+        assert {cid: (e.profile, e.expires_at,
                       {c: trusts(e.profile, c) for c in e.profile.contexts}, e.nonce)
                 for cid, e in cell.catalogue.entries.items()} == naive.contents()
     assert "reject" not in events
@@ -1395,7 +1395,7 @@ def test_lookup_response_feeds_catalogue():
     }
     cell.handle_envelope("op-resp", "registry", body, 7)
     assert cell.catalogue.get("newpeer") is not None
-    assert cell.catalogue.get("newpeer").last_seen_tick == 7
+    assert cell.catalogue.get("newpeer").expires_at == 7 + 50 + 1
     assert cell.catalogue.get("cell") is None  # never registers itself
 
 

@@ -39,7 +39,7 @@ def test_accept_then_reject_stale_and_duplicate():
     assert b.handle_advertisement(first, 2) is AdvertOutcome.STALE_NONCE
     assert b.handle_advertisement(second, 2) is AdvertOutcome.STALE_NONCE
     # the stale copy must not touch the catalogue
-    assert b.catalogue.get("a").last_seen_tick == 1
+    assert b.catalogue.get("a").expires_at == 1 + 10 + 1
     third = a.make_advertisement()
     assert b.handle_advertisement(third, 5) is AdvertOutcome.ACCEPTED
 

@@ -75,13 +75,13 @@ def pin(action="read", resource="repo-a", context="work",
 
 def test_signature_round_trip_and_tamper():
     package = upd(0)
-    store = PolicyStore()
+    store = PolicyStore("repo-a")
     assert store.apply_update(package).status is ApplyStatus.APPLIED
     from dataclasses import replace
 
     forged = replace(package, payload="other-host")
     with pytest.raises(BadSignature):
-        PolicyStore().apply_update(forged)
+        PolicyStore("repo-a").apply_update(forged)
 
 
 _A_RULE = rule("r1", Effect.DENY, {"role": ["x"]})
@@ -117,7 +117,7 @@ def test_fractional_seqs_cannot_fill_the_gap_buffer():
     """Packages at seqs 1.001, 1.002, ... could never drain: accepted,
     they would fill the origin's gap buffer for good and evict every
     real out-of-order package on arrival."""
-    store = PolicyStore()
+    store = PolicyStore("repo-a")
     for i in range(1, PENDING_CAP + 1):
         with pytest.raises(MalformedUpdate):
             store.apply_update(upd(1 + i / 1000, payload=f"h{i}"))
@@ -142,7 +142,7 @@ def test_wire_round_trip():
 
 
 def test_in_order_apply_bumps_version():
-    store = PolicyStore()
+    store = PolicyStore("repo-a")
     for seq in range(3):
         report = store.apply_update(upd(seq, payload=f"host-{seq}"))
         assert report.status is ApplyStatus.APPLIED
@@ -152,7 +152,7 @@ def test_in_order_apply_bumps_version():
 
 
 def test_duplicate_is_inert():
-    store = PolicyStore()
+    store = PolicyStore("repo-a")
     store.apply_update(upd(0))
     digest = store.content_digest()
     report = store.apply_update(upd(0))
@@ -175,7 +175,7 @@ SCREENED = {
 def _screened_store(kind):
     """A store that has consumed two packages of ``kind.value``; the
     second, returned with the store, is the package the screen is tried on."""
-    store = PolicyStore()
+    store = PolicyStore("repo-a")
     for seq in (0, 1):
         package = upd(seq, kind, SCREENED[kind], origin=kind.value,
                       contexts=("work", "home"), tick=1)
@@ -225,7 +225,7 @@ def test_the_screen_refuses_a_number_twin(kind, twin):
 
 
 def test_gap_buffers_until_filled():
-    store = PolicyStore()
+    store = PolicyStore("repo-a")
     assert store.apply_update(upd(2, payload="h2")).status is ApplyStatus.BUFFERED
     assert store.apply_update(upd(1, payload="h1")).status is ApplyStatus.BUFFERED
     assert store.version == 0
@@ -237,7 +237,7 @@ def test_gap_buffers_until_filled():
 
 
 def test_independent_origins_have_independent_streams():
-    store = PolicyStore()
+    store = PolicyStore("repo-a")
     store.apply_update(upd(0, origin="a"))
     assert store.apply_update(upd(1, origin="b")).status is ApplyStatus.BUFFERED
     store.apply_update(upd(0, origin="b", payload="x"))
@@ -247,7 +247,7 @@ def test_independent_origins_have_independent_streams():
 def test_filling_one_origins_gap_drains_only_that_origin():
     """Each origin has its own gap-buffer slot: filling one origin's gap
     drains that slot alone and leaves the other origin's packages pending."""
-    store = PolicyStore()
+    store = PolicyStore("repo-a")
     for seq in (1, 2, 3):
         store.apply_update(upd(seq, origin="a", payload=f"a{seq}"))
     store.apply_update(upd(2, origin="b", payload="b2"))
@@ -290,20 +290,20 @@ def test_pending_buffer_capped():
 
 
 def test_blocklist_add_spans_all_package_contexts():
-    store = PolicyStore()
+    store = PolicyStore("repo-a")
     store.apply_update(upd(0, contexts=("work", "home")))
     assert ("work", "bad-host") in store.blocklist
     assert ("home", "bad-host") in store.blocklist
 
 
 def test_config_set_applied():
-    store = PolicyStore()
+    store = PolicyStore("repo-a")
     store.apply_update(upd(0, UpdateKind.CONFIG_SET, ConfigSetting("mode", "strict")))
     assert store.config == {"mode": "strict"}
 
 
 def test_rule_add_upserts_and_remove_discards():
-    store = PolicyStore()
+    store = PolicyStore("repo-a")
     r1 = rule("r1", Effect.PERMIT, {})
     store.apply_update(upd(0, UpdateKind.RULE_ADD, r1))
     r1b = rule("r1", Effect.DENY, {})
@@ -322,6 +322,7 @@ def test_rule_add_upserts_and_remove_discards():
 def _guarded_store():
     base = rule("allow-read", Effect.PERMIT, {}, action="read")
     return PolicyStore(
+        "repo-a",
         rules=[base],
         regression=[pin(action="read", expected=Verdict.PERMIT, protected=True)],
     )
@@ -346,6 +347,7 @@ def test_protected_flip_rejected_and_seq_consumed():
 def test_unprotected_flip_accepted_but_reported():
     base = rule("allow-read", Effect.PERMIT, {}, action="read")
     store = PolicyStore(
+        "repo-a",
         rules=[base],
         regression=[pin(action="read", expected=Verdict.PERMIT, protected=False)],
     )
@@ -404,6 +406,7 @@ _rules = st.builds(
     contexts=st.lists(st.sampled_from(_CONTEXTS), min_size=1, unique=True),
 )
 
+_RESOURCES = ("repo-a", "repo-b", "log")
 _REQUESTS = tuple(
     DecisionRequest(frozenset(attrs), action, resource, context, 0)
     for attrs in (
@@ -415,7 +418,7 @@ _REQUESTS = tuple(
         (AttributePair("dept", "eng"), AttributePair("dept", "ops")),
     )
     for action in ("read", "write", "mgmt:x", "*")
-    for resource in ("repo-a", "repo-b", "log")
+    for resource in _RESOURCES
     for context in _CONTEXTS + ("lab",)
 )
 
@@ -427,14 +430,15 @@ def _rule_package(seq, change):
     return upd(seq, UpdateKind.RULE_REMOVE, change)
 
 
-def _check_against_the_oracle(store, model, requests):
-    """Each request's pool holds, once each and current, exactly the rules
-    of its context that match it under the oracle, on action, resource and
+def _check_against_the_oracle(stores, model, requests):
+    """Each request's pool, read from the store of its resource in
+    ``stores``, holds, once each and current, exactly the rules of its
+    context that match it under the oracle, on action, resource and
     subject, and evaluating the pool gives the oracle's decision over the
     context."""
     for request in requests:
         scoped = [r for r in model.values() if request.context in r.contexts]
-        pool = store.candidates(request)
+        pool = stores[request.resource_id].candidates(request)
         expected = [r.id for r in scoped if naive_rule_matches(r, request)]
         assert sorted(r.id for r in pool) == sorted(expected), request
         assert all(model[r.id] == r for r in pool), request
@@ -444,16 +448,24 @@ def _check_against_the_oracle(store, model, requests):
 
 
 def _check_masks(store, model):
-    """Each bucket holds exactly the live rules of its (context, action),
-    and each mask exactly the flags of the live rules that belong there:
-    ``_constrains[name]`` those with an atom on ``name``,
-    ``_allows[name][value]`` those whose atom admits ``value``, and
-    ``_resources[res]`` those whose pattern matches ``res``.  No emptied
-    bucket, name or value is left; a resource id's mask, kept once that id
-    is read, may be empty."""
-    assert set(store._index) == {(c, r.action) for r in model.values() for c in r.contexts}
+    """The store keeps every live rule, but a live rule whose pattern misses
+    the store's resource has no flag in any bucket.  Each bucket holds
+    exactly the live rules of its (context, action) on that resource, and
+    each mask exactly the flags of those that belong there: ``_live`` all
+    of them, ``_constrains[name]`` those with an atom on ``name`` and
+    ``_allows[name][value]`` those whose atom admits ``value``.  No emptied
+    bucket, name or value is left."""
+    assert store.rules == model
+    on_resource = {}
+    for rid, r in model.items():
+        if naive_resource_matches(r.resource, store.resource):
+            on_resource[rid] = r
+        else:
+            assert all(rid not in bucket._flags for bucket in store._index.values()), rid
+    assert set(store._index) == {(c, r.action) for r in on_resource.values() for c in r.contexts}
     for (context, action), bucket in store._index.items():
-        rules = {r.id: r for r in model.values() if context in r.contexts and r.action == action}
+        rules = {r.id: r for r in on_resource.values()
+                 if context in r.contexts and r.action == action}
         order = bucket._order
         assert {rid: order[flag] for rid, flag in bucket._flags.items()} == rules
         assert len(order) == len(rules) and not set(bucket._free) & set(order)
@@ -468,12 +480,10 @@ def _check_masks(store, model):
                 constrains.setdefault(name, set()).add(r.id)
                 for value in values:
                     allows.setdefault(name, {}).setdefault(value, set()).add(r.id)
+        assert ids(bucket._live) == set(rules)
         assert {name: ids(mask) for name, mask in bucket._constrains.items()} == constrains
         assert {name: {value: ids(mask) for value, mask in by.items()}
                 for name, by in bucket._allows.items()} == allows
-        assert {res: ids(mask) for res, mask in bucket._resources.items()} == {
-            res: {r.id for r in rules.values() if naive_resource_matches(r.resource, res)}
-            for res in bucket._resources}
 
 
 @given(steps=st.lists(st.one_of(_rules, st.sampled_from(_IDS)), max_size=8))
@@ -500,9 +510,9 @@ def _check_masks(store, model):
     "r0",
     rule("r2", Effect.DENY, {"role": ["user"], "dept": ["ops"]}, resource="repo-a"),
 ])
-# every resource id is read after the first write and again after each
-# later one, so each write must set or clear its rule's bit in the masks
-# of exactly the ids its pattern matches
+# rules on one resource id, on a prefix and on every id, read from every
+# resource's store after each write, so each write must set or clear its
+# rule's bit in exactly the stores whose resource its pattern matches
 @example(steps=[
     rule("r0", Effect.PERMIT, {}, resource="repo-a"),
     rule("r1", Effect.DENY, {"role": ["user"]}, resource="*"),
@@ -523,29 +533,32 @@ def _check_masks(store, model):
     rule("r1", Effect.PERMIT, {"dept": ["ops"]}, resource="repo-a", contexts=("work", "home")),
 ])
 def test_indexed_decisions_match_the_oracle(steps):
-    """One store is read after every step; a second takes the same writes
-    and is read only after the last, so its buckets first meet a read
-    with the masks that every put and drop before it left.  After each
-    write, both stores' masks hold exactly the live rules' flags."""
-    store, unread = PolicyStore(), PolicyStore()
+    """Each resource of the requests has one store that is read after every
+    step and a second that takes the same writes and is read only after
+    the last, so its buckets first meet a read with the masks that every
+    put and drop before it left.  After each write, every store's masks
+    hold exactly the flags of the live rules on its resource."""
+    stores = {res: PolicyStore(res) for res in _RESOURCES}
+    unread = {res: PolicyStore(res) for res in _RESOURCES}
     model = {}
     for seq, change in enumerate(steps):
-        for target in (store, unread):
+        for target in (*stores.values(), *unread.values()):
             assert target.apply_update(_rule_package(seq, change)).status is ApplyStatus.APPLIED
         if isinstance(change, PolicyRule):
             model[change.id] = change
         else:
             model.pop(change, None)
-        _check_masks(store, model)
-        _check_masks(unread, model)
-        _check_against_the_oracle(store, model, _REQUESTS)
+        for target in (*stores.values(), *unread.values()):
+            _check_masks(target, model)
+        _check_against_the_oracle(stores, model, _REQUESTS)
     _check_against_the_oracle(unread, model, _REQUESTS)
 
 
 def test_matcher_over_a_bucket_wider_than_two_machine_words():
-    """140 rules in one (context, action) bucket, so the selected bits run
-    past 128; requests carry two values of one attribute, or none of an
-    attribute the rules constrain."""
+    """140 rules on every resource in one (context, action) bucket, and 10
+    more on ``log`` alone, which the ``repo-a`` store leaves out, so the
+    selected bits of both stores run past 128; requests carry two values
+    of one attribute, or none of an attribute the rules constrain."""
     roles, depts, levels = ("admin", "user", "ops"), ("eng", "ops", "hr", "sales"), ("l1", "l2")
     shapes = (
         lambda i: {},
@@ -555,14 +568,15 @@ def test_matcher_over_a_bucket_wider_than_two_machine_words():
         lambda i: {"level": [levels[i % 2]], "role": [roles[(i + 1) % 3]]},
     )
     model = {}
-    for i in range(140):
+    for i in range(150):
         effect = Effect.DENY if i % 7 == 3 else Effect.PERMIT
-        added = rule(f"r{i}", effect, shapes[i % 5](i), resource="*")
+        added = rule(f"r{i}", effect, shapes[i % 5](i), resource="*" if i < 140 else "log")
         model[added.id] = added
-    store = PolicyStore(model.values())
+    stores = {res: PolicyStore(res, model.values()) for res in ("repo-a", "log")}
     requests = [
-        DecisionRequest(frozenset(AttributePair(n, v) for n, v in attrs), "read", "repo-a",
+        DecisionRequest(frozenset(AttributePair(n, v) for n, v in attrs), "read", resource,
                         "work", 0)
+        for resource in stores
         for attrs in (
             (),
             (("role", "admin"),),
@@ -574,19 +588,25 @@ def test_matcher_over_a_bucket_wider_than_two_machine_words():
         )
     ]
     late = {f"r{i}" for i in range(128, 140)}
-    assert any(late & {r.id for r in store.candidates(request)} for request in requests)
-    _check_against_the_oracle(store, model, requests)
+    for store in stores.values():
+        _check_masks(store, model)
+        assert any(late & {r.id for r in store.candidates(request)} for request in requests
+                   if request.resource_id == store.resource)
+    _check_against_the_oracle(stores, model, requests)
     for seq, gone in enumerate(sorted(model)[::3]):
-        store.apply_update(upd(seq, UpdateKind.RULE_REMOVE, gone))
+        for store in stores.values():
+            store.apply_update(upd(seq, UpdateKind.RULE_REMOVE, gone))
         del model[gone]
-    _check_against_the_oracle(store, model, requests)
+    for store in stores.values():
+        _check_masks(store, model)
+    _check_against_the_oracle(stores, model, requests)
 
 
 def test_read_right_after_a_write_to_the_same_bucket_sees_it():
     """Each read equals the oracle's pool: the rules that match the request
     on action, resource and subject, among those the last write left."""
     model = {"r0": rule("r0", Effect.PERMIT, {"role": ["admin"]})}
-    store = PolicyStore(model.values())
+    store = PolicyStore("repo-a", model.values())
     request = DecisionRequest(
         frozenset({AttributePair("role", "admin")}), "read", "repo-a", "work", 0
     )
@@ -617,23 +637,26 @@ def test_read_right_after_a_write_to_the_same_bucket_sees_it():
 def test_rule_churn_keeps_the_bucket_within_its_live_rules():
     """2,000 fresh rule ids come into one bucket and leave it again, with
     a read between writes; each rule names a fresh user and a shared one.
-    Every read equals the oracle; after each write, before the reads that
-    follow it, the bit space, free bits included, never exceeds the peak
-    count of live rules, and the masks of that store and of one that
-    takes the same writes and is never read hold exactly the live rules'
-    flags; and a read moves no rule's flag."""
+    Each of ``repo-a`` and ``log`` has a store that is read and one that
+    takes the same writes and is never read.  Every read, from the store
+    of the request's resource, equals the oracle; after each write, before
+    the reads that follow it, a read store's bit space, free bits
+    included, never exceeds the peak count of live rules on its resource,
+    and every store's masks hold exactly the flags of those rules; and a
+    read moves no rule's flag."""
     rng = random.Random(7)
     keep = rule("keep", Effect.PERMIT, {"dept": ["eng"]}, resource="*")
     model = {keep.id: keep}
-    store, unread = PolicyStore(model.values()), PolicyStore(model.values())
+    stores = {res: PolicyStore(res, model.values()) for res in ("repo-a", "log")}
+    unread = {res: PolicyStore(res, model.values()) for res in stores}
     requests = [
         DecisionRequest(frozenset({AttributePair("user", user), AttributePair("dept", "eng")}),
                         "read", resource, "work", 0)
         for user in ("u1", "u2")
-        for resource in ("repo-a", "log")
+        for resource in stores
     ]
     resources = ("repo-a", "repo-*", "log", "*")
-    fresh, seq, peak = iter(range(2000)), 0, 0
+    fresh, seq, peak = iter(range(2000)), 0, dict.fromkeys(stores, 0)
     while True:
         live = [rid for rid in model if rid != keep.id]
         adding = len(live) < 2 or (len(live) < 16 and rng.random() < 0.5)
@@ -648,20 +671,24 @@ def test_rule_churn_keeps_the_bucket_within_its_live_rules():
         else:
             change = live[rng.randrange(len(live))]
             del model[change]
-        for target in (store, unread):
+        for target in (*stores.values(), *unread.values()):
             target.apply_update(_rule_package(seq, change))
             _check_masks(target, model)
         seq += 1
-        peak = max(peak, len(model))
-        bucket = store._index["work", "read"]
-        flags = dict(bucket._flags)
-        bits = sorted(flag.bit_length() - 1 for flag in [*flags.values(), *bucket._free])
-        assert bits == list(range(len(bits)))
-        assert len(bits) <= peak
+        flags = {}
+        for res, store in stores.items():
+            peak[res] = max(peak[res], sum(naive_resource_matches(r.resource, res)
+                                           for r in model.values()))
+            bucket = store._index["work", "read"]
+            flags[res] = dict(bucket._flags)
+            bits = sorted(flag.bit_length() - 1
+                          for flag in [*flags[res].values(), *bucket._free])
+            assert bits == list(range(len(bits)))
+            assert len(bits) <= peak[res]
         for request in requests:
-            pool = sorted(r.id for r in store.candidates(request))
+            pool = sorted(r.id for r in stores[request.resource_id].candidates(request))
             assert pool == sorted(r.id for r in model.values() if naive_rule_matches(r, request))
-        assert bucket._flags == flags
+        assert {res: store._index["work", "read"]._flags for res, store in stores.items()} == flags
     assert seq == 4000
 
 
@@ -770,7 +797,7 @@ def test_archive_keeps_rejected_packages():
 
 
 def test_digest_is_per_origin_high_water():
-    store = PolicyStore()
+    store = PolicyStore("repo-a")
     store.apply_update(upd(0, origin="a"))
     store.apply_update(upd(0, origin="b", payload="x"))
     store.apply_update(upd(1, origin="b", payload="y"))

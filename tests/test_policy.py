@@ -11,11 +11,12 @@ from smsc.errors import (
     BadSignature,
     DuplicateRuleId,
     Expired,
+    MalformedUpdate,
     ParseError,
     PolicyError,
     UntrustedIssuer,
 )
-from smsc.governance import DomainSpec
+from smsc.governance import DomainSpec, PolicyStore
 from smsc.policy import (
     AttributePair,
     Condition,
@@ -195,9 +196,12 @@ def test_decision_cites_only_winning_rules_sorted():
 
 
 def test_duplicate_rule_ids_detected():
+    """The evaluator and a store seeded with the rules both refuse them."""
     rules = [rule("r1", Effect.PERMIT, {}), rule("r1", Effect.DENY, {})]
     with pytest.raises(DuplicateRuleId):
         evaluate_request(rules, request())
+    with pytest.raises(MalformedUpdate, match="duplicate seed rule id 'r1'"):
+        PolicyStore("repo-a", rules)
 
 
 def test_not_applicable_reason():
